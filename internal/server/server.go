@@ -18,21 +18,15 @@
 // Errors carry a machine-readable code from the snapshot package's wire
 // taxonomy: bad ids are HTTP 400 {"code":"bad_component"}, infeasible
 // resizes HTTP 409 {"code":"bad_resize"}, malformed requests HTTP 400
-// {"code":"bad_request"}; anything else is a 500 {"code":"internal"}.
+// {"code":"bad_request"} (413 for a body over 1 MiB); anything else is a
+// 500 {"code":"internal"}.
 //
-// Two correctness mechanisms ride on every request:
-//
-// Scan cache. The server keys scan results by the requested id set and a
-// vector of per-shard operation counters, bumped after each mutation is
-// applied and before its response is written. A cached view is served only
-// while the counters of every involved shard are unchanged, and a view is
-// inserted only if they did not move across the scan. That is linearizable
-// without peeking into the object: an update that has been applied but not
-// yet bumped its counter has, by construction, not yet been answered — it
-// is still concurrent with the scan request, so serving the pre-update
-// view orders the scan before it, which the interval checker (and any
-// client) must accept. Disjoint-shard updates never invalidate each
-// other's cached scans — locality again.
+// Requests pass straight through to the object: the server keeps no state
+// per component, so a request costs only what the object charges for the
+// components it names. Update, scan and resize bodies go through a small
+// hand-written codec (codec.go) that reads each body into a pooled buffer,
+// parses it into pooled slices and appends the reply into a pooled buffer,
+// with the wire format encoding/json gives the exported wire types.
 //
 // Conformance oracle. The server records a complete prefix of its traffic
 // through spec.Recorder: every operation is recorded until the admission
@@ -41,10 +35,11 @@
 // before the scan's own response, so once the last recorded scan has
 // finished, later writes are unobservable by the history and recording
 // closes). The recorded history therefore explains every value any
-// recorded scan can have seen — including cache-served responses, so a
-// stale-cache bug is convicted, not hidden. GET /conformance (and the
+// recorded scan can have seen, so a serving bug that answers a scan with
+// a superseded value is convicted, not hidden. GET /conformance (and the
 // snapshotd shutdown hook) runs spec.Check over the prefix: the sequential
-// spec as the service's conformance oracle.
+// spec as the service's conformance oracle. Only recorded operations copy
+// their ids and values out of the pooled request buffers.
 package server
 
 import (
@@ -52,9 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,31 +62,16 @@ type Config struct {
 	// DefaultMaxRecordedOps). Recording self-closes shortly after the cap:
 	// see the package comment.
 	MaxRecordedOps int
-	// MaxCacheEntries bounds the scan cache (<=0 = DefaultMaxCacheEntries;
-	// the cache resets when full rather than maintaining an eviction
-	// order — scan keys under the workload shapes recur heavily, so a
-	// periodic cold restart costs little).
-	MaxCacheEntries int
 }
 
 // DefaultMaxRecordedOps is the conformance prefix admission cap.
 const DefaultMaxRecordedOps = 32768
 
-// DefaultMaxCacheEntries bounds the scan cache.
-const DefaultMaxCacheEntries = 4096
-
 // Server serves one snapshot object over HTTP.
 type Server struct {
 	obj  snapshot.Object[int64]
 	impl snapshot.Impl
-
-	// counters holds one mutation counter per shard (one total for the
-	// single-object implementations), the scan cache's invalidation clock.
-	counters []counter
-	shardOf  func(id int) int
-
-	cache scanCache
-	conf  *conformance
+	conf *conformance
 
 	requests    atomic.Uint64
 	badRequests atomic.Uint64
@@ -106,47 +84,14 @@ type Server struct {
 	resizes     atomic.Uint64
 }
 
-// counter is a padded per-shard mutation counter so disjoint-shard updates
-// do not false-share the invalidation clock.
-type counter struct {
-	n atomic.Uint64
-	_ [120]byte
-}
-
 // New builds a server over obj. impl is the snapshot.Impl name obj was
-// built with (reported by /stats and used to size the invalidation clock:
-// a *snapshot.Sharded gets one counter per shard).
+// built with, reported by /stats.
 func New(obj snapshot.Object[int64], impl snapshot.Impl, cfg Config) *Server {
 	if cfg.MaxRecordedOps <= 0 {
 		cfg.MaxRecordedOps = DefaultMaxRecordedOps
 	}
-	if cfg.MaxCacheEntries <= 0 {
-		cfg.MaxCacheEntries = DefaultMaxCacheEntries
-	}
-	s := &Server{obj: obj, impl: impl}
-	if sh, ok := obj.(*snapshot.Sharded[int64]); ok {
-		s.counters = make([]counter, sh.NumShards())
-		s.shardOf = sh.ShardOf
-	} else {
-		s.counters = make([]counter, 1)
-		s.shardOf = func(int) int { return 0 }
-	}
-	s.cache = scanCache{max: cfg.MaxCacheEntries, entries: map[string]*cacheEntry{}}
-	s.conf = &conformance{cap: int64(cfg.MaxRecordedOps), initial: components(obj)}
-	return s
-}
-
-// components reads the object's current size: the Sharded store reports it
-// directly, the single objects via the length of a full scan.
-func components(obj snapshot.Object[int64]) int {
-	if sh, ok := obj.(*snapshot.Sharded[int64]); ok {
-		return sh.Components()
-	}
-	vals, err := obj.Scan()
-	if err != nil {
-		return 0
-	}
-	return len(vals)
+	return &Server{obj: obj, impl: impl,
+		conf: &conformance{cap: int64(cfg.MaxRecordedOps), initial: obj.Components()}}
 }
 
 // Handler returns the server's mux.
@@ -166,6 +111,10 @@ func (s *Server) Handler() http.Handler {
 }
 
 // ---- wire types ----
+//
+// The request and reply bodies below are the wire schema. The handlers
+// read and write them through the codec in codec.go, not through
+// reflection; codec_test.go pins the two to the same bytes.
 
 // UpdateReq is POST /update's body: either one update (ids/vals) or a
 // batch (ops) — the per-connection batching surface, one round trip for a
@@ -196,12 +145,10 @@ type ScanReq struct {
 	All bool  `json:"all,omitempty"`
 }
 
-// ScanResp carries an atomic view of the requested components. Cached
-// reports whether the view was served from the counter-guarded cache.
+// ScanResp carries an atomic view of the requested components.
 type ScanResp struct {
-	IDs    []int   `json:"ids"`
-	Vals   []int64 `json:"vals"`
-	Cached bool    `json:"cached,omitempty"`
+	IDs  []int   `json:"ids"`
+	Vals []int64 `json:"vals"`
 }
 
 // ResizeReq is POST /grow's and /shrink's body.
@@ -238,9 +185,10 @@ type StatsResp struct {
 	ResizeBusy  uint64 `json:"resize_busy"`
 	Internal    uint64 `json:"internal_errors"`
 
+	// CacheHits and CacheMisses always read 0: the server has no cache,
+	// but the repository benchmark (perfbench) reads both keys.
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
-	CacheStores uint64 `json:"cache_stores"`
 
 	RecordedOps     int             `json:"recorded_ops"`
 	RecordingClosed bool            `json:"recording_closed"`
@@ -259,40 +207,39 @@ type ConformanceResp struct {
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req UpdateReq
-	if !s.decode(w, r, &req) {
+	q, ok := s.decode(w, r, updateFields)
+	if !ok {
 		return
 	}
-	ops := req.Ops
-	if len(ops) == 0 {
-		if len(req.IDs) == 0 {
-			s.fail(w, http.StatusBadRequest, "bad_request", errors.New("update: ids or ops required"))
+	defer putRequest(q)
+	if len(q.ops) == 0 {
+		if q.ids.lo == q.ids.hi {
+			s.fail(w, q, http.StatusBadRequest, "bad_request", errors.New("update: ids or ops required"))
 			return
 		}
-		ops = []OneOp{{IDs: req.IDs, Vals: req.Vals}}
-	} else if len(req.IDs) != 0 {
-		s.fail(w, http.StatusBadRequest, "bad_request", errors.New("update: ids and ops are mutually exclusive"))
+		q.ops = append(q.ops, opSpan{q.ids, q.val})
+	} else if q.ids.lo != q.ids.hi {
+		s.fail(w, q, http.StatusBadRequest, "bad_request", errors.New("update: ids and ops are mutually exclusive"))
 		return
 	}
 	applied := 0
-	for _, op := range ops {
-		if err := s.applyUpdate(op.IDs, op.Vals); err != nil {
+	for _, op := range q.ops {
+		if err := s.applyUpdate(q.idList(op.ids), q.valList(op.vals)); err != nil {
 			// Batch semantics: earlier ops of the batch stay applied (each
 			// is individually linearizable); the response reports how far
 			// the batch got beside the error.
-			s.failApplied(w, err, applied)
+			s.failApplied(w, q, err, applied)
 			return
 		}
 		applied++
 	}
 	s.updates.Add(1)
-	s.reply(w, http.StatusOK, UpdateResp{Applied: applied})
+	q.out = appendCount(q.out, "applied", applied)
+	send(w, http.StatusOK, q.out)
 }
 
-// applyUpdate runs one update through the conformance recorder, the
-// object, and the invalidation clock — in the order the cache's
-// linearizability argument requires: apply, then bump, then (the caller)
-// respond.
+// applyUpdate runs one update through the conformance recorder and the
+// object.
 func (s *Server) applyUpdate(ids []int, vals []int64) error {
 	tok := s.conf.admit(spec.Update)
 	start := tok.start()
@@ -301,120 +248,95 @@ func (s *Server) applyUpdate(ids []int, vals []int64) error {
 		tok.abort()
 		return err
 	}
-	s.bump(ids)
-	tok.commit(spec.Op[int64]{Kind: spec.Update, Start: start,
-		Comps: append([]int(nil), ids...), Vals: append([]int64(nil), vals...)})
+	if tok.rec {
+		tok.commit(spec.Op[int64]{Kind: spec.Update, Start: start, Comps: slices.Clone(ids), Vals: slices.Clone(vals)})
+	}
 	s.updateOps.Add(1)
 	return nil
 }
 
-// bump advances the mutation counter of every shard the ids touch.
-func (s *Server) bump(ids []int) {
-	if len(s.counters) == 1 {
-		s.counters[0].n.Add(1)
-		return
-	}
-	last := -1
-	for _, id := range ids {
-		if k := s.shardOf(id); k != last {
-			s.counters[k].n.Add(1)
-			last = k
-		}
-	}
-}
-
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req ScanReq
-	if !s.decode(w, r, &req) {
+	q, ok := s.decode(w, r, scanFields)
+	if !ok {
 		return
 	}
-	ids := req.IDs
-	if req.All {
-		if len(ids) != 0 {
-			s.fail(w, http.StatusBadRequest, "bad_request", errors.New("scan: ids and all are mutually exclusive"))
-			return
-		}
-		n := components(s.obj)
-		ids = make([]int, n)
-		for i := range ids {
-			ids[i] = i
-		}
+	defer putRequest(q)
+	ids := q.idList(q.ids)
+	if q.all && len(ids) != 0 {
+		s.fail(w, q, http.StatusBadRequest, "bad_request", errors.New("scan: ids and all are mutually exclusive"))
+		return
 	}
-	if len(ids) == 0 {
-		s.fail(w, http.StatusBadRequest, "bad_request", errors.New("scan: ids or all required"))
+	if !q.all && len(ids) == 0 {
+		s.fail(w, q, http.StatusBadRequest, "bad_request", errors.New("scan: ids or all required"))
 		return
 	}
 
 	tok := s.conf.admit(spec.Scan)
 	start := tok.start()
-
-	key, buckets := s.cacheKey(ids)
-	pre := s.readCounters(buckets)
-	if vals, ok := s.cache.get(key, pre); ok {
-		tok.commit(spec.Op[int64]{Kind: spec.Scan, Start: start,
-			Comps: append([]int(nil), ids...), Vals: vals})
-		s.scans.Add(1)
-		s.reply(w, http.StatusOK, ScanResp{IDs: ids, Vals: vals, Cached: true})
-		return
+	var vals []int64
+	var err error
+	if q.all {
+		// One full scan: its length names the components it covers.
+		if vals, err = s.obj.Scan(); err == nil {
+			q.ints = q.ints[:0]
+			for i := range vals {
+				q.ints = append(q.ints, i)
+			}
+			ids = q.ints
+		}
+	} else {
+		vals, err = s.obj.PartialScan(ids)
 	}
-	vals, err := s.obj.PartialScan(ids)
 	if err != nil {
 		tok.abort()
-		s.failApplied(w, err, 0)
+		s.failApplied(w, q, err, 0)
 		return
 	}
-	if post := s.readCounters(buckets); countersEqual(pre, post) {
-		// No mutation completed in any involved shard across the scan: the
-		// view is current as of `post` and may serve until the counters
-		// move.
-		s.cache.put(key, post, vals)
+	if tok.rec {
+		tok.commit(spec.Op[int64]{Kind: spec.Scan, Start: start, Comps: slices.Clone(ids), Vals: vals})
 	}
-	tok.commit(spec.Op[int64]{Kind: spec.Scan, Start: start,
-		Comps: append([]int(nil), ids...), Vals: vals})
 	s.scans.Add(1)
-	s.reply(w, http.StatusOK, ScanResp{IDs: ids, Vals: vals})
+	q.out = appendScanResp(q.out, ids, vals)
+	send(w, http.StatusOK, q.out)
 }
 
 func (s *Server) handleResize(grow bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(1)
-		var req ResizeReq
-		if !s.decode(w, r, &req) {
+		q, ok := s.decode(w, r, resizeFields)
+		if !ok {
 			return
 		}
+		defer putRequest(q)
 		kind, apply := spec.Shrink, s.obj.Shrink
 		if grow {
 			kind, apply = spec.Grow, s.obj.Grow
 		}
 		tok := s.conf.admit(kind)
 		start := tok.start()
-		n, err := apply(req.Delta)
+		n, err := apply(q.delta)
 		if err != nil {
 			tok.abort()
-			s.failApplied(w, err, 0)
+			s.failApplied(w, q, err, 0)
 			return
 		}
-		// A resize mutates the component range: every cached view whose
-		// validity depends on the range (removed components, fresh zeroes)
-		// lives in the resized shard's bucket — the last shard for the
-		// Sharded store, the single bucket otherwise.
-		s.counters[len(s.counters)-1].n.Add(1)
-		tok.commit(spec.Op[int64]{Kind: kind, Start: start, Delta: req.Delta, Size: n})
+		tok.commit(spec.Op[int64]{Kind: kind, Start: start, Delta: q.delta, Size: n})
 		s.resizes.Add(1)
-		s.reply(w, http.StatusOK, ResizeResp{Components: n})
+		q.out = appendCount(q.out, "components", n)
+		send(w, http.StatusOK, q.out)
 	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, "bad_request", fmt.Errorf("stats: %s not allowed", r.Method))
+		s.fail(w, nil, http.StatusMethodNotAllowed, "bad_request", fmt.Errorf("stats: %s not allowed", r.Method))
 		return
 	}
 	resp := StatsResp{
 		Impl:        string(s.impl),
-		Components:  components(s.obj),
+		Components:  s.obj.Components(),
 		Requests:    s.requests.Load(),
 		UpdateReqs:  s.updates.Load(),
 		UpdateOps:   s.updateOps.Load(),
@@ -424,9 +346,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Rejected:    s.rejected.Load(),
 		ResizeBusy:  s.resizeBusy.Load(),
 		Internal:    s.internal.Load(),
-		CacheHits:   s.cache.hits.Load(),
-		CacheMisses: s.cache.misses.Load(),
-		CacheStores: s.cache.stores.Load(),
 	}
 	resp.RecordedOps, resp.RecordingClosed = s.conf.status()
 	if sh, ok := s.obj.(*snapshot.Sharded[int64]); ok {
@@ -436,17 +355,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st := sr.Stats()
 		resp.ObjectStats = &st
 	}
-	s.reply(w, http.StatusOK, resp)
+	replyJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleConformance(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	resp, err := s.Conformance()
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "conformance_failed", err)
+		s.fail(w, nil, http.StatusInternalServerError, "conformance_failed", err)
 		return
 	}
-	s.reply(w, http.StatusOK, resp)
+	replyJSON(w, http.StatusOK, resp)
 }
 
 // Conformance runs spec.Check over the recorded traffic prefix. It first
@@ -467,137 +386,75 @@ func (s *Server) Conformance() (ConformanceResp, error) {
 
 // ---- plumbing ----
 
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
+// decode reads and parses a POST body that may carry the given fields. On
+// failure it has already replied; on success the caller owns q and hands
+// it back with putRequest.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, allowed field) (*request, bool) {
 	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "bad_request", fmt.Errorf("%s not allowed", r.Method))
-		return false
+		s.fail(w, nil, http.StatusMethodNotAllowed, "bad_request", fmt.Errorf("%s not allowed", r.Method))
+		return nil, false
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad_request", fmt.Errorf("bad request body: %w", err))
-		return false
+	q := getRequest()
+	err := q.read(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = q.decode(allowed)
 	}
-	return true
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.fail(w, q, status, "bad_request", fmt.Errorf("bad request body: %w", err))
+		putRequest(q)
+		return nil, false
+	}
+	return q, true
 }
 
 // failApplied maps an Object error to its HTTP status via the snapshot
 // wire taxonomy; applied (>0 only for batches) reports partial progress.
-func (s *Server) failApplied(w http.ResponseWriter, err error, applied int) {
+func (s *Server) failApplied(w http.ResponseWriter, q *request, err error, applied int) {
 	switch snapshot.ErrorCode(err) {
 	case snapshot.CodeBadComponent:
 		s.rejected.Add(1)
-		s.failBody(w, http.StatusBadRequest, snapshot.CodeBadComponent, err, applied)
+		s.failBody(w, q, http.StatusBadRequest, snapshot.CodeBadComponent, err, applied)
 	case snapshot.CodeBadResize:
 		s.resizeBusy.Add(1)
-		s.failBody(w, http.StatusConflict, snapshot.CodeBadResize, err, applied)
+		s.failBody(w, q, http.StatusConflict, snapshot.CodeBadResize, err, applied)
 	default:
 		s.internal.Add(1)
-		s.failBody(w, http.StatusInternalServerError, "internal", err, applied)
+		s.failBody(w, q, http.StatusInternalServerError, "internal", err, applied)
 	}
 }
 
-func (s *Server) fail(w http.ResponseWriter, status int, code string, err error) {
-	if status == http.StatusBadRequest || status == http.StatusMethodNotAllowed {
+// fail replies with a request-level error: client errors (4xx) count as
+// bad requests, anything else as internal.
+func (s *Server) fail(w http.ResponseWriter, q *request, status int, code string, err error) {
+	if status < http.StatusInternalServerError {
 		s.badRequests.Add(1)
 	} else {
 		s.internal.Add(1)
 	}
-	s.failBody(w, status, code, err, 0)
+	s.failBody(w, q, status, code, err, 0)
 }
 
-func (s *Server) failBody(w http.ResponseWriter, status int, code string, err error, applied int) {
-	w.Header().Set("Content-Type", "application/json")
+// failBody writes an ErrorResp, into q's reply buffer when there is one.
+func (s *Server) failBody(w http.ResponseWriter, q *request, status int, code string, err error, applied int) {
+	if q == nil {
+		send(w, status, appendError(nil, err.Error(), code, applied))
+		return
+	}
+	q.out = appendError(q.out, err.Error(), code, applied)
+	send(w, status, q.out)
+}
+
+// replyJSON writes body with encoding/json: the endpoints off the request
+// path (stats, conformance).
+func replyJSON(w http.ResponseWriter, status int, body any) {
+	w.Header()["Content-Type"] = contentTypeJSON
 	w.WriteHeader(status)
-	body := struct {
-		ErrorResp
-		Applied int `json:"applied,omitempty"`
-	}{ErrorResp{Error: err.Error(), Code: code}, applied}
 	_ = json.NewEncoder(w).Encode(body)
-}
-
-func (s *Server) reply(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-// cacheKey canonicalises an id set into a cache key and the sorted list of
-// counter buckets it involves.
-func (s *Server) cacheKey(ids []int) (string, []int) {
-	var b strings.Builder
-	seen := make(map[int]bool, 4)
-	var buckets []int
-	for i, id := range ids {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(id))
-		if k := s.shardOf(id); !seen[k] {
-			seen[k] = true
-			buckets = append(buckets, k)
-		}
-	}
-	sort.Ints(buckets)
-	return b.String(), buckets
-}
-
-func (s *Server) readCounters(buckets []int) []uint64 {
-	out := make([]uint64, len(buckets))
-	for i, k := range buckets {
-		out[i] = s.counters[k].n.Load()
-	}
-	return out
-}
-
-func countersEqual(a, b []uint64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// scanCache maps canonical id sets to counter-stamped views.
-type scanCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]*cacheEntry
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	stores  atomic.Uint64
-}
-
-type cacheEntry struct {
-	stamps []uint64
-	vals   []int64
-}
-
-// get serves key's view if its stamp vector equals now (the involved
-// shards' counters have not moved since the view was taken).
-func (c *scanCache) get(key string, now []uint64) ([]int64, bool) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	c.mu.Unlock()
-	if ok && countersEqual(e.stamps, now) {
-		c.hits.Add(1)
-		return e.vals, true
-	}
-	c.misses.Add(1)
-	return nil, false
-}
-
-func (c *scanCache) put(key string, stamps []uint64, vals []int64) {
-	c.mu.Lock()
-	if len(c.entries) >= c.max {
-		// Reset rather than evict: the keys recur, the rebuild is cheap,
-		// and correctness never depends on the cache's contents.
-		c.entries = make(map[string]*cacheEntry, c.max/4)
-	}
-	c.entries[key] = &cacheEntry{stamps: stamps, vals: vals}
-	c.mu.Unlock()
-	c.stores.Add(1)
 }
 
 // conformance is the bounded-prefix recorder: every operation records

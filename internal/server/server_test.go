@@ -191,66 +191,10 @@ func TestHandlerErrorTaxonomy(t *testing.T) {
 	wantStatus(t, resp3, buf.Bytes(), http.StatusMethodNotAllowed, "bad_request")
 }
 
-// TestScanCache exercises the counter-guarded cache: a repeated scan is
-// served cached, any update to an involved shard invalidates it, and an
-// update to a DIFFERENT shard does not — the serving layer's slice of the
-// disjoint-access property.
-func TestScanCache(t *testing.T) {
-	srv, ts := newTestServer(t, snapshot.ImplSharded, 8, snapshot.WithShards(4))
-
-	scan := func(ids []int) ScanResp {
-		t.Helper()
-		resp, body := post(t, ts, "/scan", ScanReq{IDs: ids})
-		wantStatus(t, resp, body, http.StatusOK, "")
-		var sc ScanResp
-		if err := json.Unmarshal(body, &sc); err != nil {
-			t.Fatal(err)
-		}
-		return sc
-	}
-	update := func(id int, v int64) {
-		t.Helper()
-		resp, body := post(t, ts, "/update", UpdateReq{IDs: []int{id}, Vals: []int64{v}})
-		wantStatus(t, resp, body, http.StatusOK, "")
-	}
-
-	update(0, 1)
-	if sc := scan([]int{0, 1}); sc.Cached {
-		t.Fatalf("first scan served from an empty cache")
-	}
-	if sc := scan([]int{0, 1}); !sc.Cached || sc.Vals[0] != 1 {
-		t.Fatalf("repeat scan not cached: %+v", sc)
-	}
-	// Shard 3 update: the {0,1} view (shard 0) must stay cached.
-	update(7, 7)
-	if sc := scan([]int{0, 1}); !sc.Cached {
-		t.Fatalf("disjoint-shard update invalidated the cached view")
-	}
-	// Shard 0 update: now it must be invalidated AND the fresh value served.
-	update(1, 5)
-	sc := scan([]int{0, 1})
-	if sc.Cached || sc.Vals[1] != 5 {
-		t.Fatalf("involved-shard update not reflected: %+v", sc)
-	}
-	// A resize invalidates views involving the last shard.
-	if sc := scan([]int{6, 7}); sc.Cached {
-		t.Fatalf("fresh scan cached flag set")
-	}
-	resp, body := post(t, ts, "/grow", ResizeReq{Delta: 1})
-	wantStatus(t, resp, body, http.StatusOK, "")
-	if sc := scan([]int{6, 7}); sc.Cached {
-		t.Fatalf("resize did not invalidate the last shard's cached view")
-	}
-	if hits := srv.cache.hits.Load(); hits < 2 {
-		t.Fatalf("cache hits %d, want >= 2", hits)
-	}
-}
-
 // TestConformanceOverConcurrentTraffic hammers the server with concurrent
-// writers and scanners (cache on, batches mixed in), then requires the
-// recorded prefix to pass spec.Check via the /conformance endpoint — the
-// oracle proving the whole serving stack (routing, batching, cache)
-// linearizes.
+// writers and scanners (batches mixed in), then requires the recorded
+// prefix to pass spec.Check via the /conformance endpoint — the oracle
+// proving the whole serving stack (routing, batching, codec) linearizes.
 func TestConformanceOverConcurrentTraffic(t *testing.T) {
 	_, ts := newTestServer(t, snapshot.ImplSharded, 8, snapshot.WithShards(4))
 	client := ts.Client()
@@ -350,12 +294,34 @@ func TestConformanceRecordingCloses(t *testing.T) {
 	}
 }
 
-// TestStaleCacheWouldBeConvicted is the oracle's mutation test: serve one
-// deliberately stale cached view and the conformance check must fail. It
-// reaches into the cache to plant the corruption — the point is that the
-// machinery convicts, not how the corruption arose.
-func TestStaleCacheWouldBeConvicted(t *testing.T) {
-	srv, ts := newTestServer(t, snapshot.ImplSharded, 8, snapshot.WithShards(4))
+// staleObject is a deliberately broken object: once armed, PartialScan
+// answers with the values held in stale instead of reading the object.
+type staleObject struct {
+	snapshot.Object[int64]
+	stale []int64
+}
+
+func (o *staleObject) PartialScan(ids []int) ([]int64, error) {
+	if o.stale != nil {
+		return o.stale, nil
+	}
+	return o.Object.PartialScan(ids)
+}
+
+// TestStaleScanWouldBeConvicted is the serving-layer oracle's mutation
+// test: serve one superseded value and the conformance check must fail.
+// The corruption is planted below the server, in the object it serves —
+// the point is that the recorder and spec.Check convict whatever answered
+// the scan, not how the stale value arose.
+func TestStaleScanWouldBeConvicted(t *testing.T) {
+	inner, err := snapshot.New[int64](snapshot.ImplSharded, 8, snapshot.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := &staleObject{Object: inner}
+	srv := New(obj, snapshot.ImplSharded, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
 
 	resp, body := post(t, ts, "/update", UpdateReq{IDs: []int{0}, Vals: []int64{1}})
 	wantStatus(t, resp, body, http.StatusOK, "")
@@ -364,26 +330,19 @@ func TestStaleCacheWouldBeConvicted(t *testing.T) {
 	resp, body = post(t, ts, "/update", UpdateReq{IDs: []int{0}, Vals: []int64{2}})
 	wantStatus(t, resp, body, http.StatusOK, "")
 
-	// Plant the bug: revalidate the pre-update view at the current counter,
-	// as a broken invalidation protocol would.
-	srv.cache.mu.Lock()
-	for _, e := range srv.cache.entries {
-		e.stamps = []uint64{srv.counters[0].n.Load()}
-		e.vals = []int64{1} // the overwritten value
-	}
-	srv.cache.mu.Unlock()
-
+	// Plant the bug: answer the next scan with the overwritten value.
+	obj.stale = []int64{1}
 	resp, body = post(t, ts, "/scan", ScanReq{IDs: []int{0}})
 	wantStatus(t, resp, body, http.StatusOK, "")
 	var sc ScanResp
 	if err := json.Unmarshal(body, &sc); err != nil {
 		t.Fatal(err)
 	}
-	if !sc.Cached || sc.Vals[0] != 1 {
-		t.Fatalf("the planted stale view was not served (%+v); the conviction below would be vacuous", sc)
+	if sc.Vals[0] != 1 {
+		t.Fatalf("the planted stale value was not served (%+v); the conviction below would be vacuous", sc)
 	}
 	if _, err := srv.Conformance(); err == nil {
-		t.Fatalf("spec.Check accepted a history containing a stale cached read")
+		t.Fatalf("spec.Check accepted a history containing a stale read")
 	} else {
 		t.Logf("convicted as designed: %v", err)
 	}
@@ -410,5 +369,76 @@ func TestServerOverEveryImpl(t *testing.T) {
 			resp, body = get(t, ts, "/conformance")
 			wantStatus(t, resp, body, http.StatusOK, "")
 		})
+	}
+}
+
+// TestOversizedBodies sends bodies past each size limit: a body over
+// maxBodyBytes is a 413 and a list over maxListLen a 400, both
+// bad_request, never a 500, and the server keeps serving.
+func TestOversizedBodies(t *testing.T) {
+	srv, ts := newTestServer(t, snapshot.ImplLockFree, 8)
+	for _, tc := range []struct {
+		path, body string
+		status     int
+	}{
+		{"/update", `{"ids":[0],"vals":[` + strings.Repeat("1,", maxBodyBytes/2) + `1]}`, http.StatusRequestEntityTooLarge},
+		{"/scan", `{"ids":[` + strings.Repeat(" ", maxBodyBytes) + `0]}`, http.StatusRequestEntityTooLarge},
+		{"/scan", `{"ids":[` + strings.Repeat("0,", maxListLen) + `0]}`, http.StatusBadRequest},
+		{"/update", `{"ops":[` + strings.Repeat(`{"ids":[0],"vals":[1]},`, maxListLen) + `{}]}`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		_, _ = buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		wantStatus(t, resp, buf.Bytes(), tc.status, "bad_request")
+	}
+	resp, body := post(t, ts, "/update", UpdateReq{IDs: []int{1}, Vals: []int64{5}})
+	wantStatus(t, resp, body, http.StatusOK, "")
+	if n := srv.internal.Load(); n != 0 {
+		t.Fatalf("oversized bodies counted %d internal errors", n)
+	}
+	if n := srv.badRequests.Load(); n != 4 {
+		t.Fatalf("bad requests %d, want 4", n)
+	}
+}
+
+// TestHandlerAllocs is the request path's allocation probe: one update and
+// one scan through the handler cost at most a few allocations more than
+// GET /healthz through the same mux, which is the floor net/http and
+// httptest set. The extra ones are the body limit and the object's own:
+// the update's cell batch, the scan's result slice.
+func TestHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers at random")
+	}
+	obj, err := snapshot.New[int64](snapshot.ImplLockFree, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(obj, snapshot.ImplLockFree, Config{MaxRecordedOps: 1}).Handler()
+	probe := func(method, path, body string) float64 {
+		return testing.AllocsPerRun(500, func() {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s %s: %d %s", method, path, w.Code, w.Body)
+			}
+		})
+	}
+	// Close conformance recording first: past it no operation copies its
+	// ids and values, which is the steady state the probe measures.
+	for k := 0; k < 3; k++ {
+		probe(http.MethodPost, "/scan", `{"ids":[3,17,40,63]}`)
+	}
+	floor := probe(http.MethodGet, "/healthz", "")
+	update := probe(http.MethodPost, "/update", `{"ids":[3,17],"vals":[4294967297,4294967298]}`)
+	scan := probe(http.MethodPost, "/scan", `{"ids":[3,17,40,63]}`)
+	t.Logf("allocs per request: healthz %.1f, update %.1f, scan %.1f", floor, update, scan)
+	const budget = 4
+	if update > floor+budget || scan > floor+budget {
+		t.Fatalf("update %.1f or scan %.1f allocs exceed healthz's %.1f by more than %d", update, scan, floor, budget)
 	}
 }
