@@ -38,11 +38,7 @@ type cellKey struct {
 	// cell — or against a churn cell of a different cadence — since those
 	// measure different universes.
 	ResizeEvery int
-	// Shards is the sharded implementation's shard count (0 for the
-	// single-object implementations, and for files predating the field) —
-	// different shard geometries measure different stores.
-	Shards int
-	Seed   int64
+	Seed        int64
 }
 
 func keyOf(r bench.Result) cellKey {
@@ -59,7 +55,6 @@ func keyOf(r bench.Result) cellKey {
 		UpdateWidth: r.UpdateWidth,
 		ScanFrac:    r.ScanFrac,
 		ResizeEvery: r.ResizeEvery,
-		Shards:      r.Shards,
 		Seed:        r.Seed,
 	}
 }
@@ -69,9 +64,6 @@ func (k cellKey) String() string {
 		k.Goroutines, k.Components, k.ScanWidth, k.UpdateWidth)
 	if k.ResizeEvery != 0 {
 		s += fmt.Sprintf(" resizeEvery=%d", k.ResizeEvery)
-	}
-	if k.Shards != 0 {
-		s += fmt.Sprintf(" shards=%d", k.Shards)
 	}
 	return s
 }

@@ -55,7 +55,7 @@ type report struct {
 }
 
 func main() {
-	impls := flag.String("impls", "lockfree,versioned,rwmutex", "comma-separated implementations (lockfree, versioned, rwmutex, sharded)")
+	impls := flag.String("impls", "lockfree,versioned,rwmutex", "comma-separated implementations (lockfree, versioned, rwmutex)")
 	scenario := flag.String("scenario", bench.ScenarioMixed,
 		fmt.Sprintf("workload scenario %v", bench.Scenarios()))
 	goroutines := flag.String("goroutines", "1,4,8", "comma-separated goroutine counts")
@@ -64,7 +64,6 @@ func main() {
 	updateWidth := flag.Int("update-width", 2, "components per update")
 	scanFrac := flag.Float64("scan-frac", -1, "fraction of operations that are scans (-1 = the scenario shape's default)")
 	resizeEvery := flag.Int("resize-every", 0, "resizing scenarios: worker 0 Grows/Shrinks every Nth op (0 = the shape's default; must stay 0 for fixed-universe scenarios)")
-	shards := flag.Int("shards", 0, "sharded cells: shard count (0 = the implementation's default; must stay 0 for single-object implementations)")
 	duration := flag.Duration("duration", 200*time.Millisecond, "duration of each benchmark cell")
 	seed := flag.Int64("seed", 1, "workload random seed")
 	out := flag.String("out", "", "output path (default BENCH_<scenario>.json)")
@@ -84,7 +83,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if err := run(*scenario, implList, gList, cList, wList, *updateWidth, *scanFrac, *resizeEvery, *shards, *duration, *seed, *out); err != nil {
+	if err := run(*scenario, implList, gList, cList, wList, *updateWidth, *scanFrac, *resizeEvery, *duration, *seed, *out); err != nil {
 		fail(err)
 	}
 }
@@ -94,7 +93,7 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-func run(scenario string, impls []string, goroutines, components, scanWidths []int, updateWidth int, scanFrac float64, resizeEvery, shards int, duration time.Duration, seed int64, out string) error {
+func run(scenario string, impls []string, goroutines, components, scanWidths []int, updateWidth int, scanFrac float64, resizeEvery int, duration time.Duration, seed int64, out string) error {
 	// A bad scenario name is a sweep-wide mistake: abort before the loop
 	// instead of skipping every cell.
 	known := scenario == ""

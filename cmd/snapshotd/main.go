@@ -1,11 +1,10 @@
 // Command snapshotd serves a partial snapshot object over HTTP/JSON — the
-// repository's serving layer. The store defaults to the Sharded
-// implementation (component space partitioned across independent lock-free
-// shards routed by id/width), so requests scoped to one shard inherit the
-// paper's disjoint-access guarantees end to end; see internal/server for
-// the endpoint and correctness surface.
+// repository's serving layer. The object defaults to the paper's wait-free
+// LockFree implementation: every scan is wait-free, and requests naming
+// disjoint component sets do not interfere; see internal/server for the
+// endpoint and correctness surface.
 //
-//	snapshotd -addr 127.0.0.1:8080 -impl sharded -components 64 -shards 8
+//	snapshotd -addr 127.0.0.1:8080 -components 64
 //
 // On SIGINT/SIGTERM the daemon drains in-flight requests, runs the
 // conformance oracle (spec.Check over the recorded traffic prefix) one
@@ -30,28 +29,20 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	impl := flag.String("impl", "sharded", fmt.Sprintf("implementation %v", snapshot.Impls()))
+	impl := flag.String("impl", string(snapshot.ImplLockFree), fmt.Sprintf("implementation %v", snapshot.Impls()))
 	components := flag.Int("components", 64, "number of components")
-	shards := flag.Int("shards", 8, "shard count (sharded implementation only; 0 = default)")
-	shardImpl := flag.String("shard-impl", "", "per-shard implementation: lockfree (default) or versioned")
 	attempts := flag.Int("optimistic-attempts", -1, "versioned: torn-read budget before escalating (-1 = default)")
 	maxRecorded := flag.Int("max-recorded-ops", 0, "conformance recording admission cap (0 = default)")
 	flag.Parse()
 
-	if err := run(*addr, *impl, *components, *shards, *shardImpl, *attempts, *maxRecorded); err != nil {
+	if err := run(*addr, *impl, *components, *attempts, *maxRecorded); err != nil {
 		fmt.Fprintln(os.Stderr, "snapshotd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, impl string, components, shards int, shardImpl string, attempts, maxRecorded int) error {
+func run(addr, impl string, components, attempts, maxRecorded int) error {
 	var opts []snapshot.Option
-	if impl == string(snapshot.ImplSharded) && shards > 0 {
-		opts = append(opts, snapshot.WithShards(shards))
-	}
-	if shardImpl != "" {
-		opts = append(opts, snapshot.WithShardImpl(snapshot.Impl(shardImpl)))
-	}
 	if attempts >= 0 {
 		opts = append(opts, snapshot.WithOptimisticAttempts(attempts))
 	}
@@ -72,11 +63,7 @@ func run(addr, impl string, components, shards int, shardImpl string, attempts, 
 			errCh <- err
 		}
 	}()
-	fmt.Fprintf(os.Stderr, "snapshotd: serving %s (%d components", impl, components)
-	if sh, ok := obj.(*snapshot.Sharded[int64]); ok {
-		fmt.Fprintf(os.Stderr, ", %d shards of width %d", sh.NumShards(), sh.ShardWidth())
-	}
-	fmt.Fprintf(os.Stderr, ") on http://%s\n", addr)
+	fmt.Fprintf(os.Stderr, "snapshotd: serving %s (%d components) on http://%s\n", impl, components, addr)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

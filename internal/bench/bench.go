@@ -81,7 +81,7 @@ func shapeFor(scenario string) (workload.Shape, error) {
 // Config describes one benchmark cell.
 type Config struct {
 	// Impl selects the implementation, any snapshot.Impls() name:
-	// "lockfree", "versioned", "rwmutex" or "sharded".
+	// "lockfree", "versioned" or "rwmutex".
 	Impl string `json:"impl"`
 	// Scenario selects the workload shape: ScenarioMixed (default, also
 	// selected by "") or any other Scenarios() entry.
@@ -104,12 +104,6 @@ type Config struct {
 	// of the benchdiff cell key: cells with different churn cadences — or a
 	// churn cell and a fixed cell — are never compared against each other.
 	ResizeEvery int `json:"resize_every,omitempty"`
-	// Shards is the shard count of the "sharded" implementation (0 = its
-	// default; must stay 0 for the single-object implementations). Part of
-	// the benchdiff cell key, like ResizeEvery: cells with different shard
-	// geometries are never compared against each other, and the committed
-	// single-object baselines decode it as 0 unchanged.
-	Shards int `json:"shards,omitempty"`
 	// Duration is how long the workload runs.
 	Duration time.Duration `json:"duration_ns"`
 	// Seed makes the workload reproducible.
@@ -151,9 +145,9 @@ type Result struct {
 }
 
 // NewObject constructs the implementation named by impl through the
-// package factory; opts pass through to snapshot.New.
-func NewObject(impl string, n int, opts ...snapshot.Option) (snapshot.Object[int64], error) {
-	obj, err := snapshot.New[int64](snapshot.Impl(impl), n, opts...)
+// package factory.
+func NewObject(impl string, n int) (snapshot.Object[int64], error) {
+	obj, err := snapshot.New[int64](snapshot.Impl(impl), n)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %w", err)
 	}
@@ -209,11 +203,7 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	var opts []snapshot.Option
-	if cfg.Shards > 0 {
-		opts = append(opts, snapshot.WithShards(cfg.Shards))
-	}
-	obj, err := NewObject(cfg.Impl, cfg.Components, opts...)
+	obj, err := NewObject(cfg.Impl, cfg.Components)
 	if err != nil {
 		return Result{}, err
 	}

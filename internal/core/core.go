@@ -22,7 +22,7 @@ type Impl = snapshot.Impl
 type Option = snapshot.Option
 
 // New is the package factory over every implementation (lockfree,
-// versioned, rwmutex, sharded); see snapshot.New.
+// versioned, rwmutex); see snapshot.New.
 func New[V any](impl Impl, n int, opts ...Option) (Object[V], error) {
 	return snapshot.New[V](impl, n, opts...)
 }

@@ -250,8 +250,9 @@ func runWorker(ws *workerState, client *http.Client, cfg Config, stream *workloa
 				path = "/shrink"
 			}
 			// A 409 is tolerated on resizing shapes: the generator's single
-			// churner never conflicts with itself, but the sharded geometry
-			// floor can reject a shrink the fixed-universe math would allow.
+			// churner never conflicts with itself, but another client
+			// resizing the same daemon can make a generated shrink
+			// infeasible.
 			if ws.do(client, cfg.BaseURL+path, server.ResizeReq{Delta: op.Delta}, tolerateRejects) == http.StatusOK {
 				ws.resizes++
 			}

@@ -9,9 +9,9 @@ import (
 	"partialsnapshot/internal/snapshot"
 )
 
-func loopback(t *testing.T, impl snapshot.Impl, n int, opts ...snapshot.Option) *httptest.Server {
+func loopback(t *testing.T, impl snapshot.Impl, n int) *httptest.Server {
 	t.Helper()
-	obj, err := snapshot.New[int64](impl, n, opts...)
+	obj, err := snapshot.New[int64](impl, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,12 +20,12 @@ func loopback(t *testing.T, impl snapshot.Impl, n int, opts ...snapshot.Option) 
 	return ts
 }
 
-// TestLoopbackRoundTrip is the snapload round trip in miniature: a sharded
+// TestLoopbackRoundTrip is the snapload round trip in miniature: a
 // snapshotd on loopback, a short mixed closed-loop run with batching, zero
 // 5xx, a passing conformance check, and a sane report (all ops accounted,
 // percentiles ordered, histogram totals matching the request count).
 func TestLoopbackRoundTrip(t *testing.T) {
-	ts := loopback(t, snapshot.ImplSharded, 16, snapshot.WithShards(4))
+	ts := loopback(t, snapshot.ImplLockFree, 16)
 	dur := 500 * time.Millisecond
 	if testing.Short() {
 		dur = 150 * time.Millisecond
@@ -77,16 +77,12 @@ func TestLoopbackRoundTrip(t *testing.T) {
 
 // TestLoopbackPartitioned drives the partitioned shape — conns pinned to
 // disjoint component ranges — and checks the locality story end to end:
-// the store's cross-shard protocol never runs when partitions align with
-// shards.
+// the object's locality gauges stay zero, so no operation walked past,
+// retried on or helped another connection's announcement.
 func TestLoopbackPartitioned(t *testing.T) {
-	// 8 conns over 16 components: partition width 2, matching 8 shards of
-	// width 2 exactly.
-	obj, err := snapshot.New[int64](snapshot.ImplSharded, 16, snapshot.WithShards(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(server.New(obj, snapshot.ImplSharded, server.Config{}).Handler())
+	// 8 conns over 16 components: each conn owns a partition of width 2.
+	obj := snapshot.NewLockFree[int64](16)
+	ts := httptest.NewServer(server.New(obj, snapshot.ImplLockFree, server.Config{}).Handler())
 	defer ts.Close()
 	rep, err := Run(Config{
 		BaseURL:     ts.URL,
@@ -103,9 +99,8 @@ func TestLoopbackPartitioned(t *testing.T) {
 	if rep.Errors5xx != 0 || rep.Errors4xx != 0 {
 		t.Fatalf("errors on a partitioned run: %+v", rep)
 	}
-	st := obj.(*snapshot.Sharded[int64]).Stats()
-	if st.CrossShardScans != 0 {
-		t.Fatalf("partitioned traffic crossed shards %d times", st.CrossShardScans)
+	if st := obj.Stats(); st.RecordsVisited != 0 || st.ScanRetries != 0 || st.HelpsPosted != 0 {
+		t.Fatalf("partitioned traffic interfered: %+v", st)
 	}
 	if rep.Conformance == nil || !rep.Conformance.OK {
 		t.Fatalf("conformance not verified: %+v", rep.Conformance)

@@ -1,9 +1,9 @@
 // Package server is snapshotd's serving layer: an HTTP/JSON front end over
 // any snapshot.Object[int64] built by snapshot.New — in production the
-// Sharded store, whose per-shard locality is the paper's disjoint-access
-// argument at service scale (requests naming components of one shard touch
-// only that shard's memory, end to end from the HTTP handler down to the
-// registers).
+// paper's wait-free LockFree object, whose per-component announcement
+// registry is the paper's disjoint-access argument (requests naming
+// disjoint component sets share no registers, no registry slots and no
+// help obligations, end to end from the HTTP handler down to the object).
 //
 // Endpoints:
 //
@@ -173,7 +173,6 @@ type ErrorResp struct {
 type StatsResp struct {
 	Impl       string `json:"impl"`
 	Components int    `json:"components"`
-	Shards     int    `json:"shards,omitempty"`
 
 	Requests    uint64 `json:"requests"`
 	UpdateReqs  uint64 `json:"update_reqs"`
@@ -348,9 +347,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Internal:    s.internal.Load(),
 	}
 	resp.RecordedOps, resp.RecordingClosed = s.conf.status()
-	if sh, ok := s.obj.(*snapshot.Sharded[int64]); ok {
-		resp.Shards = sh.NumShards()
-	}
 	if sr, ok := s.obj.(snapshot.StatsReader); ok {
 		st := sr.Stats()
 		resp.ObjectStats = &st

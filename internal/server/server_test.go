@@ -77,7 +77,7 @@ func wantStatus(t *testing.T, resp *http.Response, body []byte, status int, code
 // TestHandlerRoundTrip drives the happy path over every endpoint: update,
 // partial scan, full scan, batch update, grow, shrink, stats.
 func TestHandlerRoundTrip(t *testing.T) {
-	_, ts := newTestServer(t, snapshot.ImplSharded, 8, snapshot.WithShards(4))
+	_, ts := newTestServer(t, snapshot.ImplLockFree, 8)
 
 	resp, body := post(t, ts, "/update", UpdateReq{IDs: []int{0, 7}, Vals: []int64{10, 70}})
 	wantStatus(t, resp, body, http.StatusOK, "")
@@ -134,14 +134,14 @@ func TestHandlerRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Impl != "sharded" || st.Shards != 4 || st.Components != 8 {
+	if st.Impl != "lockfree" || st.Components != 8 {
 		t.Fatalf("stats identity wrong: %+v", st)
 	}
 	if st.UpdateOps != 4 || st.Scans != 2 || st.Resizes != 2 {
 		t.Fatalf("stats counters wrong: %+v", st)
 	}
 	if st.ObjectStats == nil {
-		t.Fatalf("sharded store exposed no object stats")
+		t.Fatalf("lockfree object exposed no object stats")
 	}
 }
 
@@ -149,7 +149,7 @@ func TestHandlerRoundTrip(t *testing.T) {
 // unknown fields are 400 bad_request, out-of-range ids 400 bad_component,
 // infeasible resizes 409 bad_resize, wrong methods 405.
 func TestHandlerErrorTaxonomy(t *testing.T) {
-	_, ts := newTestServer(t, snapshot.ImplSharded, 8, snapshot.WithShards(4))
+	_, ts := newTestServer(t, snapshot.ImplLockFree, 8)
 
 	resp, err := http.Post(ts.URL+"/update", "application/json", strings.NewReader("{not json"))
 	if err != nil {
@@ -175,8 +175,8 @@ func TestHandlerErrorTaxonomy(t *testing.T) {
 	resp2, body = post(t, ts, "/scan", ScanReq{})
 	wantStatus(t, resp2, body, http.StatusBadRequest, "bad_request")
 
-	// Shrink below the sharded geometry floor: a resize conflict, 409.
-	resp2, body = post(t, ts, "/shrink", ResizeReq{Delta: 5})
+	// Shrink by the whole universe: a resize conflict, 409.
+	resp2, body = post(t, ts, "/shrink", ResizeReq{Delta: 8})
 	wantStatus(t, resp2, body, http.StatusConflict, snapshot.CodeBadResize)
 	resp2, body = post(t, ts, "/grow", ResizeReq{Delta: 0})
 	wantStatus(t, resp2, body, http.StatusConflict, snapshot.CodeBadResize)
@@ -196,7 +196,7 @@ func TestHandlerErrorTaxonomy(t *testing.T) {
 // prefix to pass spec.Check via the /conformance endpoint — the oracle
 // proving the whole serving stack (routing, batching, codec) linearizes.
 func TestConformanceOverConcurrentTraffic(t *testing.T) {
-	_, ts := newTestServer(t, snapshot.ImplSharded, 8, snapshot.WithShards(4))
+	_, ts := newTestServer(t, snapshot.ImplLockFree, 8)
 	client := ts.Client()
 
 	var wg sync.WaitGroup
@@ -314,12 +314,12 @@ func (o *staleObject) PartialScan(ids []int) ([]int64, error) {
 // the point is that the recorder and spec.Check convict whatever answered
 // the scan, not how the stale value arose.
 func TestStaleScanWouldBeConvicted(t *testing.T) {
-	inner, err := snapshot.New[int64](snapshot.ImplSharded, 8, snapshot.WithShards(4))
+	inner, err := snapshot.New[int64](snapshot.ImplLockFree, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	obj := &staleObject{Object: inner}
-	srv := New(obj, snapshot.ImplSharded, Config{})
+	srv := New(obj, snapshot.ImplLockFree, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -349,8 +349,8 @@ func TestStaleScanWouldBeConvicted(t *testing.T) {
 }
 
 // TestServerOverEveryImpl smoke-runs the server over each factory
-// implementation — the serving layer must not depend on the store being
-// sharded.
+// implementation — the serving layer must not depend on which object it
+// serves.
 func TestServerOverEveryImpl(t *testing.T) {
 	for _, impl := range snapshot.Impls() {
 		t.Run(string(impl), func(t *testing.T) {

@@ -23,79 +23,31 @@ const (
 	ImplVersioned Impl = "versioned"
 	// ImplRWMutex is the coarse-grained reference implementation (RWMutex).
 	ImplRWMutex Impl = "rwmutex"
-	// ImplSharded partitions the component space across independent
-	// lock-free (or versioned) shards (Sharded) — the serving layer's
-	// store.
-	ImplSharded Impl = "sharded"
 )
 
 // Impls lists every implementation New accepts, in the order tooling
 // matrices iterate them.
 func Impls() []Impl {
-	return []Impl{ImplLockFree, ImplVersioned, ImplRWMutex, ImplSharded}
+	return []Impl{ImplLockFree, ImplVersioned, ImplRWMutex}
 }
 
-// options accumulates the functional options of New. Each implementation
-// consumes the knobs it understands; New rejects a knob the selected
-// implementation cannot honour, so a call site can never silently drop a
-// tuning it asked for.
+// options accumulates the functional options of New. New rejects a knob
+// the selected implementation cannot honour, so a call site can never
+// silently drop a tuning it asked for.
 type options struct {
-	attempts    *int
-	shards      int
-	shardImpl   Impl
-	shardKnobs  bool // any shard-geometry option was passed
-	attemptKnob bool
+	attempts *int
 }
 
 // Option is a functional option for New.
-type Option func(*options) error
+type Option func(*options)
 
 // WithOptimisticAttempts sets the Versioned escalation budget — how many
 // torn optimistic attempts a scan tolerates before falling back to the
-// wait-free helping protocol (n <= 0 escalates immediately). Valid for
-// ImplVersioned, and for ImplSharded when the shards are versioned
-// (WithShardImpl(ImplVersioned)).
+// wait-free helping protocol (n <= 0 escalates immediately). Valid only
+// for ImplVersioned.
 func WithOptimisticAttempts(n int) Option {
-	return func(o *options) error {
-		o.attempts = &n
-		o.attemptKnob = true
-		return nil
-	}
+	return func(o *options) { o.attempts = &n }
 }
-
-// WithShards sets the shard count of an ImplSharded object (default
-// defaultShards, clamped to the component count). Valid only for
-// ImplSharded.
-func WithShards(s int) Option {
-	return func(o *options) error {
-		if s < 1 {
-			return fmt.Errorf("snapshot: shard count must be positive, got %d", s)
-		}
-		o.shards = s
-		o.shardKnobs = true
-		return nil
-	}
-}
-
-// WithShardImpl selects the per-shard implementation of an ImplSharded
-// object: ImplLockFree (the default) or ImplVersioned. Valid only for
-// ImplSharded.
-func WithShardImpl(impl Impl) Option {
-	return func(o *options) error {
-		if impl != ImplLockFree && impl != ImplVersioned {
-			return fmt.Errorf("snapshot: shard implementation must be %q or %q, got %q",
-				ImplLockFree, ImplVersioned, impl)
-		}
-		o.shardImpl = impl
-		o.shardKnobs = true
-		return nil
-	}
-}
-
-// defaultShards is the shard count an ImplSharded object gets when
-// WithShards is not passed (clamped so every shard owns at least one
-// component).
-const defaultShards = 4
 
 // New constructs the implementation named by impl with n components, each
 // initialised to the zero value of V. It is the package's single factory:
@@ -105,22 +57,16 @@ const defaultShards = 4
 func New[V any](impl Impl, n int, opts ...Option) (Object[V], error) {
 	var cfg options
 	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
+		opt(&cfg)
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("snapshot: number of components must be positive, got %d", n)
 	}
-	if cfg.shardKnobs && impl != ImplSharded {
-		return nil, fmt.Errorf("snapshot: shard options apply only to %q, not %q", ImplSharded, impl)
+	if cfg.attempts != nil && impl != ImplVersioned {
+		return nil, fmt.Errorf("snapshot: WithOptimisticAttempts applies only to %q, not %q", ImplVersioned, impl)
 	}
 	switch impl {
 	case ImplLockFree:
-		if cfg.attemptKnob {
-			return nil, fmt.Errorf("snapshot: WithOptimisticAttempts applies to %q or versioned %q shards, not %q",
-				ImplVersioned, ImplSharded, impl)
-		}
 		return NewLockFree[V](n), nil
 	case ImplVersioned:
 		v := NewVersioned[V](n)
@@ -129,56 +75,21 @@ func New[V any](impl Impl, n int, opts ...Option) (Object[V], error) {
 		}
 		return v, nil
 	case ImplRWMutex:
-		if cfg.attemptKnob {
-			return nil, fmt.Errorf("snapshot: WithOptimisticAttempts applies to %q or versioned %q shards, not %q",
-				ImplVersioned, ImplSharded, impl)
-		}
 		return NewRWMutex[V](n), nil
-	case ImplSharded:
-		shardImpl := cfg.shardImpl
-		if shardImpl == "" {
-			shardImpl = ImplLockFree
-		}
-		if cfg.attemptKnob && shardImpl != ImplVersioned {
-			return nil, fmt.Errorf("snapshot: WithOptimisticAttempts on %q requires WithShardImpl(%q)",
-				ImplSharded, ImplVersioned)
-		}
-		shards := cfg.shards
-		if shards == 0 {
-			shards = defaultShards
-			if shards > n {
-				shards = n
-			}
-		}
-		if shards > n {
-			return nil, fmt.Errorf("snapshot: %d shards need at least %d components, got %d", shards, shards, n)
-		}
-		inner := func(size int) Object[V] {
-			if shardImpl == ImplVersioned {
-				v := NewVersioned[V](size)
-				if cfg.attempts != nil {
-					v.WithOptimisticAttempts(*cfg.attempts)
-				}
-				return v
-			}
-			return NewLockFree[V](size)
-		}
-		return newSharded[V](n, shards, inner), nil
 	default:
 		return nil, fmt.Errorf("snapshot: unknown implementation %q (want one of %v)", impl, Impls())
 	}
 }
 
-// StatsReader is any implementation exposing progress counters. LockFree,
-// Versioned and Sharded implement it; the RWMutex reference intentionally
-// does not — the parity claim is that it needs none.
+// StatsReader is any implementation exposing progress counters. LockFree
+// and Versioned implement it; the RWMutex reference intentionally does
+// not — the parity claim is that it needs none.
 type StatsReader interface{ Stats() Stats }
 
 // InfoObject is the provenance-aware surface beyond Object: update
 // operation ids for the provenance oracle and scan adoption info. LockFree
-// and Versioned provide it; RWMutex and Sharded do not (a sharded batch
-// spans several per-shard op-id spaces), and consumers degrade to the plain
-// Object calls.
+// and Versioned provide it; RWMutex does not, and consumers degrade to the
+// plain Object calls.
 type InfoObject[V any] interface {
 	UpdateOp(ids []int, vals []V) (uint64, error)
 	PartialScanInfo(ids []int) ([]V, ScanInfo, error)

@@ -45,14 +45,8 @@ func TestFactoryRejectsMisuse(t *testing.T) {
 		{"unknown impl", "spanner", 8, nil},
 		{"zero components", snapshot.ImplLockFree, 0, nil},
 		{"negative components", snapshot.ImplVersioned, -3, nil},
-		{"shards on lockfree", snapshot.ImplLockFree, 8, []snapshot.Option{snapshot.WithShards(2)}},
-		{"shard impl on versioned", snapshot.ImplVersioned, 8, []snapshot.Option{snapshot.WithShardImpl(snapshot.ImplLockFree)}},
 		{"attempts on lockfree", snapshot.ImplLockFree, 8, []snapshot.Option{snapshot.WithOptimisticAttempts(5)}},
 		{"attempts on rwmutex", snapshot.ImplRWMutex, 8, []snapshot.Option{snapshot.WithOptimisticAttempts(5)}},
-		{"attempts on lock-free shards", snapshot.ImplSharded, 8, []snapshot.Option{snapshot.WithOptimisticAttempts(5)}},
-		{"zero shards", snapshot.ImplSharded, 8, []snapshot.Option{snapshot.WithShards(0)}},
-		{"more shards than components", snapshot.ImplSharded, 4, []snapshot.Option{snapshot.WithShards(8)}},
-		{"rwmutex shards", snapshot.ImplSharded, 8, []snapshot.Option{snapshot.WithShardImpl(snapshot.ImplRWMutex)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -63,42 +57,18 @@ func TestFactoryRejectsMisuse(t *testing.T) {
 	}
 }
 
-// TestFactoryShardOptions exercises the sharded option surface that IS
-// valid: explicit geometry, versioned shards, and the attempts knob once
-// the shards are versioned.
-func TestFactoryShardOptions(t *testing.T) {
-	obj, err := snapshot.New[int64](snapshot.ImplSharded, 10,
-		snapshot.WithShards(4), snapshot.WithShardImpl(snapshot.ImplVersioned),
-		snapshot.WithOptimisticAttempts(1))
+// TestFactoryOptimisticAttempts checks that New hands the one option it
+// accepts to Versioned: with a zero budget every scan escalates at once.
+func TestFactoryOptimisticAttempts(t *testing.T) {
+	obj, err := snapshot.New[int64](snapshot.ImplVersioned, 8, snapshot.WithOptimisticAttempts(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, ok := obj.(*snapshot.Sharded[int64])
-	if !ok {
-		t.Fatalf("New(sharded) returned %T", obj)
-	}
-	if sh.NumShards() != 4 || sh.ShardWidth() != 2 {
-		t.Fatalf("geometry: %d shards of width %d, want 4 of width 2", sh.NumShards(), sh.ShardWidth())
-	}
-	if err := obj.Update([]int{0, 9}, []int64{1, 2}); err != nil {
+	if _, err := obj.PartialScan([]int{0, 7}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := obj.Scan(); err != nil {
-		t.Fatal(err)
-	}
-	// Versioned shards surface the seqlock gauges through the aggregate.
-	st := sh.Stats()
-	if st.OptimisticScans == 0 {
-		t.Fatalf("versioned shards never took the optimistic path: %+v", st)
-	}
-	// The default shard count clamps to the component count on tiny
-	// objects instead of failing construction.
-	tiny, err := snapshot.New[int64](snapshot.ImplSharded, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tiny.(*snapshot.Sharded[int64]).NumShards(); got != 2 {
-		t.Fatalf("default shards on a 2-component object: got %d, want 2", got)
+	if st := obj.(snapshot.StatsReader).Stats(); st.Escalations != 1 || st.OptimisticScans != 0 {
+		t.Fatalf("zero-attempt budget ignored: %+v", st)
 	}
 }
 

@@ -250,15 +250,6 @@ type Stats struct {
 	OptimisticScans uint64 `json:"optimistic_scans"`
 	Escalations     uint64 `json:"escalations"`
 	TornReads       uint64 `json:"torn_reads"`
-	// CrossShardScans and CrossShardRetries are the Sharded store's
-	// composition gauges (always zero for the single-object
-	// implementations): scans that spanned more than one shard and so paid
-	// the stamp-validated composition protocol, and composition attempts
-	// retried because a shard stamp moved (or a writer was in flight)
-	// during the window. Omitted from JSON when zero so the committed
-	// single-object baselines decode unchanged.
-	CrossShardScans   uint64 `json:"cross_shard_scans,omitempty"`
-	CrossShardRetries uint64 `json:"cross_shard_retries,omitempty"`
 }
 
 func (o *LockFree[V]) Stats() Stats {

@@ -11,14 +11,13 @@ import (
 	"partialsnapshot/internal/workload"
 )
 
-// The parity suite runs the RWMutex reference, the LockFree object, the
-// Versioned optimistic front and the Sharded store through IDENTICAL
-// workload shapes — same generator, same seed, same per-worker op streams
-// — and holds all four to the same spec oracle, then diffs what each
-// implementation's invariants promise: equal op counts, equal sequential
-// semantics, the lock-free Stats hygiene per shape, the Versioned seqlock
-// gauges reconciling exactly with the operation counts, and the Sharded
-// store's cross-shard gauges vanishing when the traffic is partitioned.
+// The parity suite runs the RWMutex reference, the LockFree object and the
+// Versioned optimistic front through IDENTICAL workload shapes — same
+// generator, same seed, same per-worker op streams — and holds all three
+// to the same spec oracle, then diffs what each implementation's
+// invariants promise: equal op counts, equal sequential semantics, the
+// lock-free Stats hygiene per shape, and the Versioned seqlock gauges
+// reconciling exactly with the operation counts.
 //
 // Every object is built through snapshot.New — the parity matrix IS the
 // factory's implementation list, so a new implementation registered there
@@ -29,19 +28,9 @@ import (
 // one cell of it through the factory.
 var parityImpls = snapshot.Impls()
 
-// parityShards is the Sharded cell's geometry: 4 shards of width 2 over
-// the 8-component parity object, chosen so the partitioned shape's
-// single-worker pools (width 2) align exactly with shard boundaries —
-// partitioned traffic must then never pay the cross-shard protocol.
-const parityShards = 4
-
 func newParityObject(t *testing.T, impl snapshot.Impl, n int) snapshot.Object[int64] {
 	t.Helper()
-	var opts []snapshot.Option
-	if impl == snapshot.ImplSharded {
-		opts = append(opts, snapshot.WithShards(parityShards))
-	}
-	obj, err := snapshot.New[int64](impl, n, opts...)
+	obj, err := snapshot.New[int64](impl, n)
 	if err != nil {
 		t.Fatalf("New(%s, %d): %v", impl, n, err)
 	}
@@ -246,20 +235,10 @@ func TestParityAcrossWorkloadShapes(t *testing.T) {
 						if st.RecordsVisited != 0 || st.HelpsPosted != 0 || st.ScanRetries != 0 {
 							t.Fatalf("partitioned workload interfered: %+v", st)
 						}
-						// The parity geometry aligns partitions with shards,
-						// so partitioned traffic through the Sharded store is
-						// all single-shard delegation: the composition
-						// protocol must never have run — the paper's
-						// disjoint-access argument at shard granularity.
-						if st.CrossShardScans != 0 || st.CrossShardRetries != 0 {
-							t.Fatalf("partitioned traffic crossed shards: %+v", st)
-						}
 					}
-					if impl == snapshot.ImplLockFree || impl == snapshot.ImplSharded {
+					if impl == snapshot.ImplLockFree {
 						// The seqlock gauges belong to the versioned front; on
-						// the bare lock-free object — and on the sharded store,
-						// whose default shards are lock-free — they must stay
-						// zero (the shard stamps have their own gauges).
+						// the bare lock-free object they must stay zero.
 						if st.OptimisticScans+st.Escalations+st.TornReads != 0 {
 							t.Fatalf("%s/%s bumped seqlock gauges: %+v", shape, impl, st)
 						}
@@ -341,8 +320,7 @@ func TestParityAcrossWorkloadShapes(t *testing.T) {
 // atomicity differences between the implementations are invisible without
 // concurrency, so any divergence here is a plain bug. A sequential run
 // also pins the gauges: with no concurrency every Versioned scan validates
-// on its first optimistic attempt, and every Sharded cross-shard scan
-// composes on its first attempt.
+// on its first optimistic attempt.
 func TestParitySequentialSemantics(t *testing.T) {
 	for _, shape := range workload.Shapes() {
 		t.Run(string(shape), func(t *testing.T) {
@@ -477,16 +455,6 @@ func TestParitySequentialSemantics(t *testing.T) {
 			if st := objs[snapshot.ImplVersioned].(snapshot.StatsReader).Stats(); st.Escalations != 0 ||
 				st.TornReads != 0 || st.ViewsDiscarded != 0 || st.OptimisticScans != scansDone+1 {
 				t.Fatalf("sequential versioned scans escaped the fast path: %d scans, stats %+v", scansDone+1, st)
-			}
-			// Likewise the Sharded composition protocol: cross-shard scans
-			// happen (the final full Scan spans every shard at minimum) but
-			// with no writer ever in flight none may retry.
-			st := objs[snapshot.ImplSharded].(snapshot.StatsReader).Stats()
-			if st.CrossShardScans == 0 {
-				t.Fatalf("sequential full scans never crossed shards: %+v", st)
-			}
-			if st.CrossShardRetries != 0 {
-				t.Fatalf("sequential cross-shard scans retried with no concurrency: %+v", st)
 			}
 		})
 	}

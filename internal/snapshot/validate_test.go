@@ -1,7 +1,9 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -202,4 +204,68 @@ func TestValidateIDsAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("validateIDs allocated %v times per run on the bitmask path, want 0", allocs)
 	}
+}
+
+// FuzzValidateIDs checks validateIDs against a map-based reference on every
+// tier it dispatches to: the one-word bitmask (n <= 64), the quadratic scan
+// (at most 32 ids), the stack bitmask (n <= maxBitmaskComponents) and the
+// map fallback above it. Each pair of input bytes is one id, decoded into
+// [-1, n] so the fuzzer reaches negative, in-range and just-past-the-end
+// ids alike; the verdict, its ErrBadComponent wrapping and its message
+// (which names the first offending id) must all match the reference.
+func FuzzValidateIDs(f *testing.F) {
+	encode := func(ids ...int) []byte {
+		b := make([]byte, 0, 2*len(ids))
+		for _, id := range ids {
+			b = binary.LittleEndian.AppendUint16(b, uint16(id+1))
+		}
+		return b
+	}
+	span := func(from, count, step int) []int {
+		ids := make([]int, count)
+		for i := range ids {
+			ids[i] = from + i*step
+		}
+		return ids
+	}
+	for _, n := range []int{1, 8, 64, 65, 100, maxBitmaskComponents, maxBitmaskComponents + 1, 3 * maxBitmaskComponents} {
+		f.Add(n, encode())
+		f.Add(n, encode(0))
+		f.Add(n, encode(n-1, -1))
+		f.Add(n, encode(0, n))
+		f.Add(n, encode(span(0, min(n, 32), 1)...))               // widest set of the small tiers
+		f.Add(n, encode(span(n-1, min(n, 40), -max(1, n/41))...)) // wide set ending at n-1
+		f.Add(n, encode(append(span(0, min(n, 40), 1), 0)...))    // trailing duplicate
+	}
+	f.Fuzz(func(t *testing.T, n int, data []byte) {
+		if n < 1 || n > 3*maxBitmaskComponents {
+			n = 1 + int(uint(n)%(3*maxBitmaskComponents))
+		}
+		ids := make([]int, len(data)/2)
+		for i := range ids {
+			ids[i] = int(binary.LittleEndian.Uint16(data[2*i:]))%(n+2) - 1
+		}
+		got, want := validateIDs(n, ids), referenceValidateIDs(n, ids)
+		if (got == nil) != (want == nil) || (got != nil && (!errors.Is(got, ErrBadComponent) || got.Error() != want.Error())) {
+			t.Fatalf("validateIDs(%d, %v) = %v, reference %v", n, ids, got, want)
+		}
+	})
+}
+
+// referenceValidateIDs is validateIDs written the obvious way.
+func referenceValidateIDs(n int, ids []int) error {
+	if len(ids) == 0 {
+		return fmt.Errorf("%w: empty component set", ErrBadComponent)
+	}
+	seen := map[int]bool{}
+	for _, id := range ids {
+		if id < 0 || id >= n {
+			return fmt.Errorf("%w: component %d out of range [0,%d)", ErrBadComponent, id, n)
+		}
+		if seen[id] {
+			return fmt.Errorf("%w: duplicate component %d", ErrBadComponent, id)
+		}
+		seen[id] = true
+	}
+	return nil
 }
