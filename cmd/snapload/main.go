@@ -72,7 +72,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "snapload: latency p50 %.2fms p95 %.2fms p99 %.2fms max %.2fms; %d rejected\n",
 		rep.LatencyP50Ms, rep.LatencyP95Ms, rep.LatencyP99Ms, rep.LatencyMaxMs, rep.Rejected)
 	if rep.Conformance != nil {
-		fmt.Fprintf(os.Stderr, "snapload: conformance OK over %d recorded ops\n", rep.Conformance.CheckedOps)
+		fmt.Fprintf(os.Stderr, "snapload: conformance OK over %d checked ops\n", rep.Conformance.CheckedOps)
 	}
 	if rep.Errors5xx > 0 {
 		fmt.Fprintf(os.Stderr, "snapload: FAILED: %d 5xx responses\n", rep.Errors5xx)

@@ -85,8 +85,8 @@ type Report struct {
 	LatencyMaxMs float64           `json:"latency_max_ms"`
 	Histogram    []HistogramBucket `json:"latency_histogram"`
 
-	// Conformance is the server's end-of-run spec.Check verdict (nil when
-	// skipped).
+	// Conformance is the server's end-of-run conformance verdict over the
+	// whole run (nil when skipped).
 	Conformance *server.ConformanceResp `json:"conformance,omitempty"`
 }
 

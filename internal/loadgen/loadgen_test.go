@@ -71,7 +71,7 @@ func TestLoopbackRoundTrip(t *testing.T) {
 	if rep.Config.Components != 16 {
 		t.Fatalf("component autodetection read %d, want 16", rep.Config.Components)
 	}
-	t.Logf("loopback: %d ops in %d requests, %.0f ops/sec, p50 %.2fms, %d recorded ops conform",
+	t.Logf("loopback: %d ops in %d requests, %.0f ops/sec, p50 %.2fms, %d checked ops conform",
 		rep.Ops, rep.Requests, rep.OpsPerSec, rep.LatencyP50Ms, rep.Conformance.CheckedOps)
 }
 

@@ -12,7 +12,7 @@
 //	POST /grow        {"delta":k}
 //	POST /shrink      {"delta":k}
 //	GET  /stats       server + object counters
-//	GET  /conformance run spec.Check over the recorded traffic prefix
+//	GET  /conformance the conformance verdict over the whole run so far
 //	GET  /healthz     liveness
 //
 // Errors carry a machine-readable code from the snapshot package's wire
@@ -28,18 +28,17 @@
 // parses it into pooled slices and appends the reply into a pooled buffer,
 // with the wire format encoding/json gives the exported wire types.
 //
-// Conformance oracle. The server records a complete prefix of its traffic
-// through spec.Recorder: every operation is recorded until the admission
-// cap, after which writes keep recording for exactly as long as a recorded
-// scan is still in flight (a scan can only observe a write that completed
-// before the scan's own response, so once the last recorded scan has
-// finished, later writes are unobservable by the history and recording
-// closes). The recorded history therefore explains every value any
-// recorded scan can have seen, so a serving bug that answers a scan with
-// a superseded value is convicted, not hidden. GET /conformance (and the
-// snapshotd shutdown hook) runs spec.Check over the prefix: the sequential
-// spec as the service's conformance oracle. Only recorded operations copy
-// their ids and values out of the pooled request buffers.
+// Conformance oracle. Every operation the server applies is fed, as it
+// begins and as it ends, to an online spec.Checker: the same atomic-cut
+// check spec.Check runs, over the whole run, with each scan convicted as
+// soon as every operation that began before it ended has completed. Begin
+// and end timestamps are drawn under one mutex, so the checker sees them
+// in order. The checker holds only the operations still in flight and the
+// writes they may need, and that window stays short: an operation begins
+// after its body is decoded and ends right after the object call, which
+// is wait-free. GET /conformance (and the snapshotd shutdown hook)
+// settles the operations in flight and reports the first violation, if
+// any, with the number of operations checked.
 package server
 
 import (
@@ -47,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,16 +54,9 @@ import (
 	"partialsnapshot/internal/spec"
 )
 
-// Config sizes a Server.
-type Config struct {
-	// MaxRecordedOps is the conformance recording admission cap (<=0 =
-	// DefaultMaxRecordedOps). Recording self-closes shortly after the cap:
-	// see the package comment.
-	MaxRecordedOps int
-}
-
-// DefaultMaxRecordedOps is the conformance prefix admission cap.
-const DefaultMaxRecordedOps = 32768
+// Config configures a Server. It has no fields; the repository benchmark
+// (perfbench) compiles against New's signature.
+type Config struct{}
 
 // Server serves one snapshot object over HTTP.
 type Server struct {
@@ -86,12 +77,9 @@ type Server struct {
 
 // New builds a server over obj. impl is the snapshot.Impl name obj was
 // built with, reported by /stats.
-func New(obj snapshot.Object[int64], impl snapshot.Impl, cfg Config) *Server {
-	if cfg.MaxRecordedOps <= 0 {
-		cfg.MaxRecordedOps = DefaultMaxRecordedOps
-	}
-	return &Server{obj: obj, impl: impl,
-		conf: &conformance{cap: int64(cfg.MaxRecordedOps), initial: obj.Components()}}
+func New(obj snapshot.Object[int64], impl snapshot.Impl, _ Config) *Server {
+	n := obj.Components()
+	return &Server{obj: obj, impl: impl, conf: &conformance{initial: n, chk: spec.NewChecker[int64](n)}}
 }
 
 // Handler returns the server's mux.
@@ -189,17 +177,22 @@ type StatsResp struct {
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
 
+	// RecordedOps counts the operations fed to the conformance checker.
+	// RecordingClosed always reads false: the whole run is checked, but
+	// perfbench reads the key.
 	RecordedOps     int             `json:"recorded_ops"`
 	RecordingClosed bool            `json:"recording_closed"`
 	ObjectStats     *snapshot.Stats `json:"object_stats,omitempty"`
 }
 
-// ConformanceResp is GET /conformance's body on success.
+// ConformanceResp is GET /conformance's body on success: how many
+// operations passed the check, and how many were still in the checker's
+// window (begun after the request, or waiting on one that was).
 type ConformanceResp struct {
-	CheckedOps      int  `json:"checked_ops"`
-	Components      int  `json:"initial_components"`
-	RecordingClosed bool `json:"recording_closed"`
-	OK              bool `json:"ok"`
+	CheckedOps int  `json:"checked_ops"`
+	PendingOps int  `json:"pending_ops"`
+	Components int  `json:"initial_components"`
+	OK         bool `json:"ok"`
 }
 
 // ---- handlers ----
@@ -237,19 +230,15 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	send(w, http.StatusOK, q.out)
 }
 
-// applyUpdate runs one update through the conformance recorder and the
-// object.
+// applyUpdate runs one update through the object and the conformance
+// checker.
 func (s *Server) applyUpdate(ids []int, vals []int64) error {
-	tok := s.conf.admit(spec.Update)
-	start := tok.start()
-	err := s.obj.Update(ids, vals)
-	if err != nil {
-		tok.abort()
+	t := s.conf.begin()
+	if err := s.obj.Update(ids, vals); err != nil {
+		s.conf.abort(t)
 		return err
 	}
-	if tok.rec {
-		tok.commit(spec.Op[int64]{Kind: spec.Update, Start: start, Comps: slices.Clone(ids), Vals: slices.Clone(vals)})
-	}
+	s.conf.end(t, spec.Op[int64]{Kind: spec.Update, Comps: ids, Vals: vals})
 	s.updateOps.Add(1)
 	return nil
 }
@@ -271,8 +260,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	tok := s.conf.admit(spec.Scan)
-	start := tok.start()
+	t := s.conf.begin()
 	var vals []int64
 	var err error
 	if q.all {
@@ -288,13 +276,11 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		vals, err = s.obj.PartialScan(ids)
 	}
 	if err != nil {
-		tok.abort()
+		s.conf.abort(t)
 		s.failApplied(w, q, err, 0)
 		return
 	}
-	if tok.rec {
-		tok.commit(spec.Op[int64]{Kind: spec.Scan, Start: start, Comps: slices.Clone(ids), Vals: vals})
-	}
+	s.conf.end(t, spec.Op[int64]{Kind: spec.Scan, Comps: ids, Vals: vals})
 	s.scans.Add(1)
 	q.out = appendScanResp(q.out, ids, vals)
 	send(w, http.StatusOK, q.out)
@@ -312,15 +298,14 @@ func (s *Server) handleResize(grow bool) http.HandlerFunc {
 		if grow {
 			kind, apply = spec.Grow, s.obj.Grow
 		}
-		tok := s.conf.admit(kind)
-		start := tok.start()
+		t := s.conf.begin()
 		n, err := apply(q.delta)
 		if err != nil {
-			tok.abort()
+			s.conf.abort(t)
 			s.failApplied(w, q, err, 0)
 			return
 		}
-		tok.commit(spec.Op[int64]{Kind: kind, Start: start, Delta: q.delta, Size: n})
+		s.conf.end(t, spec.Op[int64]{Kind: kind, Delta: q.delta, Size: n})
 		s.resizes.Add(1)
 		q.out = appendCount(q.out, "components", n)
 		send(w, http.StatusOK, q.out)
@@ -346,7 +331,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ResizeBusy:  s.resizeBusy.Load(),
 		Internal:    s.internal.Load(),
 	}
-	resp.RecordedOps, resp.RecordingClosed = s.conf.status()
+	resp.RecordedOps = s.conf.status().Recorded
 	if sr, ok := s.obj.(snapshot.StatsReader); ok {
 		st := sr.Stats()
 		resp.ObjectStats = &st
@@ -364,20 +349,19 @@ func (s *Server) handleConformance(w http.ResponseWriter, r *http.Request) {
 	replyJSON(w, http.StatusOK, resp)
 }
 
-// Conformance runs spec.Check over the recorded traffic prefix. It first
-// waits (bounded) for in-flight recorded operations to commit, so the
-// history it checks is causally complete — a recorded scan is never
-// checked before the write it observed is in the history.
+// Conformance reports the conformance checker's verdict over the run so
+// far. It first waits (bounded) until every operation begun before the
+// call has ended, so each scan that completed before the call has been
+// checked against every write it could have observed.
 func (s *Server) Conformance() (ConformanceResp, error) {
-	if !s.conf.settle(5 * time.Second) {
-		return ConformanceResp{}, errors.New("conformance: recorded operations still in flight")
+	st, settled, err := s.conf.settle(5 * time.Second)
+	if err != nil {
+		return ConformanceResp{}, fmt.Errorf("conformance: spec rejected the history after %d checked ops: %w", st.Checked, err)
 	}
-	ops := s.conf.rec.Ops()
-	if err := spec.Check(s.conf.initial, ops); err != nil {
-		return ConformanceResp{}, fmt.Errorf("conformance: history of %d recorded ops rejected by spec: %w", len(ops), err)
+	if !settled {
+		return ConformanceResp{}, errors.New("conformance: operations still in flight")
 	}
-	_, closed := s.conf.status()
-	return ConformanceResp{CheckedOps: len(ops), Components: s.conf.initial, RecordingClosed: closed, OK: true}, nil
+	return ConformanceResp{CheckedOps: st.Checked, PendingOps: st.Pending, Components: s.conf.initial, OK: true}, nil
 }
 
 // ---- plumbing ----
@@ -453,117 +437,62 @@ func replyJSON(w http.ResponseWriter, status int, body any) {
 	_ = json.NewEncoder(w).Encode(body)
 }
 
-// conformance is the bounded-prefix recorder: every operation records
-// until the admission cap; past it, writes keep recording exactly while a
-// recorded scan is in flight (see the package comment for the soundness
-// argument), then recording closes for good.
+// conformance feeds every applied operation to the online checker. Its
+// mutex orders the logical clock: Start and End are drawn under it, so the
+// checker receives begins in start order and ends in end order.
 type conformance struct {
-	rec     spec.Recorder[int64]
-	cap     int64
 	initial int
 
-	mu            sync.Mutex
-	admitted      int64
-	scansInFlight int
-	opsInFlight   int
-	closed        bool
+	mu    sync.Mutex
+	clock int64
+	chk   *spec.Checker[int64]
 }
 
-// confToken carries one admitted operation from admission to commit.
-// A zero/nil-conf token (past-close admission) is inert.
-type confToken struct {
-	c    *conformance
-	kind spec.Kind
-	rec  bool
-}
-
-// admit decides, under the prefix protocol, whether this operation is part
-// of the recorded history.
-func (c *conformance) admit(kind spec.Kind) confToken {
+// begin stamps an operation's Start; it is called right before the object
+// call.
+func (c *conformance) begin() spec.Ticket {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return confToken{}
-	}
-	c.admitted++
-	if c.admitted <= c.cap {
-		if kind == spec.Scan {
-			c.scansInFlight++
-		}
-		c.opsInFlight++
-		return confToken{c: c, kind: kind, rec: true}
-	}
-	if kind != spec.Scan && c.scansInFlight > 0 {
-		// Drain: a recorded scan may still observe this write.
-		c.opsInFlight++
-		return confToken{c: c, kind: kind, rec: true}
-	}
-	if c.scansInFlight == 0 {
-		c.closed = true
-	}
-	return confToken{}
+	c.clock++
+	return c.chk.Begin(c.clock)
 }
 
-// start draws the op's Start timestamp (0 for unrecorded ops — the zero
-// Op is never Added).
-func (t confToken) start() int64 {
-	if !t.rec {
-		return 0
-	}
-	return t.c.rec.Now()
-}
-
-// commit stamps End and adds the op to the history.
-func (t confToken) commit(op spec.Op[int64]) {
-	if !t.rec {
-		return
-	}
-	op.End = t.c.rec.Now()
-	t.c.rec.Add(op)
-	t.c.release(t.kind)
-}
-
-// abort releases an admitted op that failed (rejected operations are
-// tolerated traffic, not history).
-func (t confToken) abort() {
-	if !t.rec {
-		return
-	}
-	t.c.release(t.kind)
-}
-
-func (c *conformance) release(kind spec.Kind) {
-	c.mu.Lock()
-	if kind == spec.Scan {
-		c.scansInFlight--
-		if c.admitted > c.cap && c.scansInFlight == 0 {
-			c.closed = true
-		}
-	}
-	c.opsInFlight--
-	c.mu.Unlock()
-}
-
-// status reports the recorded op count and whether recording has closed.
-func (c *conformance) status() (int, bool) {
+// end stamps an applied operation's End and feeds it to the checker,
+// which copies what it keeps of op's slices.
+func (c *conformance) end(t spec.Ticket, op spec.Op[int64]) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.rec.Ops()), c.closed
+	c.clock++
+	op.End = c.clock
+	c.chk.End(t, op)
 }
 
-// settle waits until no recorded operation is in flight, so a conformance
-// check never misses a write one of its scans observed.
-func (c *conformance) settle(timeout time.Duration) bool {
+// abort withdraws an operation the object rejected: rejected operations
+// are tolerated traffic, not history.
+func (c *conformance) abort(t spec.Ticket) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.chk.Abort(t)
+}
+
+func (c *conformance) status() spec.CheckerStatus {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.chk.Status()
+}
+
+// settle waits, up to timeout, until every operation begun before the call
+// has ended (settled), and returns the checker's status and verdict.
+func (c *conformance) settle(timeout time.Duration) (st spec.CheckerStatus, settled bool, err error) {
 	deadline := time.Now().Add(timeout)
+	target := c.status().Begun
 	for {
 		c.mu.Lock()
-		inflight := c.opsInFlight
+		st, err = c.chk.Status(), c.chk.Err()
 		c.mu.Unlock()
-		if inflight == 0 {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
+		settled = st.Ended >= target
+		if settled || err != nil || time.Now().After(deadline) {
+			return st, settled, err
 		}
 		time.Sleep(time.Millisecond)
 	}

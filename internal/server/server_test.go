@@ -192,9 +192,10 @@ func TestHandlerErrorTaxonomy(t *testing.T) {
 }
 
 // TestConformanceOverConcurrentTraffic hammers the server with concurrent
-// writers and scanners (batches mixed in), then requires the recorded
-// prefix to pass spec.Check via the /conformance endpoint — the oracle
-// proving the whole serving stack (routing, batching, codec) linearizes.
+// writers and scanners (batches mixed in), then requires the whole run to
+// pass the online conformance check via the /conformance endpoint — the
+// oracle proving the whole serving stack (routing, batching, codec)
+// produces atomic scans.
 func TestConformanceOverConcurrentTraffic(t *testing.T) {
 	_, ts := newTestServer(t, snapshot.ImplLockFree, 8)
 	client := ts.Client()
@@ -253,44 +254,109 @@ func TestConformanceOverConcurrentTraffic(t *testing.T) {
 	if err := json.Unmarshal(body, &cr); err != nil {
 		t.Fatal(err)
 	}
-	if !cr.OK || cr.CheckedOps == 0 {
-		t.Fatalf("conformance did not check anything: %+v", cr)
+	// Every update of a batch is one op.
+	want := 0
+	for k := range iters {
+		want += 4 * (1 + k%3%2)
 	}
-	t.Logf("conformance: %d recorded ops pass spec.Check", cr.CheckedOps)
+	if !cr.OK || cr.CheckedOps != want || cr.PendingOps != 0 {
+		t.Fatalf("conformance %+v, want %d checked ops and none pending", cr, want)
+	}
 }
 
-// TestConformanceRecordingCloses pins the bounded-prefix protocol: with a
-// tiny cap, recording admits every op up to the cap, drains, closes, and
-// later traffic is not recorded — the history stays bounded no matter how
-// long the server lives.
-func TestConformanceRecordingCloses(t *testing.T) {
-	obj, err := snapshot.New[int64](snapshot.ImplLockFree, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(obj, snapshot.ImplLockFree, Config{MaxRecordedOps: 10})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+// serve runs one request through h in process.
+func serve(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+	return w
+}
 
-	for k := 0; k < 30; k++ {
-		resp, body := post(t, ts, "/update", UpdateReq{IDs: []int{k % 4}, Vals: []int64{int64(k + 1)}})
-		wantStatus(t, resp, body, http.StatusOK, "")
+// mixedTraffic sends ops requests, half updates of distinct values and
+// half scans, through h from workers goroutines to an 8-component object.
+func mixedTraffic(t *testing.T, h http.Handler, workers, ops int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range ops / workers {
+				path, body := "/scan", fmt.Sprintf(`{"ids":[%d,%d]}`, k%8, (k+3)%8)
+				if k%2 == 0 {
+					path, body = "/update", fmt.Sprintf(`{"ids":[%d],"vals":[%d]}`, (w+k)%8, w*10_000_000+k+1)
+				}
+				if rec := serve(h, http.MethodPost, path, body); rec.Code != http.StatusOK {
+					t.Errorf("%s %s: %d %s", path, body, rec.Code, rec.Body)
+					return
+				}
+			}
+		}()
 	}
-	recorded, closed := srv.conf.status()
-	if !closed {
-		t.Fatalf("recording still open after 30 sequential ops with cap 10")
+	wg.Wait()
+}
+
+// window reads how much the conformance checker holds: its retained
+// writes plus the ops still in its window.
+func (s *Server) window() int {
+	st := s.conf.status()
+	return st.Retained + st.Pending
+}
+
+// TestConformanceWindowStaysBounded pins the checker's memory bound: after
+// 100,000 mixed ops, sequential or from 4 goroutines, it holds no more
+// than a few writes per component, however many ops were checked.
+func TestConformanceWindowStaysBounded(t *testing.T) {
+	ops := 100_000
+	if testing.Short() || raceEnabled {
+		ops = 20_000
 	}
-	// Sequential traffic: no scan is ever in flight at the cap, so the
-	// drain window admits nothing and the history is exactly the cap.
-	if recorded != 10 {
-		t.Fatalf("recorded %d ops, want exactly the cap 10", recorded)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			obj, err := snapshot.New[int64](snapshot.ImplLockFree, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := New(obj, snapshot.ImplLockFree, Config{})
+			mixedTraffic(t, srv.Handler(), workers, ops)
+			cr, err := srv.Conformance()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cr.CheckedOps != ops || cr.PendingOps != 0 {
+				t.Fatalf("conformance %+v, want %d checked ops and none pending", cr, ops)
+			}
+			// Once the window drains, a component keeps its latest write
+			// and the writes that overlapped it: at most one per worker.
+			if held, bound := srv.window(), 8*workers; held > bound {
+				t.Fatalf("checker holds %d writes and ops after %d ops, bound %d", held, ops, bound)
+			}
+		})
 	}
-	cr, err := srv.Conformance()
+}
+
+// TestStatsCostIsFlat: GET /stats reads counters, so what it allocates
+// does not grow with the number of ops served.
+func TestStatsCostIsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers at random")
+	}
+	obj, err := snapshot.New[int64](snapshot.ImplLockFree, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cr.OK || cr.CheckedOps != 10 || !cr.RecordingClosed {
-		t.Fatalf("conformance after close: %+v", cr)
+	h := New(obj, snapshot.ImplLockFree, Config{}).Handler()
+	stats := func() float64 {
+		return testing.AllocsPerRun(100, func() {
+			if rec := serve(h, http.MethodGet, "/stats", ""); rec.Code != http.StatusOK {
+				t.Fatalf("/stats: %d", rec.Code)
+			}
+		})
+	}
+	mixedTraffic(t, h, 1, 100)
+	early := stats()
+	mixedTraffic(t, h, 1, 20_000-100)
+	if late := stats(); late != early {
+		t.Fatalf("/stats allocates %.1f after 100 ops and %.1f after 20,000", early, late)
 	}
 }
 
@@ -309,42 +375,49 @@ func (o *staleObject) PartialScan(ids []int) ([]int64, error) {
 }
 
 // TestStaleScanWouldBeConvicted is the serving-layer oracle's mutation
-// test: serve one superseded value and the conformance check must fail.
+// test: serve one superseded value and the conformance check must fail,
+// whether the bug strikes at once or only after 50,000 requests, far past
+// where a recording of the run's first ops would have stopped watching.
 // The corruption is planted below the server, in the object it serves —
-// the point is that the recorder and spec.Check convict whatever answered
-// the scan, not how the stale value arose.
+// the point is that the checker convicts whatever answered the scan, not
+// how the stale value arose.
 func TestStaleScanWouldBeConvicted(t *testing.T) {
-	inner, err := snapshot.New[int64](snapshot.ImplLockFree, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj := &staleObject{Object: inner}
-	srv := New(obj, snapshot.ImplLockFree, Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	for _, after := range []int{0, 50_000} {
+		t.Run(fmt.Sprintf("after=%d", after), func(t *testing.T) {
+			inner, err := snapshot.New[int64](snapshot.ImplLockFree, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			obj := &staleObject{Object: inner}
+			srv := New(obj, snapshot.ImplLockFree, Config{})
+			h := srv.Handler()
+			mixedTraffic(t, h, 1, after)
 
-	resp, body := post(t, ts, "/update", UpdateReq{IDs: []int{0}, Vals: []int64{1}})
-	wantStatus(t, resp, body, http.StatusOK, "")
-	resp, body = post(t, ts, "/scan", ScanReq{IDs: []int{0}})
-	wantStatus(t, resp, body, http.StatusOK, "")
-	resp, body = post(t, ts, "/update", UpdateReq{IDs: []int{0}, Vals: []int64{2}})
-	wantStatus(t, resp, body, http.StatusOK, "")
+			for _, req := range []struct{ path, body string }{
+				{"/update", `{"ids":[0],"vals":[-1]}`},
+				{"/scan", `{"ids":[0]}`},
+				{"/update", `{"ids":[0],"vals":[-2]}`},
+			} {
+				if rec := serve(h, http.MethodPost, req.path, req.body); rec.Code != http.StatusOK {
+					t.Fatalf("%s: %d %s", req.path, rec.Code, rec.Body)
+				}
+			}
+			if _, err := srv.Conformance(); err != nil {
+				t.Fatalf("healthy traffic convicted: %v", err)
+			}
 
-	// Plant the bug: answer the next scan with the overwritten value.
-	obj.stale = []int64{1}
-	resp, body = post(t, ts, "/scan", ScanReq{IDs: []int{0}})
-	wantStatus(t, resp, body, http.StatusOK, "")
-	var sc ScanResp
-	if err := json.Unmarshal(body, &sc); err != nil {
-		t.Fatal(err)
-	}
-	if sc.Vals[0] != 1 {
-		t.Fatalf("the planted stale value was not served (%+v); the conviction below would be vacuous", sc)
-	}
-	if _, err := srv.Conformance(); err == nil {
-		t.Fatalf("spec.Check accepted a history containing a stale read")
-	} else {
-		t.Logf("convicted as designed: %v", err)
+			// Plant the bug: answer the next scan with the overwritten value.
+			obj.stale = []int64{-1}
+			rec := serve(h, http.MethodPost, "/scan", `{"ids":[0]}`)
+			if rec.Code != http.StatusOK || rec.Body.String() != `{"ids":[0],"vals":[-1]}`+"\n" {
+				t.Fatalf("the planted stale value was not served (%d %s); the conviction below would be vacuous", rec.Code, rec.Body)
+			}
+			if _, err := srv.Conformance(); err == nil {
+				t.Fatalf("the checker accepted a stale read after %d requests", after+3)
+			} else {
+				t.Logf("convicted as designed: %v", err)
+			}
+		})
 	}
 }
 
@@ -406,10 +479,11 @@ func TestOversizedBodies(t *testing.T) {
 }
 
 // TestHandlerAllocs is the request path's allocation probe: one update and
-// one scan through the handler cost at most a few allocations more than
-// GET /healthz through the same mux, which is the floor net/http and
-// httptest set. The extra ones are the body limit and the object's own:
-// the update's cell batch, the scan's result slice.
+// one scan through the handler, each checked by the conformance checker,
+// cost at most a few allocations more than GET /healthz through the same
+// mux, which is the floor net/http and httptest set. The extra ones are
+// the body limit and the object's own: the update's cell batch, the
+// scan's result slice. The checker recycles its op slots and adds none.
 func TestHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled buffers at random")
@@ -418,7 +492,7 @@ func TestHandlerAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := New(obj, snapshot.ImplLockFree, Config{MaxRecordedOps: 1}).Handler()
+	h := New(obj, snapshot.ImplLockFree, Config{}).Handler()
 	probe := func(method, path, body string) float64 {
 		return testing.AllocsPerRun(500, func() {
 			w := httptest.NewRecorder()
@@ -427,11 +501,6 @@ func TestHandlerAllocs(t *testing.T) {
 				t.Fatalf("%s %s: %d %s", method, path, w.Code, w.Body)
 			}
 		})
-	}
-	// Close conformance recording first: past it no operation copies its
-	// ids and values, which is the steady state the probe measures.
-	for k := 0; k < 3; k++ {
-		probe(http.MethodPost, "/scan", `{"ids":[3,17,40,63]}`)
 	}
 	floor := probe(http.MethodGet, "/healthz", "")
 	update := probe(http.MethodPost, "/update", `{"ids":[3,17],"vals":[4294967297,4294967298]}`)

@@ -1,6 +1,7 @@
 // Package spec holds the sequential specification of a partial snapshot
-// object and a linearizability-style checker that replays recorded
-// concurrent histories against it.
+// object and a linearizability-style checker for concurrent histories
+// against it, which runs online (Checker) or over a recorded history
+// (Check, a replay through the same Checker).
 //
 // The sequential model is an array of components: Update assigns, Scan
 // reads, and the array is dynamic — Grow appends zero-valued components,
@@ -16,11 +17,23 @@
 // history; its precision relies on written values being distinct per
 // component (test workloads encode writer ID + sequence number into each
 // value).
+//
+// The Checker is fed each operation's begin and end as they happen and
+// holds only a window: the operations still in flight, the scans waiting
+// on them, and per component the writes a scan still to be checked can
+// need. A scan is checked once every operation that began before it ended
+// has completed, and a write is retired once a later write on its
+// component has surely landed before the oldest operation in the window
+// began. Its memory is therefore bounded by how long operations stay in
+// flight, not by the length of the run, which is what lets snapshotd
+// check its whole lifetime of traffic.
 package spec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -228,99 +241,38 @@ type write[V comparable] struct {
 // instant places the scan after the Grow and before any later real write.
 // Shrinks never lower the limit — a scan pinned to a pre-Shrink epoch may
 // legitimately still observe since-removed components.
+//
+// Check replays the history's begin and end events, in timestamp order,
+// through a Checker: the online check and the batch one are the same code.
+// Every op must end no earlier than it starts.
 func Check[V comparable](n int, ops []Op[V]) error {
-	limit := n
-	for _, op := range ops {
-		if (op.Kind == Grow || op.Kind == Shrink) && op.Size > limit {
-			limit = op.Size
+	type event struct {
+		at  int64
+		end int // 0 begin, 1 end
+		op  int
+	}
+	events := make([]event, 0, 2*len(ops))
+	for i, op := range ops {
+		if op.End < op.Start {
+			return fmt.Errorf("spec: op %d ends at %d, before it starts at %d", i, op.End, op.Start)
+		}
+		events = append(events, event{op.Start, 0, i}, event{op.End, 1, i})
+	}
+	// Begins sort before ends at the same instant: the closed intervals
+	// overlap there.
+	slices.SortFunc(events, func(a, b event) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), a.end-b.end, a.op-b.op)
+	})
+	c := NewChecker[V](n)
+	tickets := make([]Ticket, len(ops))
+	for _, e := range events {
+		if e.end == 1 {
+			c.End(tickets[e.op], ops[e.op])
+		} else {
+			tickets[e.op] = c.Begin(e.at)
 		}
 	}
-	var zero V
-	perComp := make([][]write[V], limit)
-	for _, op := range ops {
-		switch op.Kind {
-		case Update:
-			if len(op.Vals) != len(op.Comps) {
-				return fmt.Errorf("spec: malformed update op: %d values for %d components", len(op.Vals), len(op.Comps))
-			}
-			for i, c := range op.Comps {
-				if c < 0 || c >= limit {
-					return fmt.Errorf("spec: update names component %d out of range [0,%d)", c, limit)
-				}
-				perComp[c] = append(perComp[c], write[V]{start: op.Start, end: op.End, val: op.Vals[i]})
-			}
-		case Grow:
-			if op.Delta <= 0 || op.Size-op.Delta < 0 || op.Size > limit {
-				return fmt.Errorf("spec: malformed grow op: delta %d size %d (limit %d)", op.Delta, op.Size, limit)
-			}
-			for c := op.Size - op.Delta; c < op.Size; c++ {
-				perComp[c] = append(perComp[c], write[V]{start: op.Start, end: op.End, val: zero})
-			}
-		}
-	}
-	// Sort each component's writes by start and precompute the suffix
-	// minimum of end times, so "earliest definite overwrite after w" is a
-	// binary search away.
-	sufMinEnd := make([][]int64, limit)
-	for c := range perComp {
-		ws := perComp[c]
-		sort.Slice(ws, func(i, j int) bool { return ws[i].start < ws[j].start })
-		suf := make([]int64, len(ws)+1)
-		suf[len(ws)] = math.MaxInt64
-		for i := len(ws) - 1; i >= 0; i-- {
-			suf[i] = min(suf[i+1], ws[i].end)
-		}
-		sufMinEnd[c] = suf
-	}
-	for si, op := range ops {
-		if op.Kind != Scan {
-			continue
-		}
-		if len(op.Vals) != len(op.Comps) {
-			return fmt.Errorf("spec: malformed scan op: %d values for %d components", len(op.Vals), len(op.Comps))
-		}
-		// Per observed component, the set of feasibility windows (one per
-		// candidate write of the observed value), clipped to the scan.
-		cands := make([][]interval, len(op.Comps))
-		for i, c := range op.Comps {
-			if c < 0 || c >= limit {
-				return fmt.Errorf("spec: scan names component %d out of range [0,%d)", c, limit)
-			}
-			v := op.Vals[i]
-			var ivs []interval
-			if v == zero {
-				// Initial value: plausible until any write definitely completed.
-				ivs = append(ivs, interval{lo: math.MinInt64, hi: sufMinEnd[c][0]})
-			}
-			ws := perComp[c]
-			for _, w := range ws {
-				if w.val != v {
-					continue
-				}
-				// First write definitely after w: start > w.end.
-				k := sort.Search(len(ws), func(j int) bool { return ws[j].start > w.end })
-				ivs = append(ivs, interval{lo: w.start, hi: sufMinEnd[c][k]})
-			}
-			var clipped []interval
-			for _, iv := range ivs {
-				lo := max(iv.lo, op.Start)
-				hi := min(iv.hi, op.End)
-				if lo <= hi {
-					clipped = append(clipped, interval{lo: lo, hi: hi})
-				}
-			}
-			if len(clipped) == 0 {
-				return fmt.Errorf("spec: scan %d (interval [%d,%d]) observed %v on component %d, which no admissible write produced",
-					si, op.Start, op.End, v, c)
-			}
-			cands[i] = clipped
-		}
-		if !commonInstant(cands) {
-			return fmt.Errorf("spec: scan %d (interval [%d,%d]) over components %v observed %v: no single instant admits all values (torn scan)",
-				si, op.Start, op.End, op.Comps, op.Vals)
-		}
-	}
-	return nil
+	return c.Err()
 }
 
 // CheckProvenance verifies the helping metadata of a history: every scan
@@ -364,38 +316,6 @@ func intersect(a, b []int) bool {
 			if x == y {
 				return true
 			}
-		}
-	}
-	return false
-}
-
-// commonInstant reports whether some instant t is covered by at least one
-// interval of every component's candidate list. Candidate instants are the
-// interval lower bounds (coverage can only begin at a lower bound).
-func commonInstant(cands [][]interval) bool {
-	var points []int64
-	for _, ivs := range cands {
-		for _, iv := range ivs {
-			points = append(points, iv.lo)
-		}
-	}
-	for _, t := range points {
-		ok := true
-		for _, ivs := range cands {
-			covered := false
-			for _, iv := range ivs {
-				if iv.lo <= t && t <= iv.hi {
-					covered = true
-					break
-				}
-			}
-			if !covered {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return true
 		}
 	}
 	return false
