@@ -104,22 +104,30 @@ func (q *request) reset() {
 func (q *request) idList(s span) []int    { return q.ints[s.lo:s.hi] }
 func (q *request) valList(s span) []int64 { return q.vals[s.lo:s.hi] }
 
-// read fills q.body from r, which the caller has already limited.
+// errBodyTooLarge is the error for a body over maxBodyBytes.
+var errBodyTooLarge = fmt.Errorf("request body over %d bytes", maxBodyBytes)
+
+// read fills q.body from r up to EOF. It reads at most one byte past
+// maxBodyBytes and fails with errBodyTooLarge if that byte is there, so
+// a body of unknown length cannot grow the buffer without bound.
 func (q *request) read(r io.Reader) error {
 	b := q.body[:0]
 	for {
 		if len(b) == cap(b) {
 			b = append(b, 0)[:len(b)]
 		}
-		n, err := r.Read(b[len(b):cap(b)])
+		n, err := r.Read(b[len(b):min(cap(b), maxBodyBytes+1)])
 		b = b[:len(b)+n]
-		if err != nil {
-			q.body = b
-			if err == io.EOF {
-				return nil
-			}
-			return err
+		switch {
+		case len(b) > maxBodyBytes:
+			err = errBodyTooLarge
+		case err == io.EOF:
+			err = nil
+		case err == nil:
+			continue
 		}
+		q.body = b
+		return err
 	}
 }
 

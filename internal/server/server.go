@@ -375,15 +375,23 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, allowed field) (
 		return nil, false
 	}
 	q := getRequest()
-	err := q.read(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err == nil {
+	var err error
+	if r.ContentLength > maxBodyBytes {
+		err = errBodyTooLarge
+	} else if err = q.read(r.Body); err == nil {
+		// The body is read to EOF. Closing it here tells net/http so;
+		// left open, it would run its own discard of the rest after the
+		// reply, at the cost of an allocation per request.
+		_ = r.Body.Close()
 		err = q.decode(allowed)
 	}
 	if err != nil {
 		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
+		if err == errBodyTooLarge {
+			// The rest of the body stays unread: close the connection
+			// instead of reading past it to the next request.
 			status = http.StatusRequestEntityTooLarge
+			w.Header().Set("Connection", "close")
 		}
 		s.fail(w, q, status, "bad_request", fmt.Errorf("bad request body: %w", err))
 		putRequest(q)

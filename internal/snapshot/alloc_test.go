@@ -1,6 +1,7 @@
 package snapshot_test
 
 import (
+	"runtime"
 	"testing"
 
 	"partialsnapshot/internal/snapshot"
@@ -126,4 +127,39 @@ func TestAllocsPerOpRWMutex(t *testing.T) {
 	scanIDs := []int{1, 2, 3, 4}
 	assertAllocs(t, "rwmutex Update width-2", 0, func() error { return o.Update(ids, vals) })
 	assertAllocs(t, "rwmutex PartialScan width-4", 1, func() error { _, err := o.PartialScan(scanIDs); return err })
+}
+
+// TestUpdateBytes pins the size of a cell: it holds only its value, so a
+// width-2 int64 update allocates one 16-byte batch and nothing else. A
+// field added to the cell (an op id, a version) doubles this.
+func TestUpdateBytes(t *testing.T) {
+	const (
+		runs   = 10_000
+		budget = 16
+	)
+	// Like testing.AllocsPerRun: one P, so no other goroutine's
+	// allocations land inside the measured window.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ids, vals := []int{3, 40}, []int64{1, 2}
+	for _, o := range []snapshot.Object[int64]{snapshot.NewLockFree[int64](64), snapshot.NewVersioned[int64](64)} {
+		for i := 0; i < 64; i++ {
+			if err := o.Update(ids, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if err := o.Update(ids, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		if got > budget+allocSlack {
+			t.Errorf("%T Update width-2: %.2f B/op, budget %d", o, got, budget)
+		} else {
+			t.Logf("%T Update width-2: %.2f B/op (budget %d)", o, got, budget)
+		}
+	}
 }

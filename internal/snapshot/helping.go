@@ -45,7 +45,7 @@ type seenRecord[V any] struct {
 // tolerates). The converse race — count already raised, head not yet
 // CAS'd — costs a walk that finds nothing, wasted but safe, and resolves
 // the same way. Skipped walks touch no slot cache line and are tallied in
-// the sharded walksSkipped counters instead of the per-slot gauges.
+// the sharded walksSkipped counter instead of the per-slot gauges.
 //
 // u is the updater's pinned universe. A slot surviving across epochs is
 // aliased — and so is its slot group, see epoch.go — so the summary and
@@ -108,10 +108,11 @@ func (o *LockFree[V]) helpIntersectingScans(u *universe[V], ids []int, op uint64
 		})
 	}
 	if skipped != 0 {
-		// One sharded add per update, on the same shard its op id came
-		// from, so the quiescent fast path writes no registry cache line at
-		// all — only a counter line contended exactly like the op-id shard.
-		o.walksSkipped[uint64(ids[0])*opShards/uint64(len(u.regs))].v.Add(uint64(skipped))
+		// One sharded add per update, on the counter shard its op id came
+		// from (op's low bits name it), so it lands on the cache line the
+		// op-id add already wrote: the quiescent fast path writes no
+		// registry cache line at all, and no second counter line.
+		o.shards[op&(opShards-1)].walksSkipped.Add(uint64(skipped))
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 //
 // The implementation is split by layer: epoch.go holds the epoch-versioned
 // universe (the resizable shape behind Grow/Shrink), registers.go the
-// per-component cells and op-id shards, registry.go the sharded
+// per-component cells and counter shards, registry.go the sharded
 // announcement registry, scan.go the scanner side, helping.go the updater
 // side.
 type LockFree[V any] struct {
@@ -26,8 +26,15 @@ type LockFree[V any] struct {
 	// Grow/Shrink replace it by CAS.
 	uni atomic.Pointer[universe[V]]
 
-	reg registry[V]            // announcement bookkeeping shared by all epochs
-	ops [opShards]paddedUint64 // sharded update op-id counters
+	reg registry[V] // announcement bookkeeping shared by all epochs
+
+	// shards holds the sharded counters: update op ids (nextOp), walks the
+	// quiescence summary proved unnecessary (see helpIntersectingScans),
+	// and completed scan views the epoch recheck threw away because a
+	// resize replaced a named component's register mid-scan (see
+	// scanPinned). Sharding keeps the quiescent update path and the discard
+	// path off any counter line an unrelated operation writes.
+	shards [opShards]counterShard
 
 	sched sched.Scheduler // nil outside schedule-injection tests
 
@@ -77,17 +84,6 @@ type LockFree[V any] struct {
 	helpsAdopted atomic.Uint64
 	maxDepth     atomic.Int64
 	recReuses    atomic.Uint64
-
-	// walksSkipped counts registry walks the quiescence summary proved
-	// unnecessary (see helpIntersectingScans), sharded like the op-id
-	// counters so the quiescent fast path never touches a slot cache line.
-	walksSkipped [opShards]paddedUint64
-
-	// viewsDiscarded counts completed scan views thrown away by the epoch
-	// recheck because a resize replaced a named component's register
-	// mid-scan (see scanPinned), sharded like the op-id counters so the
-	// discard path shares no counter cache line with unrelated scans.
-	viewsDiscarded [opShards]paddedUint64
 
 	epochInstalls atomic.Uint64
 	grows         atomic.Uint64
@@ -150,8 +146,8 @@ func (o *LockFree[V]) Update(ids []int, vals []V) error {
 }
 
 // UpdateOp is Update, additionally returning the unique operation id this
-// update stamped into every cell it wrote. Provenance-aware tests match the
-// id against ScanInfo.HelperOp and spec.Op.UpdateID.
+// update drew: the id it posts help views under, which provenance-aware
+// tests match against ScanInfo.HelperOp and spec.Op.UpdateID.
 func (o *LockFree[V]) UpdateOp(ids []int, vals []V) (uint64, error) {
 	// Pin once: validation, the helping walk and the stores all run against
 	// this one epoch's shape. A resize installed after this load linearizes
@@ -170,7 +166,7 @@ func (o *LockFree[V]) UpdateOp(ids []int, vals []V) (uint64, error) {
 	// (the GC, not a generation tag, is what rules out cell ABA).
 	batch := make([]cell[V], len(ids))
 	for i, id := range ids {
-		batch[i] = cell[V]{val: vals[i], op: op}
+		batch[i] = cell[V]{val: vals[i]}
 		o.yield(sched.PreCellStore, id)
 		u.regs[id].ptr.Store(&batch[i])
 	}
@@ -273,11 +269,9 @@ func (o *LockFree[V]) Stats() Stats {
 		st.RegistryWalks += s.walks.Load()
 		st.RecordsVisited += s.visited.Load()
 	}
-	for i := range o.walksSkipped {
-		st.WalksSkipped += o.walksSkipped[i].v.Load()
-	}
-	for i := range o.viewsDiscarded {
-		st.ViewsDiscarded += o.viewsDiscarded[i].v.Load()
+	for i := range o.shards {
+		st.WalksSkipped += o.shards[i].walksSkipped.Load()
+		st.ViewsDiscarded += o.shards[i].viewsDiscarded.Load()
 	}
 	return st
 }

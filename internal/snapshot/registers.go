@@ -3,47 +3,63 @@ package snapshot
 import "sync/atomic"
 
 // This file is the register layer of LockFree: the per-component atomic
-// cells every collect reads, and the sharded generator of update op ids.
-// Nothing here knows about announcements or helping.
+// cells every collect reads, and the sharded counters that hand out update
+// op ids. Nothing here knows about announcements or helping.
 
 // cell is one immutable register value for a single component. Every write
 // allocates a fresh cell, so pointer identity distinguishes writes: a
 // double collect that loads the same *cell twice knows the component did
 // not change in between (Go's GC rules out ABA while the collect still
-// holds the old pointer). The update op id rides along for observability
-// and for the spec recorder.
+// holds the old pointer). That identity is the paper's per-register tag,
+// so the cell holds only the value.
+//
+// The one exception is a zero-size V: Go may give every zero-size
+// allocation the same address, so all cells of such a V can share one
+// pointer and a double collect cannot see a write. That is harmless. V then
+// has exactly one value, every write stores it, and so every view a scan
+// can return is the one every linearization agrees on.
 type cell[V any] struct {
 	val V
-	op  uint64 // unique id of the Update that wrote this cell; 0 = initial
 }
 
-// opShards is the number of op-id counter shards. It must stay a power of
-// two matching the shift in nextOp.
+// opShards is the number of counter shards. It must stay a power of two
+// matching the shift in nextOp.
 const opShards = 64
 
-// paddedUint64 is an atomic counter alone on its cache line (and on the
-// line the adjacent-line prefetcher pairs with it), so counters of
-// different shards never false-share.
-type paddedUint64 struct {
-	v atomic.Uint64
-	_ [120]byte
+// counterShard holds one shard of each of LockFree's sharded counters: the
+// op-id counter nextOp draws from and the walksSkipped and viewsDiscarded
+// tallies. All three pick their shard by one rule (universe.shard), so an
+// update's op-id add and its walk-skip add land on one cache line. The
+// padding keeps each shard alone on its line and on the line the
+// adjacent-line prefetcher pairs with it, so shards never false-share.
+type counterShard struct {
+	ops            atomic.Uint64
+	walksSkipped   atomic.Uint64
+	viewsDiscarded atomic.Uint64
+	_              [104]byte
 }
 
-// nextOp returns a unique, nonzero op id for an update naming ids. A single
+// shard returns the index of the counter shard of an operation naming
+// ids, chosen by scaling its first component into [0, opShards). A single
 // global counter would put one contended cache line on every update's hot
 // path — cross-partition interference the sharded registry exists to
-// remove — so ids are drawn from a counter shard chosen by scaling the
-// update's first component into [0, opShards): contiguous component ranges
-// map to contiguous shard ranges, so updates pinned to disjoint ranges hit
-// disjoint shards whenever the ranges are at least n/opShards wide (a
-// modulo would instead alias ranges n/opShards apart onto the same
-// shards). The shard index rides in the low bits, keeping ids unique
-// across shards, and every id is >= opShards, so 0 still means "initial
-// value". Scaling uses the pinned epoch's size, so shard choice is stable
-// within the operation regardless of concurrent resizes.
+// remove. Contiguous component ranges map to contiguous shard ranges, so
+// operations pinned to disjoint ranges hit disjoint shards whenever the
+// ranges are at least n/opShards wide (a modulo would instead alias ranges
+// n/opShards apart onto the same shards). Scaling uses this epoch's size,
+// so the shard is stable within an operation regardless of concurrent
+// resizes.
+func (u *universe[V]) shard(ids []int) uint64 {
+	return uint64(ids[0]) * opShards / uint64(len(u.regs))
+}
+
+// nextOp returns a unique, nonzero op id for an update naming ids, drawn
+// from its counter shard. The shard index rides in the low bits, keeping
+// ids unique across shards and naming the shard the id came from, and
+// every id is >= opShards, so 0 still means "no update".
 func (o *LockFree[V]) nextOp(u *universe[V], ids []int) uint64 {
-	shard := uint64(ids[0]) * opShards / uint64(len(u.regs))
-	return o.ops[shard].v.Add(1)<<6 | shard
+	i := u.shard(ids)
+	return o.shards[i].ops.Add(1)<<6 | i
 }
 
 // collect loads the current cell of every component in ids, in order,

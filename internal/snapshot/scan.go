@@ -148,7 +148,7 @@ func (o *LockFree[V]) scanPinned(u *universe[V], ids []int, full bool) ([]V, Sca
 		// the pin: the view may mix epochs, discard and retake. The retaken
 		// attempt starts from scratch — a discarded adoption must not leak
 		// its provenance into the next view's info.
-		o.viewsDiscarded[uint64(ids[0])*opShards/uint64(len(u.regs))].v.Add(1)
+		o.shards[u.shard(ids)].viewsDiscarded.Add(1)
 		info.Adopted, info.HelperOp, info.Depth = false, 0, 0
 		u = cur
 		if full {

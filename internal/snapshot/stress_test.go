@@ -232,6 +232,56 @@ func TestContendedScansTerminate(t *testing.T) {
 	t.Logf("contended stats: %+v", st)
 }
 
+// TestZeroSizeValues runs concurrent updates and scans over a
+// LockFree[struct{}]. A cell holds only its value, so every cell of a
+// zero-size V may share one address and no double collect can see a
+// write; that is sound because V has one value (see the cell comment).
+// The test pins what must still hold: every operation completes, every
+// scan returns one value per named component, and no announcement leaks.
+func TestZeroSizeValues(t *testing.T) {
+	const (
+		components = 8
+		workers    = 4
+	)
+	ops := 2000
+	if testing.Short() {
+		ops = 200
+	}
+	obj := snapshot.NewLockFree[struct{}](components)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			for k := 0; k < ops; k++ {
+				ids := randomIDSet(rng, components, 1+rng.Intn(3))
+				if k%2 == w%2 {
+					if err := obj.Update(ids, make([]struct{}, len(ids))); err != nil {
+						t.Errorf("Update%v: %v", ids, err)
+						return
+					}
+					continue
+				}
+				vals, err := obj.PartialScan(ids)
+				if err != nil || len(vals) != len(ids) {
+					t.Errorf("PartialScan%v: %d values, %v", ids, len(vals), err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if vals, err := obj.Scan(); err != nil || len(vals) != components {
+		t.Fatalf("Scan: %d values, %v", len(vals), err)
+	}
+	st := obj.Stats()
+	if st.LiveAnnouncements != 0 {
+		t.Fatalf("%d live announcements after the run, want 0", st.LiveAnnouncements)
+	}
+	t.Logf("stats: %+v", st)
+}
+
 func randomIDSet(rng *rand.Rand, n, k int) []int {
 	perm := rng.Perm(n)
 	ids := make([]int, k)

@@ -151,7 +151,7 @@ func (o *Versioned[V]) Update(ids []int, vals []V) error {
 }
 
 // UpdateOp is Update, additionally returning the unique operation id this
-// update stamped into every cell it wrote.
+// update drew (see LockFree.UpdateOp).
 func (o *Versioned[V]) UpdateOp(ids []int, vals []V) (uint64, error) {
 	lf := o.lf
 	u := lf.pin()
@@ -162,7 +162,7 @@ func (o *Versioned[V]) UpdateOp(ids []int, vals []V) (uint64, error) {
 	lf.helpIntersectingScans(u, ids, op)
 	batch := make([]cell[V], len(ids))
 	for i, id := range ids {
-		batch[i] = cell[V]{val: vals[i], op: op}
+		batch[i] = cell[V]{val: vals[i]}
 		r := u.regs[id]
 		r.stamp.Add(1) // writer in flight: readers refuse the component
 		lf.yield(sched.PreCellStore, id)
