@@ -1,13 +1,12 @@
 // Command snapshotd serves a partial snapshot object over HTTP/JSON — the
-// repository's serving layer. The object defaults to the paper's wait-free
-// LockFree implementation: every scan is wait-free, and requests naming
-// disjoint component sets do not interfere; see internal/server for the
-// endpoint and correctness surface.
+// repository's serving layer. The object is the paper's wait-free LockFree
+// implementation: every scan is wait-free, and requests naming disjoint
+// component sets do not interfere; see internal/server for the endpoint
+// and correctness surface.
 //
 //	snapshotd -addr 127.0.0.1:8080 -components 64
 //
-// Flags: -addr, -impl, -components and -optimistic-attempts (versioned
-// only).
+// Flags: -addr and -components.
 //
 // Every operation served is checked online against the sequential spec
 // (internal/server's conformance oracle), for the whole life of the
@@ -39,12 +38,10 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	impl := flag.String("impl", string(snapshot.ImplLockFree), fmt.Sprintf("implementation %v", snapshot.Impls()))
 	components := flag.Int("components", 64, "number of components")
-	attempts := flag.Int("optimistic-attempts", -1, "versioned: torn-read budget before escalating (-1 = default)")
 	flag.Parse()
 
-	if err := run(*addr, *impl, *components, *attempts); err != nil {
+	if err := run(*addr, *components); err != nil {
 		fmt.Fprintln(os.Stderr, "snapshotd:", err)
 		os.Exit(1)
 	}
@@ -71,16 +68,12 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-func run(addr, impl string, components, attempts int) error {
-	var opts []snapshot.Option
-	if attempts >= 0 {
-		opts = append(opts, snapshot.WithOptimisticAttempts(attempts))
-	}
-	obj, err := snapshot.New[int64](snapshot.Impl(impl), components, opts...)
+func run(addr string, components int) error {
+	obj, err := snapshot.New[int64](snapshot.ImplLockFree, components)
 	if err != nil {
 		return err
 	}
-	srv := server.New(obj, snapshot.Impl(impl), server.Config{})
+	srv := server.New(obj, snapshot.ImplLockFree, server.Config{})
 	httpSrv := newHTTPServer(addr, srv.Handler())
 	errCh := make(chan error, 1)
 	go func() {
@@ -88,7 +81,7 @@ func run(addr, impl string, components, attempts int) error {
 			errCh <- err
 		}
 	}()
-	fmt.Fprintf(os.Stderr, "snapshotd: serving %s (%d components) on http://%s\n", impl, components, addr)
+	fmt.Fprintf(os.Stderr, "snapshotd: serving %s (%d components) on http://%s\n", snapshot.ImplLockFree, components, addr)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

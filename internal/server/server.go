@@ -17,7 +17,8 @@
 //
 // Errors carry a machine-readable code from the snapshot package's wire
 // taxonomy: bad ids are HTTP 400 {"code":"bad_component"}, infeasible
-// resizes HTTP 409 {"code":"bad_resize"}, malformed requests HTTP 400
+// resizes (a grow past maxComponents included) HTTP 409
+// {"code":"bad_resize"}, malformed requests HTTP 400
 // {"code":"bad_request"} (413 for a body over 1 MiB); anything else is a
 // 500 {"code":"internal"}.
 //
@@ -58,11 +59,19 @@ import (
 // (perfbench) compiles against New's signature.
 type Config struct{}
 
+// maxComponents caps the object's size: POST /grow past it is a 409
+// bad_resize. A component costs about 168 B of registers, announcement
+// slot and id-list entry, so the cap bounds that state at about 11 MiB;
+// without it one grow request can ask the runtime for any amount.
+const maxComponents = 1 << 16
+
 // Server serves one snapshot object over HTTP.
 type Server struct {
 	obj  snapshot.Object[int64]
 	impl snapshot.Impl
 	conf *conformance
+
+	growMu sync.Mutex // orders each grow's cap check with its install
 
 	requests    atomic.Uint64
 	badRequests atomic.Uint64
@@ -296,7 +305,7 @@ func (s *Server) handleResize(grow bool) http.HandlerFunc {
 		defer putRequest(q)
 		kind, apply := spec.Shrink, s.obj.Shrink
 		if grow {
-			kind, apply = spec.Grow, s.obj.Grow
+			kind, apply = spec.Grow, s.grow
 		}
 		t := s.conf.begin()
 		n, err := apply(q.delta)
@@ -310,6 +319,19 @@ func (s *Server) handleResize(grow bool) http.HandlerFunc {
 		q.out = appendCount(q.out, "components", n)
 		send(w, http.StatusOK, q.out)
 	}
+}
+
+// grow grows the object by k components unless that would take it past
+// maxComponents. Grows are serialised so the size checked is the size
+// grown; a concurrent shrink only makes the check conservative.
+func (s *Server) grow(k int) (int, error) {
+	s.growMu.Lock()
+	defer s.growMu.Unlock()
+	if n := s.obj.Components(); k > maxComponents-n {
+		return 0, fmt.Errorf("%w: grow %d components by %d passes the %d-component cap",
+			snapshot.ErrBadResize, n, k, maxComponents)
+	}
+	return s.obj.Grow(k)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

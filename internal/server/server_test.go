@@ -13,13 +13,14 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"partialsnapshot/internal/snapshot"
 )
 
-func newTestServer(t *testing.T, impl snapshot.Impl, n int, opts ...snapshot.Option) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, impl snapshot.Impl, n int) (*Server, *httptest.Server) {
 	t.Helper()
-	obj, err := snapshot.New[int64](impl, n, opts...)
+	obj, err := snapshot.New[int64](impl, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,6 +423,38 @@ func TestStaleScanWouldBeConvicted(t *testing.T) {
 				t.Logf("convicted as designed: %v", err)
 			}
 		})
+	}
+}
+
+// TestGrowPastCapIsRejected sends grows that would take the object past
+// maxComponents, one of them large enough to overflow any allocation: each
+// is a 409 bad_resize that leaves the object as it was and the oracle
+// unwedged, so /conformance still answers promptly with a passing verdict.
+// A grow to exactly the cap is served.
+func TestGrowPastCapIsRejected(t *testing.T) {
+	_, ts := newTestServer(t, snapshot.ImplLockFree, 64)
+	for _, delta := range []int{1 << 62, maxComponents - 64 + 1} {
+		resp, body := post(t, ts, "/grow", ResizeReq{Delta: delta})
+		wantStatus(t, resp, body, http.StatusConflict, snapshot.CodeBadResize)
+	}
+	resp, body := post(t, ts, "/grow", ResizeReq{Delta: maxComponents - 64})
+	wantStatus(t, resp, body, http.StatusOK, "")
+	resp, body = post(t, ts, "/grow", ResizeReq{Delta: 1})
+	wantStatus(t, resp, body, http.StatusConflict, snapshot.CodeBadResize)
+
+	client := &http.Client{Timeout: time.Second}
+	cresp, err := client.Get(ts.URL + "/conformance")
+	if err != nil {
+		t.Fatalf("GET /conformance after rejected grows: %v", err)
+	}
+	defer cresp.Body.Close()
+	var cr ConformanceResp
+	if err := json.NewDecoder(cresp.Body).Decode(&cr); err != nil {
+		t.Fatal(err)
+	}
+	if cresp.StatusCode != http.StatusOK || !cr.OK || cr.PendingOps != 0 || cr.CheckedOps != 1 {
+		t.Fatalf("conformance after rejected grows: status %d, %+v; want 200, ok, 1 checked op",
+			cresp.StatusCode, cr)
 	}
 }
 

@@ -10,6 +10,16 @@ import (
 
 const benchComponents = 64
 
+// newVersioned builds the factory's versioned object: LockFree with the
+// optimistic budget.
+func newVersioned(n int) *snapshot.LockFree[int64] {
+	obj, err := snapshot.New[int64](snapshot.ImplVersioned, n)
+	if err != nil {
+		panic(err)
+	}
+	return obj.(*snapshot.LockFree[int64])
+}
+
 func benchmarkMixed(b *testing.B, obj snapshot.Object[int64], scanWidth int) {
 	var worker atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
@@ -73,7 +83,7 @@ func BenchmarkLockFreeScanWidth8(b *testing.B) {
 }
 
 func BenchmarkVersionedScanWidth8(b *testing.B) {
-	benchmarkScanOnly(b, snapshot.NewVersioned[int64](benchComponents), 8)
+	benchmarkScanOnly(b, newVersioned(benchComponents), 8)
 }
 
 func BenchmarkLockFreeMixedWidth1(b *testing.B) {
@@ -97,5 +107,36 @@ func BenchmarkLockFreeScanWidth1(b *testing.B) {
 }
 
 func BenchmarkVersionedScanWidth1(b *testing.B) {
-	benchmarkScanOnly(b, snapshot.NewVersioned[int64](benchComponents), 1)
+	benchmarkScanOnly(b, newVersioned(benchComponents), 1)
+}
+
+// benchmarkUpdateOnly measures the pure width-2 Update path over a sliding
+// pair of adjacent components: the write-side price of the optimistic
+// budget's two stamp adds per cell store shows as the gap between the
+// LockFree and Versioned results.
+func benchmarkUpdateOnly(b *testing.B, obj snapshot.Object[int64]) {
+	var worker atomic.Int64
+	b.RunParallel(func(pb *testing.PB) {
+		id := worker.Add(1)
+		rng := rand.New(rand.NewSource(id))
+		ids, vals := []int{0, 1}, []int64{0, 0}
+		var seq int64
+		for pb.Next() {
+			ids[0] = rng.Intn(benchComponents - 1)
+			ids[1] = ids[0] + 1
+			seq++
+			vals[0], vals[1] = id<<32|seq, id<<32|seq
+			if err := obj.Update(ids, vals); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkLockFreeUpdateWidth2(b *testing.B) {
+	benchmarkUpdateOnly(b, snapshot.NewLockFree[int64](benchComponents))
+}
+
+func BenchmarkVersionedUpdateWidth2(b *testing.B) {
+	benchmarkUpdateOnly(b, newVersioned(benchComponents))
 }

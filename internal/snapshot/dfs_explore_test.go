@@ -241,8 +241,8 @@ func TestDFSExhaustsSummaryGuardedWritersScanner(t *testing.T) {
 		bound, rep.Schedules, rep.Steps, rep.BudgetSkips, skipped.Load(), walked.Load())
 }
 
-// versionedWriterScanner is twoWritersOneScanner on the optimistic
-// implementation: the same single-component writer, two-component batch
+// versionedWriterScanner is twoWritersOneScanner on the versioned object
+// (LockFree with the optimistic budget): the same single-component writer, two-component batch
 // writer and partial scanner, but the scanner now steps through the
 // seqlock fast path — pre-seq-read before each stamp load, pre-validate
 // before the confirming re-read, pre-escalate when the torn-read budget
@@ -255,7 +255,7 @@ func TestDFSExhaustsSummaryGuardedWritersScanner(t *testing.T) {
 // the test can prove both contested paths were actually reached.
 func versionedWriterScanner(torn, escalated *atomic.Uint64) sched.Scenario {
 	return func(c *sched.Controller) sched.Oracle {
-		o := snapshot.NewVersioned[int64](2).Instrument(c)
+		o := newVersioned(2).Instrument(c)
 		rec := &spec.Recorder[int64]{}
 		var mu sync.Mutex
 		var opErrs []error
@@ -314,7 +314,7 @@ func versionedWriterScanner(torn, escalated *atomic.Uint64) sched.Scenario {
 
 // TestDFSExhaustsVersionedWriterScanner enumerates the ENTIRE
 // preemption-bounded schedule space of the 2-writer/1-scanner scenario on
-// the Versioned implementation and requires every schedule to pass the
+// the versioned object and requires every schedule to pass the
 // same sequential-spec, provenance and announcement-hygiene oracles the
 // lock-free scenario answers to, plus the seqlock accounting invariant
 // (exactly one resolution per scan, escalation only after a spent

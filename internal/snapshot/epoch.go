@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"partialsnapshot/internal/sched"
@@ -106,16 +107,15 @@ type universe[V any] struct {
 }
 
 // reg is one component's register: the atomic cell pointer every
-// implementation reads and writes, packed next to the seqlock stamp of the
-// Versioned implementation — version in the high 32 bits, writers-in-
-// flight in the low 32 (see versioned.go for the read/write protocol). The
-// stamp lives in every universe so the epoch layer stays implementation-
-// agnostic, and packing it beside the pointer makes the optimistic fast
-// path's stamp-then-cell load pair hit one cache line instead of two.
-// Surviving components share their reg across epochs — a Versioned write
-// through an old epoch is torn-visible to readers of the new one — while a
-// shrunk-and-regrown component comes back with a fresh reg: a fresh cell
-// and a fresh stamp together.
+// operation reads and writes, packed next to the seqlock stamp of the
+// optimistic scan — version in the high 32 bits, writers-in-flight in the
+// low 32 (see optimistic in scan.go). The stamp is written only by objects
+// with an optimistic budget; at the default budget it stays 0. Packing it
+// beside the pointer makes the optimistic pass's stamp-then-cell load pair
+// hit one cache line instead of two. Surviving components share their reg
+// across epochs — a stamped write through an old epoch is torn-visible to
+// readers of the new one — while a shrunk-and-regrown component comes back
+// with a fresh reg: a fresh cell and a fresh stamp together.
 type reg[V any] struct {
 	ptr   atomic.Pointer[cell[V]]
 	stamp atomic.Uint64
@@ -227,6 +227,9 @@ func (o *LockFree[V]) Grow(k int) (int, error) {
 	}
 	for {
 		old := o.uni.Load()
+		if k > math.MaxInt-len(old.regs) {
+			return 0, fmt.Errorf("%w: grow %d components by %d overflows int", ErrBadResize, len(old.regs), k)
+		}
 		succ := old.grown(k)
 		o.yield(sched.PreEpochInstall, len(succ.regs))
 		if o.uni.CompareAndSwap(old, succ) {

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"partialsnapshot/internal/sched"
@@ -78,6 +79,26 @@ func TestEpochBasicSemantics(t *testing.T) {
 	st := o.Stats()
 	if st.Grows != 2 || st.Shrinks != 1 || st.EpochInstalls != 3 || st.Epoch != 3 {
 		t.Fatalf("epoch counters = %+v, want 2 grows, 1 shrink, 3 installs, epoch 3", st)
+	}
+}
+
+// TestGrowOverflowIsBadResize grows by an amount whose new size overflows
+// int: both objects must answer ErrBadResize and stay as they were, not
+// panic building the successor.
+func TestGrowOverflowIsBadResize(t *testing.T) {
+	for _, impl := range Impls() {
+		o, err := New[int64](impl, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{math.MaxInt, math.MaxInt - 3} {
+			if _, err := o.Grow(k); !errors.Is(err, ErrBadResize) {
+				t.Fatalf("%s: Grow(%d) on 4 components: %v, want ErrBadResize", impl, k, err)
+			}
+		}
+		if n := o.Components(); n != 4 {
+			t.Fatalf("%s: rejected grows left %d components, want 4", impl, n)
+		}
 	}
 }
 
@@ -359,7 +380,7 @@ func runMixedEpochShrinkScan(t *testing.T, mutate bool) (vals []int64, ops []spe
 	t.Helper()
 	ctl := sched.NewController()
 	o := NewLockFree[int64](2).Instrument(ctl)
-	o.skipEpochRecheck = mutate
+	o.mut.skipEpochRecheck = mutate
 	rec := &spec.Recorder[int64]{}
 
 	start := rec.Now()

@@ -6,11 +6,10 @@ import (
 )
 
 // This file is the package's single construction surface: one factory over
-// every implementation, with functional options replacing the per-call-site
-// constructor switches that used to live in internal/bench, the parity
-// suite and cmd/snapbench. New is also the only constructor that returns an
-// error instead of panicking, which is what a serving layer needs — a bad
-// -impl flag is an operator mistake, not a programming bug.
+// every implementation, replacing the per-call-site constructor switches
+// that used to live in internal/bench, the parity suite and cmd/snapbench.
+// New is also the only constructor that returns an error instead of
+// panicking, which is what a serving layer needs.
 
 // Impl names a partial snapshot implementation accepted by New.
 type Impl string
@@ -18,8 +17,9 @@ type Impl string
 const (
 	// ImplLockFree is the paper's wait-free object (LockFree).
 	ImplLockFree Impl = "lockfree"
-	// ImplVersioned is the optimistic seqlock front over the wait-free
-	// object (Versioned).
+	// ImplVersioned is LockFree with an optimistic budget of
+	// versionedAttempts: scans try validated seqlock passes before the
+	// wait-free protocol.
 	ImplVersioned Impl = "versioned"
 	// ImplRWMutex is the coarse-grained reference implementation (RWMutex).
 	ImplRWMutex Impl = "rwmutex"
@@ -31,49 +31,26 @@ func Impls() []Impl {
 	return []Impl{ImplLockFree, ImplVersioned, ImplRWMutex}
 }
 
-// options accumulates the functional options of New. New rejects a knob
-// the selected implementation cannot honour, so a call site can never
-// silently drop a tuning it asked for.
-type options struct {
-	attempts *int
-}
-
-// Option is a functional option for New.
-type Option func(*options)
-
-// WithOptimisticAttempts sets the Versioned escalation budget — how many
-// torn optimistic attempts a scan tolerates before falling back to the
-// wait-free helping protocol (n <= 0 escalates immediately). Valid only
-// for ImplVersioned.
-func WithOptimisticAttempts(n int) Option {
-	return func(o *options) { o.attempts = &n }
-}
+// versionedAttempts is ImplVersioned's escalation budget: enough to ride
+// out a short burst of interfering writes, small enough that a truly
+// contended scan reaches the wait-free path after a constant amount of
+// wasted work.
+const versionedAttempts = 3
 
 // New constructs the implementation named by impl with n components, each
-// initialised to the zero value of V. It is the package's single factory:
-// every option is validated against the selected implementation, and an
-// unknown implementation, a non-positive n, or an inapplicable option is
-// an error rather than a panic or a silent no-op.
-func New[V any](impl Impl, n int, opts ...Option) (Object[V], error) {
-	var cfg options
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+// initialised to the zero value of V. An unknown implementation or a
+// non-positive n is an error rather than a panic.
+func New[V any](impl Impl, n int) (Object[V], error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("snapshot: number of components must be positive, got %d", n)
-	}
-	if cfg.attempts != nil && impl != ImplVersioned {
-		return nil, fmt.Errorf("snapshot: WithOptimisticAttempts applies only to %q, not %q", ImplVersioned, impl)
 	}
 	switch impl {
 	case ImplLockFree:
 		return NewLockFree[V](n), nil
 	case ImplVersioned:
-		v := NewVersioned[V](n)
-		if cfg.attempts != nil {
-			v.WithOptimisticAttempts(*cfg.attempts)
-		}
-		return v, nil
+		o := NewLockFree[V](n)
+		o.attempts = versionedAttempts
+		return o, nil
 	case ImplRWMutex:
 		return NewRWMutex[V](n), nil
 	default:
@@ -82,18 +59,9 @@ func New[V any](impl Impl, n int, opts ...Option) (Object[V], error) {
 }
 
 // StatsReader is any implementation exposing progress counters. LockFree
-// and Versioned implement it; the RWMutex reference intentionally does
-// not — the parity claim is that it needs none.
+// implements it; the RWMutex reference intentionally does not — the parity
+// claim is that it needs none.
 type StatsReader interface{ Stats() Stats }
-
-// InfoObject is the provenance-aware surface beyond Object: update
-// operation ids for the provenance oracle and scan adoption info. LockFree
-// and Versioned provide it; RWMutex does not, and consumers degrade to the
-// plain Object calls.
-type InfoObject[V any] interface {
-	UpdateOp(ids []int, vals []V) (uint64, error)
-	PartialScanInfo(ids []int) ([]V, ScanInfo, error)
-}
 
 // Error codes: the stable wire-level taxonomy of the package's sentinel
 // errors, in one place so every transport maps them identically. The

@@ -33,42 +33,24 @@ func TestFactoryMatrix(t *testing.T) {
 }
 
 // TestFactoryRejectsMisuse is the factory's whole point versus the bare
-// constructors: a bad implementation name, a bad size, or an option the
-// selected implementation cannot honour is an error, never a silent no-op.
+// constructors: a bad implementation name or a bad size is an error, never
+// a panic.
 func TestFactoryRejectsMisuse(t *testing.T) {
 	cases := []struct {
 		name string
 		impl snapshot.Impl
 		n    int
-		opts []snapshot.Option
 	}{
-		{"unknown impl", "spanner", 8, nil},
-		{"zero components", snapshot.ImplLockFree, 0, nil},
-		{"negative components", snapshot.ImplVersioned, -3, nil},
-		{"attempts on lockfree", snapshot.ImplLockFree, 8, []snapshot.Option{snapshot.WithOptimisticAttempts(5)}},
-		{"attempts on rwmutex", snapshot.ImplRWMutex, 8, []snapshot.Option{snapshot.WithOptimisticAttempts(5)}},
+		{"unknown impl", "spanner", 8},
+		{"zero components", snapshot.ImplLockFree, 0},
+		{"negative components", snapshot.ImplVersioned, -3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if obj, err := snapshot.New[int64](tc.impl, tc.n, tc.opts...); err == nil {
+			if obj, err := snapshot.New[int64](tc.impl, tc.n); err == nil {
 				t.Fatalf("New(%s, %d) accepted the misuse and returned %T", tc.impl, tc.n, obj)
 			}
 		})
-	}
-}
-
-// TestFactoryOptimisticAttempts checks that New hands the one option it
-// accepts to Versioned: with a zero budget every scan escalates at once.
-func TestFactoryOptimisticAttempts(t *testing.T) {
-	obj, err := snapshot.New[int64](snapshot.ImplVersioned, 8, snapshot.WithOptimisticAttempts(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := obj.PartialScan([]int{0, 7}); err != nil {
-		t.Fatal(err)
-	}
-	if st := obj.(snapshot.StatsReader).Stats(); st.Escalations != 1 || st.OptimisticScans != 0 {
-		t.Fatalf("zero-attempt budget ignored: %+v", st)
 	}
 }
 

@@ -72,7 +72,7 @@ func (o *LockFree[V]) helpIntersectingScans(u *universe[V], ids []int, op uint64
 		}
 		o.yield(sched.PreSlotWalk, id)
 		wu := u
-		if o.unpinnedEpoch {
+		if o.mut.unpinnedEpoch {
 			// Test-only mutation seam: walk the slot of whatever universe is
 			// installed at WALK time instead of the pinned one, while the
 			// caller still stores through the pinned cells — the
@@ -174,7 +174,7 @@ func (o *LockFree[V]) embeddedScan(target *scanRecord[V], op uint64) (view []V, 
 	}
 	o.scanRetries.Add(1)
 	failures++
-	if o.helpBound > 0 && failures >= o.helpBound {
+	if o.mut.helpBound > 0 && failures >= o.mut.helpBound {
 		return nil, 0, false // injected mutation: abandon the scanner
 	}
 	rec := o.acquireRecord(tu, target.ids, level)
@@ -193,7 +193,7 @@ func (o *LockFree[V]) embeddedScan(target *scanRecord[V], op uint64) (view []V, 
 		}
 		o.scanRetries.Add(1)
 		failures++
-		if o.helpBound > 0 && failures >= o.helpBound {
+		if o.mut.helpBound > 0 && failures >= o.mut.helpBound {
 			return nil, 0, false // injected mutation: abandon the scanner
 		}
 		if h := rec.help.Load(); h != nil {

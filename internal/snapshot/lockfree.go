@@ -44,40 +44,14 @@ type LockFree[V any] struct {
 	bufs    sync.Pool
 	records recordPool[V]
 
-	// helpBound, when positive, re-introduces the pre-wait-free bug on
-	// purpose: an embedded scan gives up without posting help once it has
-	// failed helpBound double collects. It exists ONLY as a mutation seam
-	// for the model-checking tests, which assert the DFS searcher detects
-	// the resulting obstruction-without-help schedules; production objects
-	// always leave it 0 (unbounded helping, the paper's protocol).
-	helpBound int
+	// attempts is the escalation budget: how many torn optimistic passes
+	// a scan tolerates before it falls back to the announce-and-help
+	// protocol (see optimistic in scan.go). At 0, the default, the object
+	// runs the paper's protocol exactly: updates write no stamp and scans
+	// take no optimistic pass. New(ImplVersioned, n) sets it.
+	attempts int
 
-	// unsafeEagerRelease, when true, makes retire return scan records to
-	// the pool immediately, ignoring helper pins — the premature-reuse bug
-	// the refcount protocol prevents. It exists ONLY as a mutation seam for
-	// the tests that prove the linearizability checker convicts early
-	// reuse; production objects always leave it false.
-	unsafeEagerRelease bool
-
-	// unpinnedEpoch, when true, makes Update walk the announcement slots of
-	// the CURRENTLY INSTALLED universe instead of the one it pinned — the
-	// epoch-pinning bug in which an updater stores through old cells but
-	// looks for scanners in new slots, missing enrollments that a
-	// shrink-and-regrow replaced. It exists ONLY as a mutation seam for the
-	// model-checking tests, which assert the DFS searcher convicts the
-	// resulting obstruction-without-help schedules; production objects
-	// always leave it false.
-	unpinnedEpoch bool
-
-	// skipEpochRecheck, when true, makes scanPinned return every completed
-	// view without the post-completion universe re-load — the pre-fix bug in
-	// which a scan pinned at epoch e, parked mid-collect across a Shrink,
-	// pairs a shrunk component's frozen cell with a survivor's post-install
-	// write (stored through the aliased register) and returns a stable view
-	// that linearizes nowhere. It exists ONLY as a mutation seam for the
-	// model-checking tests, which assert the spec oracle convicts the
-	// resulting mixed-epoch views; production objects always leave it false.
-	skipEpochRecheck bool
+	mut mutations // test-only protocol breakages; all off in production
 
 	scanRetries  atomic.Uint64
 	helpsPosted  atomic.Uint64
@@ -94,6 +68,35 @@ type LockFree[V any] struct {
 	// across epochs (see Shrink).
 	retiredWalks   atomic.Uint64
 	retiredVisited atomic.Uint64
+
+	// The optimistic scan's gauges; see Stats.
+	optimisticScans atomic.Uint64
+	escalations     atomic.Uint64
+	tornReads       atomic.Uint64
+}
+
+// mutations are the object's mutation seams. Each field, when set,
+// re-introduces on purpose a bug the protocol exists to prevent, so the
+// model-checking tests can prove the searcher convicts it; production
+// objects leave every field zero. helpBound > 0 makes an embedded scan
+// give up without posting help after that many failed double collects
+// (the lock-free-only helping that preceded wait-freedom).
+// unsafeEagerRelease pools a retired scan record despite helper pins.
+// unpinnedEpoch makes an update walk the slots of the universe installed
+// at walk time instead of the one it pinned, missing enrollments a
+// shrink-and-regrow replaced. skipEpochRecheck returns scanPinned's views
+// without re-loading the universe, so a view straddling a Shrink can pair
+// a dropped component's frozen cell with a later write. skipValidation
+// returns the optimistic pass without its validation re-read.
+// earlySummaryDecrement hands a record's slot-group counts back at enroll,
+// so updaters skip a live announced scan.
+type mutations struct {
+	helpBound             int
+	unsafeEagerRelease    bool
+	unpinnedEpoch         bool
+	skipEpochRecheck      bool
+	skipValidation        bool
+	earlySummaryDecrement bool
 }
 
 // NewLockFree returns a wait-free partial snapshot object with n components,
@@ -105,6 +108,7 @@ func NewLockFree[V any](n int) *LockFree[V] {
 	o := &LockFree[V]{records: &sharedRecordPool[V]{}}
 	o.uni.Store(newUniverse[V](n))
 	o.reg.release = o.releaseRef
+	o.reg.mut = &o.mut
 	return o
 }
 
@@ -164,11 +168,23 @@ func (o *LockFree[V]) UpdateOp(ids []int, vals []V) (uint64, error) {
 	// heap memory, and cells are never pooled, because a collect that
 	// already loaded a cell pointer may dereference it arbitrarily later
 	// (the GC, not a generation tag, is what rules out cell ABA).
+	//
+	// With an optimistic budget, each store is bracketed by the two stamp
+	// adds of the seqlock write protocol (see optimistic), so optimistic
+	// readers can detect it. At budget 0 no stamp is ever written.
+	stamped := o.attempts > 0
 	batch := make([]cell[V], len(ids))
 	for i, id := range ids {
 		batch[i] = cell[V]{val: vals[i]}
+		r := u.regs[id]
+		if stamped {
+			r.stamp.Add(1) // writer in flight: readers refuse the component
+		}
 		o.yield(sched.PreCellStore, id)
-		u.regs[id].ptr.Store(&batch[i])
+		r.ptr.Store(&batch[i])
+		if stamped {
+			r.stamp.Add(stampRetire) // retire the writer, advance the version
+		}
 	}
 	return op, nil
 }
@@ -234,15 +250,16 @@ type Stats struct {
 	// resize-free workload — the recheck is one relaxed pointer load on the
 	// success path and only ever fires across an install.
 	ViewsDiscarded uint64 `json:"views_discarded"`
-	// OptimisticScans, Escalations and TornReads are the Versioned
-	// implementation's seqlock gauges (always zero for LockFree and
-	// RWMutex): scans completed by a validated optimistic pass, scans that
-	// fell back to the wait-free announce-and-help path, and optimistic
-	// attempts aborted by an in-flight writer, a moved stamp or a mid-pass
+	// OptimisticScans, Escalations and TornReads are the optimistic scan's
+	// gauges (always zero at the default budget of 0, and for RWMutex):
+	// scans completed by a validated optimistic pass, scans that fell back
+	// to the wait-free announce-and-help path, and optimistic attempts
+	// aborted by an in-flight writer, a moved stamp or a mid-pass
 	// install (slow-path views invalidated by a resize are counted by
-	// ViewsDiscarded, not here). Every completed scan took exactly one of
-	// the two paths, so OptimisticScans + Escalations reconciles with the
-	// scan op count; see parity_test.go for the per-shape invariants.
+	// ViewsDiscarded, not here). At a positive budget every completed scan
+	// took exactly one of the two paths, so OptimisticScans + Escalations
+	// reconciles with the scan op count; see parity_test.go for the
+	// per-shape invariants.
 	OptimisticScans uint64 `json:"optimistic_scans"`
 	Escalations     uint64 `json:"escalations"`
 	TornReads       uint64 `json:"torn_reads"`
@@ -264,6 +281,9 @@ func (o *LockFree[V]) Stats() Stats {
 		Shrinks:           o.shrinks.Load(),
 		RegistryWalks:     o.retiredWalks.Load(),
 		RecordsVisited:    o.retiredVisited.Load(),
+		OptimisticScans:   o.optimisticScans.Load(),
+		Escalations:       o.escalations.Load(),
+		TornReads:         o.tornReads.Load(),
 	}
 	for _, s := range u.slots {
 		st.RegistryWalks += s.walks.Load()

@@ -45,7 +45,7 @@ import (
 func mutationScenario(bound int) sched.Scenario {
 	return func(c *sched.Controller) sched.Oracle {
 		o := NewLockFree[int64](2).Instrument(c)
-		o.helpBound = bound
+		o.mut.helpBound = bound
 		rec := &spec.Recorder[int64]{}
 		var mu sync.Mutex
 		var opErrs []error
@@ -207,7 +207,7 @@ func TestMutationBoundedHelperIsCaught(t *testing.T) {
 
 // unvalidatedOptimisticScenario stages the smallest state in which skipping
 // the optimistic scan's validation re-read forges a view no linearization
-// allows. Scripted setup: component 1 of a 2-component Versioned object is
+// allows. Scripted setup: component 1 of a 2-component object with the versioned budget is
 // seeded with 20. The search then owns three actors:
 //
 //   - "scanner": PartialScanInfo({1, 0}) — reads component 1 first, so a
@@ -227,8 +227,9 @@ func TestMutationBoundedHelperIsCaught(t *testing.T) {
 // epoch. No trip-wire beyond the sequential spec itself is needed.
 func unvalidatedOptimisticScenario(mutate bool) sched.Scenario {
 	return func(c *sched.Controller) sched.Oracle {
-		o := NewVersioned[int64](2).Instrument(c)
-		o.skipValidation = mutate
+		o := NewLockFree[int64](2).Instrument(c)
+		o.attempts = versionedAttempts
+		o.mut.skipValidation = mutate
 		rec := &spec.Recorder[int64]{}
 		var mu sync.Mutex
 		var opErrs []error
@@ -391,7 +392,7 @@ func TestMutationUnvalidatedOptimisticScanIsConvicted(t *testing.T) {
 func earlySummaryDecrementScenario(mutate bool) sched.Scenario {
 	return func(c *sched.Controller) sched.Oracle {
 		o := NewLockFree[int64](3).Instrument(c)
-		o.reg.earlySummaryDecrement = mutate
+		o.mut.earlySummaryDecrement = mutate
 		rec := &spec.Recorder[int64]{}
 		var mu sync.Mutex
 		var opErrs []error
@@ -557,7 +558,7 @@ func TestMutationEarlySummaryDecrementIsConvicted(t *testing.T) {
 func unpinnedEpochScenario(mutate bool) sched.Scenario {
 	return func(c *sched.Controller) sched.Oracle {
 		o := NewLockFree[int64](3).Instrument(c)
-		o.unpinnedEpoch = mutate
+		o.mut.unpinnedEpoch = mutate
 		// Decouple the defence layers: the exit recheck (scanPinned) would
 		// discard any view that straddles the shrink-regrow and retake it
 		// under epoch 2 — masking the very evidence this scenario convicts
@@ -567,7 +568,7 @@ func unpinnedEpochScenario(mutate bool) sched.Scenario {
 		// before the churn: with no epoch-2 writer, every epoch-0 view is
 		// single-instant and the intact arm stays spec-clean. The recheck
 		// itself has its own conviction test (skipEpochRecheckScenario).
-		o.skipEpochRecheck = true
+		o.mut.skipEpochRecheck = true
 		rec := &spec.Recorder[int64]{}
 		var mu sync.Mutex
 		var opErrs []error
@@ -747,7 +748,7 @@ func TestMutationUnpinnedEpochWalkerIsConvicted(t *testing.T) {
 func skipEpochRecheckScenario(mutate bool) sched.Scenario {
 	return func(c *sched.Controller) sched.Oracle {
 		o := NewLockFree[int64](2).Instrument(c)
-		o.skipEpochRecheck = mutate
+		o.mut.skipEpochRecheck = mutate
 		rec := &spec.Recorder[int64]{}
 		var mu sync.Mutex
 		var opErrs []error

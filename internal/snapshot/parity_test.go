@@ -12,17 +12,16 @@ import (
 )
 
 // The parity suite runs the RWMutex reference, the LockFree object and the
-// Versioned optimistic front through IDENTICAL workload shapes — same
-// generator, same seed, same per-worker op streams — and holds all three
-// to the same spec oracle, then diffs what each implementation's
-// invariants promise: equal op counts, equal sequential semantics, the
-// lock-free Stats hygiene per shape, and the Versioned seqlock gauges
-// reconciling exactly with the operation counts.
+// versioned object (LockFree with an optimistic budget) through IDENTICAL
+// workload shapes — same generator, same seed, same per-worker op streams
+// — and holds all three to the same spec oracle, then diffs what each
+// implementation's invariants promise: equal op counts, equal sequential
+// semantics, the lock-free Stats hygiene per shape, and the versioned
+// seqlock gauges reconciling exactly with the operation counts.
 //
 // Every object is built through snapshot.New — the parity matrix IS the
 // factory's implementation list, so a new implementation registered there
-// joins the suite (and its recorder uses the public snapshot.InfoObject /
-// snapshot.StatsReader surfaces, not test-local copies).
+// joins the suite.
 
 // parityImpls is the full implementation matrix; newParityObject builds
 // one cell of it through the factory.
@@ -64,7 +63,9 @@ type parityCounts struct {
 func runParityWorkload(t *testing.T, obj snapshot.Object[int64], gen *workload.Generator, opsPerWorker int) ([]spec.Op[int64], parityCounts) {
 	t.Helper()
 	rec := &spec.Recorder[int64]{}
-	io, hasInfo := obj.(snapshot.InfoObject[int64])
+	// Provenance (update op ids, adopted help) comes from the concrete
+	// LockFree type; the RWMutex reference degrades to the plain calls.
+	lf, hasInfo := obj.(*snapshot.LockFree[int64])
 	tolerateRejects := gen.Config().Shape.Resizes()
 	var wg sync.WaitGroup
 	var counts parityCounts
@@ -81,7 +82,7 @@ func runParityWorkload(t *testing.T, obj snapshot.Object[int64], gen *workload.G
 					var id uint64
 					var err error
 					if hasInfo {
-						id, err = io.UpdateOp(op.Comps, op.Vals)
+						id, err = lf.UpdateOp(op.Comps, op.Vals)
 					} else {
 						err = obj.Update(op.Comps, op.Vals)
 					}
@@ -102,7 +103,7 @@ func runParityWorkload(t *testing.T, obj snapshot.Object[int64], gen *workload.G
 					var info snapshot.ScanInfo
 					var err error
 					if hasInfo {
-						vals, info, err = io.PartialScanInfo(op.Comps)
+						vals, info, err = lf.PartialScanInfo(op.Comps)
 					} else {
 						vals, err = obj.PartialScan(op.Comps)
 					}
@@ -156,8 +157,8 @@ func runParityWorkload(t *testing.T, obj snapshot.Object[int64], gen *workload.G
 // history passes the same spec + provenance oracle, every implementation
 // completes the same operation mix, and the per-implementation Stats
 // invariants hold per shape — lock-free hygiene everywhere, structural
-// non-interference when the shape is partitioned, and the Versioned
-// seqlock gauges (OptimisticScans, Escalations, TornReads) reconciling
+// non-interference when the shape is partitioned, and the versioned
+// object's seqlock gauges (OptimisticScans, Escalations, TornReads) reconciling
 // with the scan counts.
 func TestParityAcrossWorkloadShapes(t *testing.T) {
 	opsPerWorker := 300
@@ -201,7 +202,7 @@ func TestParityAcrossWorkloadShapes(t *testing.T) {
 					// resize install; without installs the exit recheck can
 					// never fail, so on every resize-free shape the gauge
 					// must read exactly zero — for both the bare lock-free
-					// object and the versioned front's escalated path.
+					// object and the versioned object's escalated path.
 					if !shape.Resizes() && st.ViewsDiscarded != 0 {
 						t.Fatalf("%s discarded %d views with no resizes in the workload: %+v",
 							shape, st.ViewsDiscarded, st)
@@ -237,14 +238,14 @@ func TestParityAcrossWorkloadShapes(t *testing.T) {
 						}
 					}
 					if impl == snapshot.ImplLockFree {
-						// The seqlock gauges belong to the versioned front; on
-						// the bare lock-free object they must stay zero.
+						// At the default budget of 0 the object runs the
+						// paper's protocol: the seqlock gauges stay zero.
 						if st.OptimisticScans+st.Escalations+st.TornReads != 0 {
 							t.Fatalf("%s/%s bumped seqlock gauges: %+v", shape, impl, st)
 						}
 						return
 					}
-					// Versioned gauge reconciliation. Every successful scan
+					// versioned gauge reconciliation. Every successful scan
 					// completed exactly one way — validated optimistic or
 					// escalated — so the two gauges partition the scan count.
 					// On resizing shapes an escalated scan can still end in a
@@ -262,8 +263,8 @@ func TestParityAcrossWorkloadShapes(t *testing.T) {
 							shape, st.OptimisticScans, st.Escalations, counts.Scans, st)
 					}
 					// Each escalation consumed the full optimistic budget in
-					// torn attempts first (the workload never tunes the knob
-					// below its default of 3).
+					// torn attempts first (the factory's versioned budget is
+					// 3).
 					if st.TornReads < 3*st.Escalations {
 						t.Fatalf("%s: %d escalations but only %d torn reads: %+v",
 							shape, st.Escalations, st.TornReads, st)
@@ -319,7 +320,7 @@ func TestParityAcrossWorkloadShapes(t *testing.T) {
 // byte-identical states and answer every scan identically — batch-
 // atomicity differences between the implementations are invisible without
 // concurrency, so any divergence here is a plain bug. A sequential run
-// also pins the gauges: with no concurrency every Versioned scan validates
+// also pins the gauges: with no concurrency every versioned scan validates
 // on its first optimistic attempt.
 func TestParitySequentialSemantics(t *testing.T) {
 	for _, shape := range workload.Shapes() {
@@ -449,7 +450,7 @@ func TestParitySequentialSemantics(t *testing.T) {
 			if lfStats.ScanRetries != 0 || lfStats.HelpsPosted != 0 || lfStats.ViewsDiscarded != 0 {
 				t.Fatalf("sequential workload triggered the concurrency machinery: %+v", lfStats)
 			}
-			// With no concurrency every Versioned scan — including the final
+			// With no concurrency every versioned scan — including the final
 			// full Scan — validates on its first optimistic attempt: the
 			// gauges must show a clean sweep.
 			if st := objs[snapshot.ImplVersioned].(snapshot.StatsReader).Stats(); st.Escalations != 0 ||

@@ -165,7 +165,7 @@ func (o *LockFree[V]) acquireRecord(u *universe[V], ids []int, level int) *scanR
 // stomps the count, so releases must never pool (a helper releasing after
 // the record was recycled would re-pool a live record).
 func (o *LockFree[V]) releaseRef(rec *scanRecord[V]) {
-	if rec.refs.Add(-1) == 0 && !o.unsafeEagerRelease {
+	if rec.refs.Add(-1) == 0 && !o.mut.unsafeEagerRelease {
 		rec.uni = nil
 		o.records.put(rec)
 	}

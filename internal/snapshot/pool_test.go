@@ -164,7 +164,7 @@ func eagerReleaseScenario(t *testing.T, eager bool) (scanInfo ScanInfo, checkErr
 	t.Helper()
 	ctl := sched.NewController()
 	o := NewLockFree[int64](2).Instrument(ctl)
-	o.unsafeEagerRelease = eager
+	o.mut.unsafeEagerRelease = eager
 	rec := &spec.Recorder[int64]{}
 	var mu sync.Mutex
 	var opErrs []error

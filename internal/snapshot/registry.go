@@ -96,16 +96,7 @@ type registry[V any] struct {
 	live    atomic.Int64  // records enrolled and not yet retired
 	deduped atomic.Uint64 // walk encounters skipped as already seen
 
-	// earlySummaryDecrement, when true, makes enroll give every slot
-	// group's announced count straight back after raising it (and retire
-	// skip its decrement) — as if the summary guarded only the enrollment
-	// window instead of the record's whole live span. A fully announced,
-	// still-live record then sits in slots whose groups read zero, so
-	// updaters skip the walk and the scan loses its help obligation. It
-	// exists ONLY as a mutation seam for the model-checking tests that
-	// prove the searcher convicts that lost obligation; production
-	// registries always leave it false.
-	earlySummaryDecrement bool
+	mut *mutations // the owning object's mutation seams
 
 	// yield is the schedule-injection hook, nil outside instrumented
 	// tests. It fires at sched.PostEnroll after each per-slot enrollment,
@@ -159,7 +150,7 @@ func (r *registry[V]) enroll(rec *scanRecord[V]) {
 			r.yield(sched.PostEnroll, c)
 		}
 	}
-	if r.earlySummaryDecrement {
+	if r.mut.earlySummaryDecrement {
 		// Injected mutation: hand the counts back while the record is still
 		// live, making it summary-invisible — updaters now skip slots that
 		// hold an announced, unhelped scan.
@@ -178,7 +169,7 @@ func (r *registry[V]) enroll(rec *scanRecord[V]) {
 func (r *registry[V]) retire(rec *scanRecord[V]) {
 	rec.done.Store(true)
 	r.live.Add(-1)
-	if !r.earlySummaryDecrement {
+	if !r.mut.earlySummaryDecrement {
 		// rec.uni.groups are the very group objects enroll raised (aliased
 		// across any epochs installed since), so the counts conserve.
 		for _, c := range rec.ids {

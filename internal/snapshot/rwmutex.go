@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -78,6 +79,9 @@ func (o *RWMutex[V]) Grow(k int) (int, error) {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	if k > math.MaxInt-len(o.vals) {
+		return 0, fmt.Errorf("%w: grow %d components by %d overflows int", ErrBadResize, len(o.vals), k)
+	}
 	o.vals = append(o.vals, make([]V, k)...)
 	return len(o.vals), nil
 }

@@ -13,7 +13,7 @@
 // only the components it names, so operations on disjoint component sets do
 // not interfere with each other at all.
 //
-// Three implementations share the Object interface:
+// Two implementations share the Object interface:
 //
 //   - LockFree: per-component registers (atomic.Pointer
 //     cells) with the paper's full wait-free helping mechanism. Scanners
@@ -28,12 +28,11 @@
 //     itself announced and helpable (help records chain), which is what
 //     makes helping — and therefore every partial scan — wait-free; see
 //     the termination argument on embeddedScan. The type name predates the
-//     wait-freedom restoration.
-//   - Versioned: LockFree's registers and helping protocol fronted by a
-//     seqlock-style optimistic fast path — per-component sequence stamps
-//     read in order and validated by one re-read, escalating to the full
-//     wait-free protocol only after a bounded number of torn attempts
-//     (see versioned.go).
+//     wait-freedom restoration. Built as "versioned" (see New), the same
+//     object first tries a seqlock-style optimistic pass — per-component
+//     stamps read in order and validated by one re-read — and escalates
+//     to the wait-free protocol only after a bounded number of torn
+//     attempts (see optimistic in scan.go).
 //   - RWMutex: a coarse-grained reference implementation used as the
 //     correctness baseline and benchmark foil.
 //
@@ -60,7 +59,8 @@ import (
 var ErrBadComponent = errors.New("snapshot: bad component set")
 
 // ErrBadResize is returned (wrapped, with detail) when a Grow or Shrink
-// amount is not positive, or a Shrink would remove every component.
+// amount is not positive, a Grow would overflow int, or a Shrink would
+// remove every component.
 var ErrBadResize = errors.New("snapshot: bad resize")
 
 // Object is the partial snapshot API shared by all implementations.

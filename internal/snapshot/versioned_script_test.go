@@ -24,7 +24,8 @@ import (
 // post-write view, counting one torn read and zero escalations.
 func TestScriptedValidateVsWrite(t *testing.T) {
 	ctl := sched.NewController()
-	o := NewVersioned[int64](2).Instrument(ctl)
+	o := NewLockFree[int64](2).Instrument(ctl)
+	o.attempts = versionedAttempts
 	if err := o.Update([]int{0, 1}, []int64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,8 @@ func TestScriptedValidateVsWrite(t *testing.T) {
 // why the strict universe check lives there and the refined one here.)
 func TestScriptedEscalateVsGrow(t *testing.T) {
 	ctl := sched.NewController()
-	o := NewVersioned[int64](2).Instrument(ctl).WithOptimisticAttempts(1)
+	o := NewLockFree[int64](2).Instrument(ctl)
+	o.attempts = 1
 	if err := o.Update([]int{0, 1}, []int64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +158,8 @@ func TestScriptedEscalateVsGrow(t *testing.T) {
 // zero.
 func TestScriptedEscalateVsShrinkRegrow(t *testing.T) {
 	ctl := sched.NewController()
-	o := NewVersioned[int64](2).Instrument(ctl).WithOptimisticAttempts(1)
+	o := NewLockFree[int64](2).Instrument(ctl)
+	o.attempts = 1
 	if err := o.Update([]int{0, 1}, []int64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -215,5 +218,71 @@ func TestScriptedEscalateVsShrinkRegrow(t *testing.T) {
 	}
 	if o.Components() != 2 || o.Epoch() != 2 {
 		t.Fatalf("object after churn: n=%d epoch=%d, want 2/2", o.Components(), o.Epoch())
+	}
+}
+
+// TestBudgetZeroIsThePapersProtocol pins what the optimistic budget costs
+// and where. At budget 0 (ImplLockFree) the object is the paper's
+// protocol: no write touches a stamp and no scan touches the optimistic
+// gauges. With the versioned budget every write advances exactly the
+// written components' stamps by one version (1<<32), leaving the
+// writers-in-flight half at zero. Making the stamp adds unconditional
+// fails the first arm.
+func TestBudgetZeroIsThePapersProtocol(t *testing.T) {
+	for _, impl := range []Impl{ImplLockFree, ImplVersioned} {
+		obj, err := New[int64](impl, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := obj.(*LockFree[int64])
+		stamps := func() []uint64 {
+			u := o.uni.Load()
+			s := make([]uint64, len(u.regs))
+			for c, r := range u.regs {
+				s[c] = r.stamp.Load()
+			}
+			return s
+		}
+		var step uint64
+		if impl == ImplVersioned {
+			step = 1 << 32
+		}
+		for i := 0; i < 5; i++ {
+			ids := []int{i, i + 3}
+			before := stamps()
+			if err := o.Update(ids, []int64{int64(i), int64(i)}); err != nil {
+				t.Fatal(err)
+			}
+			after := stamps()
+			for c := range after {
+				want := before[c]
+				if c == ids[0] || c == ids[1] {
+					want += step
+				}
+				if after[c] != want {
+					t.Fatalf("%s: write %v moved component %d's stamp from %#x to %#x, want %#x",
+						impl, ids, c, before[c], after[c], want)
+				}
+			}
+			if _, err := o.PartialScan(ids); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := o.Scan(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := o.Stats()
+		if impl == ImplLockFree {
+			for c, s := range stamps() {
+				if s != 0 {
+					t.Fatalf("lockfree: component %d's stamp reads %#x, want 0", c, s)
+				}
+			}
+			if st.OptimisticScans != 0 || st.Escalations != 0 || st.TornReads != 0 {
+				t.Fatalf("lockfree touched the optimistic gauges: %+v", st)
+			}
+		} else if st.OptimisticScans != 10 || st.Escalations != 0 || st.TornReads != 0 {
+			t.Fatalf("versioned: uncontended scans were not all optimistic: %+v", st)
+		}
 	}
 }
