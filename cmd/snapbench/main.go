@@ -15,7 +15,7 @@
 //
 // Examples:
 //
-//	snapbench -impls lockfree,versioned,rwmutex -goroutines 1,4,8 \
+//	snapbench -impls lockfree,rwmutex -goroutines 1,4,8 \
 //	          -components 64 -scan-widths 1,8,64 -duration 200ms
 //
 //	# The locality workload: goroutines pinned to disjoint component
@@ -55,7 +55,7 @@ type report struct {
 }
 
 func main() {
-	impls := flag.String("impls", "lockfree,versioned,rwmutex", "comma-separated implementations (lockfree, versioned, rwmutex)")
+	impls := flag.String("impls", "lockfree,rwmutex", "comma-separated implementations (lockfree, rwmutex)")
 	scenario := flag.String("scenario", bench.ScenarioMixed,
 		fmt.Sprintf("workload scenario %v", bench.Scenarios()))
 	goroutines := flag.String("goroutines", "1,4,8", "comma-separated goroutine counts")
@@ -146,10 +146,6 @@ func run(scenario string, impls []string, goroutines, components, scanWidths []i
 						contention = fmt.Sprintf("  retries=%d visited=%d helps=%d reuses=%d",
 							res.Stats.ScanRetries, res.Stats.RecordsVisited, res.Stats.HelpsPosted,
 							res.Stats.RecordReuses)
-						if s := res.Stats; s.OptimisticScans+s.Escalations > 0 {
-							contention += fmt.Sprintf(" optimistic=%d escalated=%d torn=%d",
-								s.OptimisticScans, s.Escalations, s.TornReads)
-						}
 						if res.Stats.ViewsDiscarded > 0 {
 							contention += fmt.Sprintf(" views_discarded=%d", res.Stats.ViewsDiscarded)
 						}

@@ -81,7 +81,7 @@ func shapeFor(scenario string) (workload.Shape, error) {
 // Config describes one benchmark cell.
 type Config struct {
 	// Impl selects the implementation, any snapshot.Impls() name:
-	// "lockfree", "versioned" or "rwmutex".
+	// "lockfree" or "rwmutex".
 	Impl string `json:"impl"`
 	// Scenario selects the workload shape: ScenarioMixed (default, also
 	// selected by "") or any other Scenarios() entry.
@@ -136,11 +136,9 @@ type Result struct {
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 	// Stats is the implementation's final progress counters, for
-	// implementations that expose them (the lock-free and versioned
-	// objects; nil for rwmutex). In partitioned cells, ScanRetries and
-	// RecordsVisited quantify contention and cross-partition interference
-	// directly; in versioned cells, OptimisticScans vs Escalations shows
-	// how often the seqlock fast path held.
+	// implementations that expose them (the lock-free object; nil for
+	// rwmutex). In partitioned cells, ScanRetries and RecordsVisited
+	// quantify contention and cross-partition interference directly.
 	Stats *snapshot.Stats `json:"stats,omitempty"`
 }
 

@@ -136,26 +136,6 @@ const (
 	// return it. arg = the adopting record's level.
 	PreAdopt Point = "pre-adopt"
 
-	// PreSeqRead fires in the optimistic scan pass, before each
-	// component's stamp-then-cell load pair. arg = component id. A k-wide
-	// optimistic scan yields here k times, which is what lets a script (or
-	// the DFS) slide a write — or a whole resize — between any two of the
-	// ordered loads.
-	PreSeqRead Point = "pre-seq-read"
-
-	// PreValidate fires after the optimistic scan pass read every
-	// requested component and before the validation re-read of the stamps
-	// (and the epoch pin). arg = the attempt index, 0-based. This is the
-	// window the seqlock closes: anything written between the loads and this
-	// point must flip a stamp and fail the validation.
-	PreValidate Point = "pre-validate"
-
-	// PreEscalate fires when a scan has exhausted its optimistic budget
-	// and is about to fall back to the wait-free announce-and-help scan.
-	// arg = the number of optimistic attempts consumed. Scripts park here to
-	// race the escalation against resizes and writes.
-	PreEscalate Point = "pre-escalate"
-
 	// PreEpochRecheck fires after a pinned scan completed a view (a clean
 	// double collect or an adopted one) and before the universe-pointer
 	// re-load that decides whether the view survives: if a resize installed

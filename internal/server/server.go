@@ -60,9 +60,10 @@ import (
 type Config struct{}
 
 // maxComponents caps the object's size: POST /grow past it is a 409
-// bad_resize. A component costs about 168 B of registers, announcement
-// slot and id-list entry, so the cap bounds that state at about 11 MiB;
-// without it one grow request can ask the runtime for any amount.
+// bad_resize. A component costs about 160 B — a 128 B announcement slot,
+// an 8 B register, the two 8 B pointers to them and an 8 B id-list entry —
+// so the cap bounds that state at about 10 MiB; without it one grow
+// request can ask the runtime for any amount.
 const maxComponents = 1 << 16
 
 // Server serves one snapshot object over HTTP.

@@ -44,6 +44,13 @@ func TestAllocsPerOpLockFree(t *testing.T) {
 	narrow, narrowVals := []int{3}, []int64{1}
 	wide, wideVals := []int{3, 40, 17, 60}, []int64{1, 2, 3, 4}
 	scanIDs := []int{1, 2, 3, 4, 5, 6, 7, 8}
+	// One set on each side of the stack-resident collect width (16): the
+	// widest stack collect and the narrowest pooled one.
+	stackIDs, pooledIDs := make([]int, 16), make([]int, 17)
+	for i := range pooledIDs {
+		pooledIDs[i] = 3 * i
+	}
+	copy(stackIDs, pooledIDs)
 	// Warm the pools: the first operations of each width allocate the
 	// reusable buffers the steady state then lives off.
 	for i := 0; i < 64; i++ {
@@ -51,6 +58,9 @@ func TestAllocsPerOpLockFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := o.PartialScan(scanIDs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := o.PartialScan(pooledIDs); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := o.Scan(); err != nil {
@@ -64,43 +74,9 @@ func TestAllocsPerOpLockFree(t *testing.T) {
 	assertAllocs(t, "lockfree Update width-4", 1, func() error { return o.Update(wide, wideVals) })
 	// One allocation per scan: the result slice the caller keeps.
 	assertAllocs(t, "lockfree PartialScan width-8", 1, func() error { _, err := o.PartialScan(scanIDs); return err })
+	assertAllocs(t, "lockfree PartialScan width-16", 1, func() error { _, err := o.PartialScan(stackIDs); return err })
+	assertAllocs(t, "lockfree PartialScan width-17", 1, func() error { _, err := o.PartialScan(pooledIDs); return err })
 	assertAllocs(t, "lockfree full Scan", 1, func() error { _, err := o.Scan(); return err })
-}
-
-func TestAllocsPerOpVersioned(t *testing.T) {
-	o := newVersioned(64)
-	narrow, narrowVals := []int{3}, []int64{1}
-	wide, wideVals := []int{3, 40, 17, 60}, []int64{1, 2, 3, 4}
-	scanIDs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	for i := 0; i < 64; i++ {
-		if err := o.Update(wide, wideVals); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := o.PartialScan(scanIDs); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := o.Scan(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// The seqlock stamps ride inside the register file: the write path
-	// still allocates only its cell batch.
-	assertAllocs(t, "versioned Update width-1", 1, func() error { return o.Update(narrow, narrowVals) })
-	assertAllocs(t, "versioned Update width-4", 1, func() error { return o.Update(wide, wideVals) })
-	// THE fast-path property: an uncontended optimistic scan allocates
-	// exactly the result slice the caller keeps — no announcement, no
-	// record, no collect buffers.
-	assertAllocs(t, "versioned PartialScan width-8", 1, func() error { _, err := o.PartialScan(scanIDs); return err })
-	assertAllocs(t, "versioned full Scan", 1, func() error { _, err := o.Scan(); return err })
-
-	// And the uncontended scans above must all have been optimistic: a
-	// single escalation here means the fast path degraded, not that the
-	// budget was merely lucky.
-	if st := o.Stats(); st.Escalations != 0 || st.TornReads != 0 {
-		t.Fatalf("uncontended scans escalated: %d escalations, %d torn reads", st.Escalations, st.TornReads)
-	}
-
 }
 
 func TestAllocsPerOpRWMutex(t *testing.T) {
@@ -123,25 +99,24 @@ func TestUpdateBytes(t *testing.T) {
 	// allocations land inside the measured window.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ids, vals := []int{3, 40}, []int64{1, 2}
-	for name, o := range map[string]*snapshot.LockFree[int64]{"lockfree": snapshot.NewLockFree[int64](64), "versioned": newVersioned(64)} {
-		for i := 0; i < 64; i++ {
-			if err := o.Update(ids, vals); err != nil {
-				t.Fatal(err)
-			}
+	o := snapshot.NewLockFree[int64](64)
+	for i := 0; i < 64; i++ {
+		if err := o.Update(ids, vals); err != nil {
+			t.Fatal(err)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			if err := o.Update(ids, vals); err != nil {
-				t.Fatal(err)
-			}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := o.Update(ids, vals); err != nil {
+			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&after)
-		got := float64(after.TotalAlloc-before.TotalAlloc) / runs
-		if got > budget+allocSlack {
-			t.Errorf("%s Update width-2: %.2f B/op, budget %d", name, got, budget)
-		} else {
-			t.Logf("%s Update width-2: %.2f B/op (budget %d)", name, got, budget)
-		}
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if got > budget+allocSlack {
+		t.Errorf("lockfree Update width-2: %.2f B/op, budget %d", got, budget)
+	} else {
+		t.Logf("lockfree Update width-2: %.2f B/op (budget %d)", got, budget)
 	}
 }

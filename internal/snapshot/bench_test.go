@@ -10,16 +10,6 @@ import (
 
 const benchComponents = 64
 
-// newVersioned builds the factory's versioned object: LockFree with the
-// optimistic budget.
-func newVersioned(n int) *snapshot.LockFree[int64] {
-	obj, err := snapshot.New[int64](snapshot.ImplVersioned, n)
-	if err != nil {
-		panic(err)
-	}
-	return obj.(*snapshot.LockFree[int64])
-}
-
 func benchmarkMixed(b *testing.B, obj snapshot.Object[int64], scanWidth int) {
 	var worker atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
@@ -82,8 +72,10 @@ func BenchmarkLockFreeScanWidth8(b *testing.B) {
 	benchmarkScanOnly(b, snapshot.NewLockFree[int64](benchComponents), 8)
 }
 
-func BenchmarkVersionedScanWidth8(b *testing.B) {
-	benchmarkScanOnly(b, newVersioned(benchComponents), 8)
+// BenchmarkLockFreeScanWidth32 scans past the stack-resident collect
+// width, so its first collect uses the pooled buffer.
+func BenchmarkLockFreeScanWidth32(b *testing.B) {
+	benchmarkScanOnly(b, snapshot.NewLockFree[int64](benchComponents), 32)
 }
 
 func BenchmarkLockFreeMixedWidth1(b *testing.B) {
@@ -106,14 +98,8 @@ func BenchmarkLockFreeScanWidth1(b *testing.B) {
 	benchmarkScanOnly(b, snapshot.NewLockFree[int64](benchComponents), 1)
 }
 
-func BenchmarkVersionedScanWidth1(b *testing.B) {
-	benchmarkScanOnly(b, newVersioned(benchComponents), 1)
-}
-
 // benchmarkUpdateOnly measures the pure width-2 Update path over a sliding
-// pair of adjacent components: the write-side price of the optimistic
-// budget's two stamp adds per cell store shows as the gap between the
-// LockFree and Versioned results.
+// pair of adjacent components.
 func benchmarkUpdateOnly(b *testing.B, obj snapshot.Object[int64]) {
 	var worker atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
@@ -135,8 +121,4 @@ func benchmarkUpdateOnly(b *testing.B, obj snapshot.Object[int64]) {
 
 func BenchmarkLockFreeUpdateWidth2(b *testing.B) {
 	benchmarkUpdateOnly(b, snapshot.NewLockFree[int64](benchComponents))
-}
-
-func BenchmarkVersionedUpdateWidth2(b *testing.B) {
-	benchmarkUpdateOnly(b, newVersioned(benchComponents))
 }

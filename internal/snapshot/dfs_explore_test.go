@@ -36,7 +36,7 @@ func dfsTimeout() time.Duration {
 // specOracle is the standard model-checking oracle: operation errors,
 // spec.Check, spec.CheckProvenance and announcement hygiene, evaluated
 // after every explored schedule. It accepts any implementation with a
-// Stats surface (the lock-free object or its versioned front).
+// Stats surface.
 func specOracle(components int, o snapshot.StatsReader, rec *spec.Recorder[int64],
 	mu *sync.Mutex, opErrs *[]error) sched.Oracle {
 	return func(tr sched.Trace) error {
@@ -239,125 +239,6 @@ func TestDFSExhaustsSummaryGuardedWritersScanner(t *testing.T) {
 	}
 	t.Logf("exhausted preemption-%d summary space: %d schedules, %d steps, %d budget-pruned branches, %d skips, %d walks",
 		bound, rep.Schedules, rep.Steps, rep.BudgetSkips, skipped.Load(), walked.Load())
-}
-
-// versionedWriterScanner is twoWritersOneScanner on the versioned object
-// (LockFree with the optimistic budget): the same single-component writer, two-component batch
-// writer and partial scanner, but the scanner now steps through the
-// seqlock fast path — pre-seq-read before each stamp load, pre-validate
-// before the confirming re-read, pre-escalate when the torn-read budget
-// runs out — before it ever reaches the announced slow path the base
-// scenario exhausts. A writer parked between its stamp-raise and its cell
-// store tears every optimistic attempt the scanner makes, so within two
-// preemptions the search drives validated fast scans, torn retries AND
-// full escalations into the helping protocol through the one oracle set.
-// torn and escalated accumulate the gauges across the explored space so
-// the test can prove both contested paths were actually reached.
-func versionedWriterScanner(torn, escalated *atomic.Uint64) sched.Scenario {
-	return func(c *sched.Controller) sched.Oracle {
-		o := newVersioned(2).Instrument(c)
-		rec := &spec.Recorder[int64]{}
-		var mu sync.Mutex
-		var opErrs []error
-		fail := func(err error) {
-			mu.Lock()
-			opErrs = append(opErrs, err)
-			mu.Unlock()
-		}
-		update := func(name string, ids []int, vals []int64) {
-			c.Spawn(name, func() {
-				start := rec.Now()
-				id, err := o.UpdateOp(ids, vals)
-				if err != nil {
-					fail(fmt.Errorf("%s: %w", name, err))
-					return
-				}
-				rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
-					Comps: ids, Vals: vals, UpdateID: id})
-			})
-		}
-		update("w1", []int{0}, []int64{workload.Value(0, 0)})
-		update("w2", []int{0, 1}, []int64{workload.Value(1, 0), workload.Value(1, 1)})
-		c.Spawn("scanner", func() {
-			start := rec.Now()
-			vals, info, err := o.PartialScanInfo([]int{0, 1})
-			if err != nil {
-				fail(fmt.Errorf("scanner: %w", err))
-				return
-			}
-			rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
-				Comps: []int{0, 1}, Vals: vals, AdoptedFrom: info.HelperOp})
-		})
-		base := specOracle(2, o, rec, &mu, &opErrs)
-		return func(tr sched.Trace) error {
-			if err := base(tr); err != nil {
-				return err
-			}
-			// One scan ran to completion, so it resolved exactly once:
-			// either a validated optimistic pass or one escalation — never
-			// both, never neither — and escalation is only legal after the
-			// full torn-read budget was spent on it.
-			st := o.Stats()
-			if st.OptimisticScans+st.Escalations != 1 {
-				return fmt.Errorf("scan resolved %d times (optimistic=%d escalated=%d): %+v",
-					st.OptimisticScans+st.Escalations, st.OptimisticScans, st.Escalations, st)
-			}
-			if st.TornReads < 3*st.Escalations {
-				return fmt.Errorf("escalated with only %d torn reads (budget is 3): %+v", st.TornReads, st)
-			}
-			torn.Add(st.TornReads)
-			escalated.Add(st.Escalations)
-			return nil
-		}
-	}
-}
-
-// TestDFSExhaustsVersionedWriterScanner enumerates the ENTIRE
-// preemption-bounded schedule space of the 2-writer/1-scanner scenario on
-// the versioned object and requires every schedule to pass the
-// same sequential-spec, provenance and announcement-hygiene oracles the
-// lock-free scenario answers to, plus the seqlock accounting invariant
-// (exactly one resolution per scan, escalation only after a spent
-// budget). The aggregate gauges must show the search reached both
-// contested outcomes — schedules whose scan was torn mid-flight and
-// schedules that escalated all the way into the wait-free helping
-// protocol — so the equivalence claim is not vacuous over an
-// interference-free space.
-func TestDFSExhaustsVersionedWriterScanner(t *testing.T) {
-	bound := 2
-	if testing.Short() {
-		bound = 1
-	}
-	bound += deepExtra()
-	var torn, escalated atomic.Uint64
-	d := &sched.DFSExplorer{MaxPreemptions: bound, Timeout: dfsTimeout()}
-	rep := d.Explore(versionedWriterScanner(&torn, &escalated))
-	if rep.Failure != nil {
-		f := rep.Failure
-		t.Fatalf("schedule %d failed: %v\nshrunk trace (%d steps):\n%s",
-			f.Schedule, f.Err, len(f.Trace), f.Trace)
-	}
-	if !rep.Exhausted {
-		t.Fatalf("search did not exhaust the preemption-%d space: %+v", bound, rep)
-	}
-	floor := 50
-	if bound == 1 {
-		floor = 20
-	}
-	if rep.Schedules < floor {
-		t.Fatalf("suspiciously small schedule space (%d schedules at bound %d) — did the scenario degenerate?", rep.Schedules, bound)
-	}
-	if rep.BudgetSkips == 0 {
-		t.Fatalf("the preemption bound never pruned anything, scenario too small: %+v", rep)
-	}
-	if torn.Load() == 0 {
-		t.Fatalf("no explored schedule tore an optimistic scan (%d schedules) — the writers never interfered", rep.Schedules)
-	}
-	if escalated.Load() == 0 {
-		t.Fatalf("no explored schedule escalated to the helping protocol (%d schedules, %d torn reads) — the torn-read budget was never exhausted", rep.Schedules, torn.Load())
-	}
-	t.Logf("exhausted preemption-%d versioned space: %d schedules, %d steps, %d budget-pruned branches, %d torn reads, %d escalations",
-		bound, rep.Schedules, rep.Steps, rep.BudgetSkips, torn.Load(), escalated.Load())
 }
 
 // churnScenario is the dynamic-universe acceptance scenario: one grower

@@ -107,18 +107,12 @@ type universe[V any] struct {
 }
 
 // reg is one component's register: the atomic cell pointer every
-// operation reads and writes, packed next to the seqlock stamp of the
-// optimistic scan — version in the high 32 bits, writers-in-flight in the
-// low 32 (see optimistic in scan.go). The stamp is written only by objects
-// with an optimistic budget; at the default budget it stays 0. Packing it
-// beside the pointer makes the optimistic pass's stamp-then-cell load pair
-// hit one cache line instead of two. Surviving components share their reg
-// across epochs — a stamped write through an old epoch is torn-visible to
-// readers of the new one — while a shrunk-and-regrown component comes back
-// with a fresh reg: a fresh cell and a fresh stamp together.
+// operation reads and writes. Surviving components share their reg across
+// epochs, so a write through an old epoch is visible to readers of the new
+// one, while a shrunk-and-regrown component comes back with a fresh reg
+// and a fresh zero cell.
 type reg[V any] struct {
-	ptr   atomic.Pointer[cell[V]]
-	stamp atomic.Uint64
+	ptr atomic.Pointer[cell[V]]
 }
 
 // newUniverse returns epoch 0 with n zero-valued components. Regs and

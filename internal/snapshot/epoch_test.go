@@ -228,6 +228,12 @@ func TestHelpAcrossEpochsScripted(t *testing.T) {
 	if st.HelpsPosted != 1 || st.HelpsAdopted != 1 || st.Grows != 1 {
 		t.Fatalf("stats = %+v, want exactly 1 cross-epoch help posted and adopted", st)
 	}
+	// Both named components survive the Grow with their registers aliased,
+	// so the exit recheck keeps the view: a pure Grow over the named set
+	// costs the scan nothing.
+	if st.ViewsDiscarded != 0 {
+		t.Fatalf("ViewsDiscarded = %d, want 0: a pure Grow must not cost the scan its view", st.ViewsDiscarded)
+	}
 	if st.LiveAnnouncements != 0 {
 		t.Fatalf("cross-epoch helping leaked %d live announcements", st.LiveAnnouncements)
 	}

@@ -17,10 +17,6 @@ type Impl string
 const (
 	// ImplLockFree is the paper's wait-free object (LockFree).
 	ImplLockFree Impl = "lockfree"
-	// ImplVersioned is LockFree with an optimistic budget of
-	// versionedAttempts: scans try validated seqlock passes before the
-	// wait-free protocol.
-	ImplVersioned Impl = "versioned"
 	// ImplRWMutex is the coarse-grained reference implementation (RWMutex).
 	ImplRWMutex Impl = "rwmutex"
 )
@@ -28,14 +24,8 @@ const (
 // Impls lists every implementation New accepts, in the order tooling
 // matrices iterate them.
 func Impls() []Impl {
-	return []Impl{ImplLockFree, ImplVersioned, ImplRWMutex}
+	return []Impl{ImplLockFree, ImplRWMutex}
 }
-
-// versionedAttempts is ImplVersioned's escalation budget: enough to ride
-// out a short burst of interfering writes, small enough that a truly
-// contended scan reaches the wait-free path after a constant amount of
-// wasted work.
-const versionedAttempts = 3
 
 // New constructs the implementation named by impl with n components, each
 // initialised to the zero value of V. An unknown implementation or a
@@ -47,10 +37,6 @@ func New[V any](impl Impl, n int) (Object[V], error) {
 	switch impl {
 	case ImplLockFree:
 		return NewLockFree[V](n), nil
-	case ImplVersioned:
-		o := NewLockFree[V](n)
-		o.attempts = versionedAttempts
-		return o, nil
 	case ImplRWMutex:
 		return NewRWMutex[V](n), nil
 	default:

@@ -43,7 +43,7 @@ func TestFactoryRejectsMisuse(t *testing.T) {
 	}{
 		{"unknown impl", "spanner", 8},
 		{"zero components", snapshot.ImplLockFree, 0},
-		{"negative components", snapshot.ImplVersioned, -3},
+		{"negative components", snapshot.ImplRWMutex, -3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

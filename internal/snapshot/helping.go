@@ -160,17 +160,11 @@ func (o *LockFree[V]) helpIntersectingScans(u *universe[V], ids []int, op uint64
 // that straddle an install of a named component.
 func (o *LockFree[V]) embeddedScan(target *scanRecord[V], op uint64) (view []V, depth int, ok bool) {
 	tu := target.uni
-	bufs := o.getBufs(len(target.ids))
-	defer o.putBufs(bufs)
-	a, b := bufs.a, bufs.b
 	level := target.level + 1
 	failures := 0
 	// Fast path: try one unannounced double collect first.
-	tu.collect(target.ids, a)
-	o.yield(sched.PostFirstCollect, level)
-	tu.collect(target.ids, b)
-	if sameCells(a, b) {
-		return cellVals(b), level, true
+	if vals, ok := o.doubleCollect(tu, target.ids, level); ok {
+		return vals, level, true
 	}
 	o.scanRetries.Add(1)
 	failures++
@@ -185,11 +179,8 @@ func (o *LockFree[V]) embeddedScan(target *scanRecord[V], op uint64) (view []V, 
 		if target.done.Load() || target.help.Load() != nil {
 			return nil, 0, false
 		}
-		tu.collect(rec.ids, a)
-		o.yield(sched.PostFirstCollect, level)
-		tu.collect(rec.ids, b)
-		if sameCells(a, b) {
-			return cellVals(b), level, true
+		if vals, ok := o.doubleCollect(tu, rec.ids, level); ok {
+			return vals, level, true
 		}
 		o.scanRetries.Add(1)
 		failures++

@@ -44,13 +44,6 @@ type LockFree[V any] struct {
 	bufs    sync.Pool
 	records recordPool[V]
 
-	// attempts is the escalation budget: how many torn optimistic passes
-	// a scan tolerates before it falls back to the announce-and-help
-	// protocol (see optimistic in scan.go). At 0, the default, the object
-	// runs the paper's protocol exactly: updates write no stamp and scans
-	// take no optimistic pass. New(ImplVersioned, n) sets it.
-	attempts int
-
 	mut mutations // test-only protocol breakages; all off in production
 
 	scanRetries  atomic.Uint64
@@ -68,11 +61,6 @@ type LockFree[V any] struct {
 	// across epochs (see Shrink).
 	retiredWalks   atomic.Uint64
 	retiredVisited atomic.Uint64
-
-	// The optimistic scan's gauges; see Stats.
-	optimisticScans atomic.Uint64
-	escalations     atomic.Uint64
-	tornReads       atomic.Uint64
 }
 
 // mutations are the object's mutation seams. Each field, when set,
@@ -86,8 +74,7 @@ type LockFree[V any] struct {
 // at walk time instead of the one it pinned, missing enrollments a
 // shrink-and-regrow replaced. skipEpochRecheck returns scanPinned's views
 // without re-loading the universe, so a view straddling a Shrink can pair
-// a dropped component's frozen cell with a later write. skipValidation
-// returns the optimistic pass without its validation re-read.
+// a dropped component's frozen cell with a later write.
 // earlySummaryDecrement hands a record's slot-group counts back at enroll,
 // so updaters skip a live announced scan.
 type mutations struct {
@@ -95,7 +82,6 @@ type mutations struct {
 	unsafeEagerRelease    bool
 	unpinnedEpoch         bool
 	skipEpochRecheck      bool
-	skipValidation        bool
 	earlySummaryDecrement bool
 }
 
@@ -168,23 +154,11 @@ func (o *LockFree[V]) UpdateOp(ids []int, vals []V) (uint64, error) {
 	// heap memory, and cells are never pooled, because a collect that
 	// already loaded a cell pointer may dereference it arbitrarily later
 	// (the GC, not a generation tag, is what rules out cell ABA).
-	//
-	// With an optimistic budget, each store is bracketed by the two stamp
-	// adds of the seqlock write protocol (see optimistic), so optimistic
-	// readers can detect it. At budget 0 no stamp is ever written.
-	stamped := o.attempts > 0
 	batch := make([]cell[V], len(ids))
 	for i, id := range ids {
 		batch[i] = cell[V]{val: vals[i]}
-		r := u.regs[id]
-		if stamped {
-			r.stamp.Add(1) // writer in flight: readers refuse the component
-		}
 		o.yield(sched.PreCellStore, id)
-		r.ptr.Store(&batch[i])
-		if stamped {
-			r.stamp.Add(stampRetire) // retire the writer, advance the version
-		}
+		u.regs[id].ptr.Store(&batch[i])
 	}
 	return op, nil
 }
@@ -250,19 +224,6 @@ type Stats struct {
 	// resize-free workload — the recheck is one relaxed pointer load on the
 	// success path and only ever fires across an install.
 	ViewsDiscarded uint64 `json:"views_discarded"`
-	// OptimisticScans, Escalations and TornReads are the optimistic scan's
-	// gauges (always zero at the default budget of 0, and for RWMutex):
-	// scans completed by a validated optimistic pass, scans that fell back
-	// to the wait-free announce-and-help path, and optimistic attempts
-	// aborted by an in-flight writer, a moved stamp or a mid-pass
-	// install (slow-path views invalidated by a resize are counted by
-	// ViewsDiscarded, not here). At a positive budget every completed scan
-	// took exactly one of the two paths, so OptimisticScans + Escalations
-	// reconciles with the scan op count; see parity_test.go for the
-	// per-shape invariants.
-	OptimisticScans uint64 `json:"optimistic_scans"`
-	Escalations     uint64 `json:"escalations"`
-	TornReads       uint64 `json:"torn_reads"`
 }
 
 func (o *LockFree[V]) Stats() Stats {
@@ -281,9 +242,6 @@ func (o *LockFree[V]) Stats() Stats {
 		Shrinks:           o.shrinks.Load(),
 		RegistryWalks:     o.retiredWalks.Load(),
 		RecordsVisited:    o.retiredVisited.Load(),
-		OptimisticScans:   o.optimisticScans.Load(),
-		Escalations:       o.escalations.Load(),
-		TornReads:         o.tornReads.Load(),
 	}
 	for _, s := range u.slots {
 		st.RegistryWalks += s.walks.Load()

@@ -205,166 +205,6 @@ func TestMutationBoundedHelperIsCaught(t *testing.T) {
 		f.Schedule, mutated.Schedules, f.Err, len(f.Trace), f.Trace)
 }
 
-// unvalidatedOptimisticScenario stages the smallest state in which skipping
-// the optimistic scan's validation re-read forges a view no linearization
-// allows. Scripted setup: component 1 of a 2-component object with the versioned budget is
-// seeded with 20. The search then owns three actors:
-//
-//   - "scanner": PartialScanInfo({1, 0}) — reads component 1 first, so a
-//     preemption between its two seq-reads leaves the stale 20 in hand.
-//   - "churner": Shrink(1) then Grow(1) — component 1 leaves and comes back
-//     fresh and zero-valued, closing 20's window for good.
-//   - "writer": Update({0}, 11), whose value only exists after it runs.
-//
-// The convicting interleaving preempts the scanner between its seq-reads,
-// runs the churn to completion and then the writer: the mutant's scan
-// returns {1: 20, 0: 11}, pairing a value that died with the shrink against
-// one born after the regrow — spec.Check rejects it, because the scan's
-// interval admits no instant at which both held. The intact object cannot
-// produce it: validation sees either the replaced universe pointer (the
-// churn) or a moved stamp sum (the write), tears the attempt, and the
-// retry — or the escalated announced scan — reads a single consistent
-// epoch. No trip-wire beyond the sequential spec itself is needed.
-func unvalidatedOptimisticScenario(mutate bool) sched.Scenario {
-	return func(c *sched.Controller) sched.Oracle {
-		o := NewLockFree[int64](2).Instrument(c)
-		o.attempts = versionedAttempts
-		o.mut.skipValidation = mutate
-		rec := &spec.Recorder[int64]{}
-		var mu sync.Mutex
-		var opErrs []error
-		fail := func(err error) {
-			mu.Lock()
-			opErrs = append(opErrs, err)
-			mu.Unlock()
-		}
-		setupErr := func(format string, args ...any) sched.Oracle {
-			err := fmt.Errorf(format, args...)
-			return func(sched.Trace) error { return err }
-		}
-
-		// Scripted seed, uncontrolled on the setup goroutine: component 1
-		// holds 20 before the explored actors start.
-		start := rec.Now()
-		seedOp, err := o.UpdateOp([]int{1}, []int64{20})
-		if err != nil {
-			return setupErr("seed update: %v", err)
-		}
-		rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
-			Comps: []int{1}, Vals: []int64{20}, UpdateID: seedOp})
-
-		c.Spawn("scanner", func() {
-			start := rec.Now()
-			vals, si, err := o.PartialScanInfo([]int{1, 0})
-			if err != nil {
-				if errors.Is(err, ErrBadComponent) {
-					// Pinned the shrunk single-component epoch: the
-					// rejection linearizes at the pin — a legal outcome,
-					// not a history event.
-					return
-				}
-				fail(fmt.Errorf("scanner: %w", err))
-				return
-			}
-			rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
-				Comps: []int{1, 0}, Vals: vals, AdoptedFrom: si.HelperOp})
-		})
-		c.Spawn("churner", func() {
-			start := rec.Now()
-			size, err := o.Shrink(1)
-			if err != nil {
-				fail(fmt.Errorf("churner Shrink: %w", err))
-				return
-			}
-			rec.Add(spec.Op[int64]{Kind: spec.Shrink, Start: start, End: rec.Now(), Delta: 1, Size: size})
-			start = rec.Now()
-			size, err = o.Grow(1)
-			if err != nil {
-				fail(fmt.Errorf("churner Grow: %w", err))
-				return
-			}
-			rec.Add(spec.Op[int64]{Kind: spec.Grow, Start: start, End: rec.Now(), Delta: 1, Size: size})
-		})
-		c.Spawn("writer", func() {
-			start := rec.Now()
-			id, err := o.UpdateOp([]int{0}, []int64{11})
-			if err != nil {
-				fail(fmt.Errorf("writer: %w", err))
-				return
-			}
-			rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
-				Comps: []int{0}, Vals: []int64{11}, UpdateID: id})
-		})
-
-		return func(tr sched.Trace) error {
-			mu.Lock()
-			defer mu.Unlock()
-			if len(opErrs) > 0 {
-				return opErrs[0]
-			}
-			ops := rec.Ops()
-			if err := spec.Check(2, ops); err != nil {
-				return fmt.Errorf("schedule rejected by spec: %w", err)
-			}
-			if err := spec.CheckProvenance(ops); err != nil {
-				return fmt.Errorf("schedule rejected by provenance check: %w", err)
-			}
-			if st := o.Stats(); st.LiveAnnouncements != 0 {
-				return fmt.Errorf("schedule leaked %d live announcements", st.LiveAnnouncements)
-			}
-			return nil
-		}
-	}
-}
-
-// TestMutationUnvalidatedOptimisticScanIsConvicted disables the seqlock
-// validation re-read via its seam and requires the systematic search to
-// find a mixed-epoch torn view within two preemptions — then shrink it and
-// replay it. The control arm runs the identical search, churn included,
-// against the intact object and must exhaust with every schedule passing:
-// the validation pass, not luck, is what makes the optimistic fast path
-// atomic.
-func TestMutationUnvalidatedOptimisticScanIsConvicted(t *testing.T) {
-	d := &sched.DFSExplorer{MaxPreemptions: 2, MaxSchedules: 20000, Timeout: 30 * time.Second}
-
-	intact := d.Explore(unvalidatedOptimisticScenario(false))
-	if intact.Failure != nil {
-		t.Fatalf("intact protocol failed schedule %d: %v\n%s",
-			intact.Failure.Schedule, intact.Failure.Err, intact.Failure.Trace)
-	}
-	if !intact.Exhausted {
-		t.Fatalf("intact search did not exhaust: %+v", intact)
-	}
-
-	mutated := d.Explore(unvalidatedOptimisticScenario(true))
-	if mutated.Failure == nil {
-		t.Fatalf("the searcher cannot fail: unvalidated optimistic scan survived %d schedules at preemption bound %d",
-			mutated.Schedules, d.MaxPreemptions)
-	}
-	f := mutated.Failure
-	if len(f.Trace) > len(f.RawTrace) {
-		t.Fatalf("shrunk trace grew: %d > %d steps", len(f.Trace), len(f.RawTrace))
-	}
-	if _, err := d.Replay(unvalidatedOptimisticScenario(true), f.Trace); err == nil {
-		t.Fatalf("shrunk failing trace replayed clean:\n%s", f.Trace)
-	}
-	// The intact object sails through the mutant-killing schedule.
-	// Tolerant replay: the intact scanner takes extra yield points (it
-	// tears, retries and may escalate where the mutant returned early), so
-	// strict positions cannot apply.
-	c := sched.NewController()
-	intactOracle := unvalidatedOptimisticScenario(false)(c)
-	got, err := sched.ReplayTrace(c, f.Trace, false)
-	if err != nil {
-		t.Fatalf("tolerant replay on the intact object broke down: %v", err)
-	}
-	if err := intactOracle(got); err != nil {
-		t.Fatalf("intact object failed the mutant-killing schedule: %v\n%s", err, got)
-	}
-	t.Logf("mutant caught at schedule %d/%d: %v\nshrunk trace (%d steps):\n%s",
-		f.Schedule, mutated.Schedules, f.Err, len(f.Trace), f.Trace)
-}
-
 // earlySummaryDecrementScenario stages the smallest state in which handing
 // a slot group's announced count back before the record retires loses a
 // help obligation. Deterministic setup (scripted, not explored):

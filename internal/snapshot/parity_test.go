@@ -11,13 +11,11 @@ import (
 	"partialsnapshot/internal/workload"
 )
 
-// The parity suite runs the RWMutex reference, the LockFree object and the
-// versioned object (LockFree with an optimistic budget) through IDENTICAL
-// workload shapes — same generator, same seed, same per-worker op streams
-// — and holds all three to the same spec oracle, then diffs what each
-// implementation's invariants promise: equal op counts, equal sequential
-// semantics, the lock-free Stats hygiene per shape, and the versioned
-// seqlock gauges reconciling exactly with the operation counts.
+// The parity suite runs the RWMutex reference and the LockFree object
+// through IDENTICAL workload shapes — same generator, same seed, same
+// per-worker op streams — and holds both to the same spec oracle, then
+// diffs what each implementation's invariants promise: equal op counts,
+// equal sequential semantics and the lock-free Stats hygiene per shape.
 //
 // Every object is built through snapshot.New — the parity matrix IS the
 // factory's implementation list, so a new implementation registered there
@@ -153,13 +151,11 @@ func runParityWorkload(t *testing.T, obj snapshot.Object[int64], gen *workload.G
 }
 
 // TestParityAcrossWorkloadShapes is the concurrent arm: for every shape,
-// all three implementations absorb the same traffic under -race, every
-// history passes the same spec + provenance oracle, every implementation
-// completes the same operation mix, and the per-implementation Stats
-// invariants hold per shape — lock-free hygiene everywhere, structural
-// non-interference when the shape is partitioned, and the versioned
-// object's seqlock gauges (OptimisticScans, Escalations, TornReads) reconciling
-// with the scan counts.
+// both implementations absorb the same traffic under -race, every history
+// passes the same spec + provenance oracle, every implementation completes
+// the same operation mix, and the lock-free Stats invariants hold per
+// shape — hygiene everywhere and structural non-interference when the
+// shape is partitioned.
 func TestParityAcrossWorkloadShapes(t *testing.T) {
 	opsPerWorker := 300
 	if testing.Short() {
@@ -201,8 +197,7 @@ func TestParityAcrossWorkloadShapes(t *testing.T) {
 					// ViewsDiscarded counts pinned views invalidated by a
 					// resize install; without installs the exit recheck can
 					// never fail, so on every resize-free shape the gauge
-					// must read exactly zero — for both the bare lock-free
-					// object and the versioned object's escalated path.
+					// must read exactly zero.
 					if !shape.Resizes() && st.ViewsDiscarded != 0 {
 						t.Fatalf("%s discarded %d views with no resizes in the workload: %+v",
 							shape, st.ViewsDiscarded, st)
@@ -237,46 +232,8 @@ func TestParityAcrossWorkloadShapes(t *testing.T) {
 							t.Fatalf("partitioned workload interfered: %+v", st)
 						}
 					}
-					if impl == snapshot.ImplLockFree {
-						// At the default budget of 0 the object runs the
-						// paper's protocol: the seqlock gauges stay zero.
-						if st.OptimisticScans+st.Escalations+st.TornReads != 0 {
-							t.Fatalf("%s/%s bumped seqlock gauges: %+v", shape, impl, st)
-						}
-						return
-					}
-					// versioned gauge reconciliation. Every successful scan
-					// completed exactly one way — validated optimistic or
-					// escalated — so the two gauges partition the scan count.
-					// On resizing shapes an escalated scan can still end in a
-					// legitimate ErrBadComponent rejection (it bumped
-					// Escalations but not Scans), so the partition widens to
-					// bounds; everywhere else it is exact.
-					done := st.OptimisticScans + st.Escalations
-					if shape.Resizes() {
-						if done < uint64(counts.Scans) || done > uint64(counts.Scans+counts.Rejects) {
-							t.Fatalf("%s: %d optimistic + %d escalated scans outside [%d, %d]: %+v",
-								shape, st.OptimisticScans, st.Escalations, counts.Scans, counts.Scans+counts.Rejects, st)
-						}
-					} else if done != uint64(counts.Scans) {
-						t.Fatalf("%s: %d optimistic + %d escalated scans != %d completed scans: %+v",
-							shape, st.OptimisticScans, st.Escalations, counts.Scans, st)
-					}
-					// Each escalation consumed the full optimistic budget in
-					// torn attempts first (the factory's versioned budget is
-					// 3).
-					if st.TornReads < 3*st.Escalations {
-						t.Fatalf("%s: %d escalations but only %d torn reads: %+v",
-							shape, st.Escalations, st.TornReads, st)
-					}
-					if shape == workload.Partitioned && (st.Escalations != 0 || st.TornReads != 0) {
-						// Disjoint pools: no writer ever touches a component
-						// mid-scan, so the fast path never tears and never
-						// escalates.
-						t.Fatalf("partitioned versioned scans tore: %+v", st)
-					}
-					t.Logf("%s/%s: %d ops, %d optimistic, %d escalated, %d torn, %d views discarded",
-						shape, impl, len(ops), st.OptimisticScans, st.Escalations, st.TornReads, st.ViewsDiscarded)
+					t.Logf("%s/%s: %d ops, %d retries, %d helps, %d views discarded",
+						shape, impl, len(ops), st.ScanRetries, st.HelpsPosted, st.ViewsDiscarded)
 				})
 			}
 			if t.Failed() {
@@ -319,9 +276,7 @@ func TestParityAcrossWorkloadShapes(t *testing.T) {
 // the factory matrix and the sequential model, which must all stay in
 // byte-identical states and answer every scan identically — batch-
 // atomicity differences between the implementations are invisible without
-// concurrency, so any divergence here is a plain bug. A sequential run
-// also pins the gauges: with no concurrency every versioned scan validates
-// on its first optimistic attempt.
+// concurrency, so any divergence here is a plain bug.
 func TestParitySequentialSemantics(t *testing.T) {
 	for _, shape := range workload.Shapes() {
 		t.Run(string(shape), func(t *testing.T) {
@@ -334,7 +289,6 @@ func TestParitySequentialSemantics(t *testing.T) {
 			for _, impl := range parityImpls {
 				objs[impl] = newParityObject(t, impl, cfg.Components)
 			}
-			scansDone := uint64(0)
 			model := spec.NewModel[int64](cfg.Components)
 			streams := make([][]workload.Op, cfg.Workers)
 			for w := range streams {
@@ -394,7 +348,6 @@ func TestParitySequentialSemantics(t *testing.T) {
 							continue
 						}
 						wantOK("PartialScan", op.Comps, errs)
-						scansDone++
 						want := model.Read(op.Comps)
 						for impl, got := range views {
 							if !reflect.DeepEqual(got, want) {
@@ -449,13 +402,6 @@ func TestParitySequentialSemantics(t *testing.T) {
 			lfStats := objs[snapshot.ImplLockFree].(snapshot.StatsReader).Stats()
 			if lfStats.ScanRetries != 0 || lfStats.HelpsPosted != 0 || lfStats.ViewsDiscarded != 0 {
 				t.Fatalf("sequential workload triggered the concurrency machinery: %+v", lfStats)
-			}
-			// With no concurrency every versioned scan — including the final
-			// full Scan — validates on its first optimistic attempt: the
-			// gauges must show a clean sweep.
-			if st := objs[snapshot.ImplVersioned].(snapshot.StatsReader).Stats(); st.Escalations != 0 ||
-				st.TornReads != 0 || st.ViewsDiscarded != 0 || st.OptimisticScans != scansDone+1 {
-				t.Fatalf("sequential versioned scans escaped the fast path: %d scans, stats %+v", scansDone+1, st)
 			}
 		})
 	}

@@ -9,13 +9,14 @@ import (
 // This file is the allocation recycling layer of LockFree. The hot paths
 // used to allocate a fresh scan record plus two collect buffers on every
 // operation that needed them; in steady state all of those now come from
-// pools and the only per-operation allocation left is the result slice the
+// pools (or, for scans up to stackCollect components wide, the stack) and
+// the only per-operation allocation left is the result slice the
 // caller keeps (scans) or the cell batch the object's registers keep
 // (updates).
 //
 // Two kinds of state are pooled, with very different hazard profiles:
 //
-//   - Collect buffers (scanBuffers) are touched only by the goroutine that
+//   - Collect buffers (scanBuffer) are touched only by the goroutine that
 //     got them and are returned the moment the operation ends. They carry
 //     no identity, so reuse is invisible; a plain sync.Pool is enough.
 //
@@ -53,29 +54,28 @@ import (
 // walk jump between incarnations of a slot list. They are slow-path-only
 // allocations and stay garbage collected.
 
-// scanBuffers is one goroutine's working set for a double collect: the two
-// collect targets. Buffers grow to the widest scan they have served and
-// are only ever touched by the goroutine that got them from the pool.
-type scanBuffers[V any] struct {
-	a, b []*cell[V]
+// scanBuffer is one goroutine's first-collect target for a double collect
+// wider than stackCollect. It grows to the widest scan it has served and
+// is only ever touched by the goroutine that got it from the pool.
+type scanBuffer[V any] struct {
+	cells []*cell[V]
 }
 
-// getBufs returns collect buffers of length n, reusing a pooled pair when
+// getBuf returns a collect buffer of length n, reusing a pooled one when
 // one is available.
-func (o *LockFree[V]) getBufs(n int) *scanBuffers[V] {
-	sb, _ := o.bufs.Get().(*scanBuffers[V])
+func (o *LockFree[V]) getBuf(n int) *scanBuffer[V] {
+	sb, _ := o.bufs.Get().(*scanBuffer[V])
 	if sb == nil {
-		sb = &scanBuffers[V]{}
+		sb = &scanBuffer[V]{}
 	}
-	if cap(sb.a) < n {
-		sb.a = make([]*cell[V], n)
-		sb.b = make([]*cell[V], n)
+	if cap(sb.cells) < n {
+		sb.cells = make([]*cell[V], n)
 	}
-	sb.a, sb.b = sb.a[:n], sb.b[:n]
+	sb.cells = sb.cells[:n]
 	return sb
 }
 
-func (o *LockFree[V]) putBufs(sb *scanBuffers[V]) { o.bufs.Put(sb) }
+func (o *LockFree[V]) putBuf(sb *scanBuffer[V]) { o.bufs.Put(sb) }
 
 // recordPool is where scan records are recycled. Production objects use
 // the sync.Pool-backed sharedRecordPool (per-P caches, GC-aware);
@@ -175,7 +175,7 @@ func (o *LockFree[V]) releaseRef(rec *scanRecord[V]) {
 // count has reached zero (the record is retired and pooled, or mid-reset
 // for its next life). A successful pin keeps the record out of the pool
 // until the matching releaseRef. The CAS loop retries only when another
-// pin or release moved the count concurrently, so attempts are bounded by
+// pin or release moved the count concurrently, so its retries are bounded by
 // the number of concurrent walkers of the record — bounded helping
 // traffic, not unbounded spinning.
 func (rec *scanRecord[V]) pin() bool {

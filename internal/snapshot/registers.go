@@ -62,33 +62,6 @@ func (o *LockFree[V]) nextOp(u *universe[V], ids []int) uint64 {
 	return o.shards[i].ops.Add(1)<<6 | i
 }
 
-// collect loads the current cell of every component in ids, in order,
-// through this universe's view of the register array. Surviving components
-// alias their cells across epochs, so a collect through an old epoch still
-// observes writes made through newer ones.
-func (u *universe[V]) collect(ids []int, into []*cell[V]) {
-	for i, id := range ids {
-		into[i] = u.regs[id].ptr.Load()
-	}
-}
-
-func sameCells[V any](a, b []*cell[V]) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func cellVals[V any](cells []*cell[V]) []V {
-	vals := make([]V, len(cells))
-	for i, c := range cells {
-		vals[i] = c.val
-	}
-	return vals
-}
-
 func atomicMax(g *atomic.Int64, v int64) {
 	for {
 		old := g.Load()

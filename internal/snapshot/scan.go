@@ -94,17 +94,13 @@ func (o *LockFree[V]) PartialScan(ids []int) ([]V, error) {
 }
 
 // PartialScanInfo is PartialScan, additionally reporting how the scan
-// completed (with an optimistic budget, ScanInfo.Retries also counts torn
-// optimistic attempts).
+// completed.
 func (o *LockFree[V]) PartialScanInfo(ids []int) ([]V, ScanInfo, error) {
-	if o.attempts > 0 {
-		return o.optimistic(ids, false)
-	}
 	// Pin once: validation, every collect and any announcement run against
 	// this one epoch's shape. A resize installed after this load linearizes
 	// after this scan (see epoch.go) — unless the scan's view straddles the
 	// install, which the epoch recheck in scanPinned detects and discards.
-	return o.scanPinned(o.pin(), ids, false, ScanInfo{})
+	return o.scanPinned(o.pin(), ids, false)
 }
 
 // scanPinned runs a partial scan against the already-pinned universe u,
@@ -127,15 +123,11 @@ func (o *LockFree[V]) PartialScanInfo(ids []int) ([]V, ScanInfo, error) {
 // One recheck after completion suffices: the view's collect (or the
 // adopted view's, inside the scan's interval) finished before the re-load,
 // so an install the re-load cannot see cannot have been observed by the
-// view either. This is the same argument as the optimistic pass's
-// validation (see optimistic), ported to the wait-free path. Termination:
-// each retake is caused by a successful resize install, so the scan
-// remains wait-free per epoch and lock-free under unbounded churn — the
-// progress class of Grow/Shrink themselves.
-//
-// info carries in what the scan already spent (torn optimistic attempts)
-// and comes back with the slow path's retries and provenance added.
-func (o *LockFree[V]) scanPinned(u *universe[V], ids []int, full bool, info ScanInfo) ([]V, ScanInfo, error) {
+// view either. Termination: each retake is caused by a successful resize
+// install, so the scan remains wait-free per epoch and lock-free under
+// unbounded churn — the progress class of Grow/Shrink themselves.
+func (o *LockFree[V]) scanPinned(u *universe[V], ids []int, full bool) ([]V, ScanInfo, error) {
+	var info ScanInfo
 	for {
 		vals, err := o.collectPinned(u, ids, &info)
 		if err != nil {
@@ -193,17 +185,10 @@ func (o *LockFree[V]) collectPinned(u *universe[V], ids []int, info *ScanInfo) (
 	if err := validateIDs(len(u.regs), ids); err != nil {
 		return nil, err
 	}
-	bufs := o.getBufs(len(ids))
-	defer o.putBufs(bufs)
-	a, b := bufs.a, bufs.b
-	// Fast path: an uncontended scan needs no announcement, and with the
-	// pooled buffers its only allocation is the result slice the caller
-	// keeps.
-	u.collect(ids, a)
-	o.yield(sched.PostFirstCollect, 0)
-	u.collect(ids, b)
-	if sameCells(a, b) {
-		return cellVals(b), nil
+	// Fast path: an uncontended scan needs no announcement, and its only
+	// allocation is the result slice the caller keeps.
+	if vals, ok := o.doubleCollect(u, ids, 0); ok {
+		return vals, nil
 	}
 	o.scanRetries.Add(1)
 	info.Retries++
@@ -212,11 +197,8 @@ func (o *LockFree[V]) collectPinned(u *universe[V], ids []int, info *ScanInfo) (
 	defer o.retire(rec)
 	o.yield(sched.PostAnnounce, 0)
 	for {
-		u.collect(rec.ids, a)
-		o.yield(sched.PostFirstCollect, 0)
-		u.collect(rec.ids, b)
-		if sameCells(a, b) {
-			return cellVals(b), nil
+		if vals, ok := o.doubleCollect(u, rec.ids, 0); ok {
+			return vals, nil
 		}
 		o.scanRetries.Add(1)
 		info.Retries++
@@ -234,161 +216,72 @@ func (o *LockFree[V]) collectPinned(u *universe[V], ids []int, info *ScanInfo) (
 	}
 }
 
+// stackCollect is the widest component set whose double collect keeps its
+// first collect in a stack array rather than a pooled buffer. Widths up to
+// it cover every default scan width; the array is 128 bytes of stack.
+const stackCollect = 16
+
+// doubleCollect is one double collect of ids through universe u: load every
+// named cell, yield at PostFirstCollect (arg = level), then re-load each
+// cell and compare it in place with the first load. It returns the values
+// of the first collect's cells and true when no cell changed — the memory
+// state at an instant between the two collects — and false on the first
+// changed cell. Cell identity, not value equality, is what rules out ABA:
+// every write allocates a fresh cell, and the held pointers keep the GC
+// from recycling one while the collect can still compare against it.
+// Surviving components alias their cells across epochs, so a double collect
+// through an old epoch still observes writes made through newer ones.
+//
+// Up to stackCollect ids, the first collect goes into a fixed array indexed
+// directly, which the compiler keeps on the stack; wider sets borrow one
+// pooled buffer. Either way the second collect stores nothing.
+func (o *LockFree[V]) doubleCollect(u *universe[V], ids []int, level int) ([]V, bool) {
+	regs := u.regs
+	if len(ids) <= stackCollect {
+		var first [stackCollect]*cell[V]
+		for i, id := range ids {
+			first[i] = regs[id].ptr.Load()
+		}
+		o.yield(sched.PostFirstCollect, level)
+		for i, id := range ids {
+			if regs[id].ptr.Load() != first[i] {
+				return nil, false
+			}
+		}
+		vals := make([]V, len(ids))
+		for i := range vals {
+			vals[i] = first[i].val
+		}
+		return vals, true
+	}
+	// No defer: it would cost the stack path above its bookkeeping too.
+	buf := o.getBuf(len(ids))
+	first := buf.cells
+	for i, id := range ids {
+		first[i] = regs[id].ptr.Load()
+	}
+	o.yield(sched.PostFirstCollect, level)
+	for i, id := range ids {
+		if regs[id].ptr.Load() != first[i] {
+			o.putBuf(buf)
+			return nil, false
+		}
+	}
+	vals := make([]V, len(ids))
+	for i, c := range first {
+		vals[i] = c.val
+	}
+	o.putBuf(buf)
+	return vals, true
+}
+
 // Scan is PartialScan over every component. It pins the epoch once and
 // scans that epoch's full component set, so a concurrent resize can neither
 // tear the id set nor fail validation under it; a view invalidated by a
 // mid-scan resize is discarded and the scan retakes over the new epoch's
 // full set (scanPinned re-resolves ids on each retake).
 func (o *LockFree[V]) Scan() ([]V, error) {
-	if o.attempts > 0 {
-		vals, _, err := o.optimistic(nil, true)
-		return vals, err
-	}
 	u := o.pin()
-	vals, _, err := o.scanPinned(u, u.all, true, ScanInfo{})
+	vals, _, err := o.scanPinned(u, u.all, true)
 	return vals, err
-}
-
-// stampInflight masks the writers-in-flight half of a register's stamp;
-// stampRetire is the single add that retires a writer and advances the
-// version.
-const (
-	stampInflight = 1<<32 - 1
-	stampRetire   = 1<<32 - 1
-)
-
-// optimistic is the scan of an object with a positive budget: up to
-// o.attempts seqlock-style passes over ids, then the wait-free slow path.
-// An uncontended pass is k ordered stamp+cell loads plus one validation
-// re-read of the stamps — no announcement, no double collect, zero
-// registry traffic. When full is true the id set is resolved per attempt
-// from the pinned universe.
-//
-// The write protocol (UpdateOp, with a positive budget) brackets every
-// cell store with two atomic adds on the component's stamp: +1 before the
-// store marks a writer in flight, +(1<<32 - 1) after it retires the writer
-// and advances the version in the high half. This is the multi-writer
-// generalisation of the classic "even = stable, odd = write in progress"
-// seqlock: with a single writer the low half toggles 0↔1 exactly like the
-// classic parity bit, and with concurrent writers the low half is the
-// count of writers mid-store, so "stable" is low == 0 rather than "even".
-// The classic parity trick alone would be unsound here — two writers'
-// pre-store increments can make a bare counter even again while both
-// stores are still pending.
-//
-// Why a validated optimistic read is atomic: the reader loads each stamp
-// (rejecting the attempt unless the writers-in-flight half is zero), loads
-// the cell value, and after the last load re-reads every stamp. Both adds
-// of the write protocol are positive, so each stamp is strictly monotone,
-// and the validation pass therefore only needs to compare the SUMS of the
-// two stamp passes: any stamp that moved strictly increases the sum, so
-// equal sums mean every individual stamp is unchanged (a sum wrap mod 2^64
-// would take ~2^32 completed writes inside one scan attempt — the same
-// order of magnitude as the classic seqlock's own version-wrap
-// assumption). An unchanged stamp means no adds happened between its two
-// loads; any store to the component inside that window would imply the
-// writer's pre-store add also lay inside the window (the in-flight half
-// was zero at both reads), which is impossible — hence every cell value
-// read is the component's value for the entire window between the
-// reader's first pass and its validation pass, and the scan linearizes at
-// the boundary between the two (its "last load"; see PAPER.md).
-//
-// Epochs: each optimistic attempt pins the universe afresh, and validation
-// additionally demands the object's universe pointer is still the pinned
-// one. Universes are fresh allocations, so pointer equality means no
-// resize was installed since the pin — the attempt ran entirely within one
-// epoch and cannot have combined a retired epoch's stale cell with a live
-// write (the mixed-epoch torn view the mutation test convicts when the
-// validation seam is disabled). The escalated path applies the refined
-// per-component version of the same rule in scanPinned: a slow-path view
-// survives a mid-scan install iff every named component still aliases the
-// pinned epoch's register (a pure Grow over the named set passes; a Shrink
-// touching it discards and retakes, counted by Stats.ViewsDiscarded), so
-// each retake is caused by a successful resize install — lock-free under
-// epoch churn, wait-free per epoch, the same progress class as Grow and
-// Shrink themselves.
-func (o *LockFree[V]) optimistic(ids []int, full bool) ([]V, ScanInfo, error) {
-	var info ScanInfo
-	var vals []V             // the result slice, reused across attempts
-	var checked *universe[V] // last universe ids was validated against
-	for attempt := 0; attempt < o.attempts; attempt++ {
-		// Pin per attempt: the previous attempt may have been torn by a
-		// resize, and re-pinning keeps this attempt — reads, validation and
-		// a possible rejection — within a single epoch.
-		u := o.pin()
-		if full {
-			ids = u.all
-		} else if u != checked {
-			if err := validateIDs(len(u.regs), ids); err != nil {
-				// Rejection linearizes at the pin, where ids does not fit
-				// the installed shape (see ErrBadComponent on resizing).
-				return nil, info, err
-			}
-			checked = u
-		}
-		// Values are read straight into the result slice the caller keeps —
-		// the uncontended scan's single allocation. A torn attempt reuses
-		// it; only a full scan racing a resize ever reallocates.
-		if len(vals) != len(ids) {
-			vals = make([]V, len(ids))
-		}
-		regs := u.regs
-		var sum uint64
-		torn := false
-		for i, id := range ids {
-			o.yield(sched.PreSeqRead, id)
-			r := regs[id]
-			s := r.stamp.Load()
-			if s&stampInflight != 0 {
-				// A writer is mid-store: the cell may change under us, so
-				// the whole attempt is already lost. Abort rather than
-				// spin — waiting on the stamp would forfeit wait-freedom.
-				torn = true
-				break
-			}
-			sum += s
-			vals[i] = r.ptr.Load().val
-		}
-		if !torn {
-			o.yield(sched.PreValidate, attempt)
-			if o.mut.skipValidation {
-				o.optimisticScans.Add(1)
-				return vals, info, nil
-			}
-			// Validation. The epoch check first: pointer equality with the
-			// pinned universe means no resize was installed since the pin,
-			// so none of the cells read above belong to a retired epoch.
-			// Then the stamps: an unchanged monotone sum means no write
-			// touched any named component between the first pass and this
-			// one (see above for the proof), so the values coexist at every
-			// instant in that window — the scan linearizes at its boundary.
-			if o.uni.Load() == u {
-				var resum uint64
-				for _, id := range ids {
-					resum += regs[id].stamp.Load()
-				}
-				if sum == resum {
-					o.optimisticScans.Add(1)
-					return vals, info, nil
-				}
-			}
-		}
-		o.tornReads.Add(1)
-		info.Retries++
-	}
-	o.yield(sched.PreEscalate, o.attempts)
-	o.escalations.Add(1)
-	// The wait-free slow path: pin, announce, double collect, adopt posted
-	// help. It allocates its own result, so a scan that burned its budget
-	// first pays one extra result-sized allocation — the price of losing
-	// the optimistic bet, not of the steady state. scanPinned carries its
-	// own mixed-epoch defence (the per-component epoch recheck), so a view
-	// whose named components were replaced by a mid-scan resize is
-	// discarded and retaken inside the call, counted by
-	// Stats.ViewsDiscarded rather than TornReads.
-	u := o.pin()
-	if full {
-		ids = u.all
-	}
-	return o.scanPinned(u, ids, full, info)
 }

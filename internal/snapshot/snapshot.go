@@ -28,11 +28,10 @@
 //     itself announced and helpable (help records chain), which is what
 //     makes helping — and therefore every partial scan — wait-free; see
 //     the termination argument on embeddedScan. The type name predates the
-//     wait-freedom restoration. Built as "versioned" (see New), the same
-//     object first tries a seqlock-style optimistic pass — per-component
-//     stamps read in order and validated by one re-read — and escalates
-//     to the wait-free protocol only after a bounded number of torn
-//     attempts (see optimistic in scan.go).
+//     wait-freedom restoration. Every scan takes this one path: a double
+//     collect whose first collect, for up to 16 components, lives in a
+//     stack array (see doubleCollect in scan.go), then announce-and-help
+//     on obstruction.
 //   - RWMutex: a coarse-grained reference implementation used as the
 //     correctness baseline and benchmark foil.
 //
@@ -91,13 +90,13 @@ type Object[V any] interface {
 
 // maxBitmaskComponents bounds the stack-allocated duplicate bitmask in
 // validateIDs: 4096 bits = 512 bytes of stack, zeroed per call, which is
-// far cheaper than a map allocation on the hot path.
+// far cheaper than a heap allocation on the hot path.
 const maxBitmaskComponents = 4096
 
 // validateIDs rejects empty, out-of-range and duplicate component sets. It
 // is on the hot path of every operation and allocation-free for all
 // objects up to maxBitmaskComponents components; only larger objects with
-// wide sets fall back to a map.
+// wide sets allocate their bitmask, one bit per component.
 func validateIDs(n int, ids []int) error {
 	if len(ids) == 0 {
 		return fmt.Errorf("%w: empty component set", ErrBadComponent)
@@ -132,29 +131,20 @@ func validateIDs(n int, ids []int) error {
 		}
 		return nil
 	}
-	if n <= maxBitmaskComponents {
-		var seen [maxBitmaskComponents / 64]uint64
-		for _, id := range ids {
-			if id < 0 || id >= n {
-				return fmt.Errorf("%w: component %d out of range [0,%d)", ErrBadComponent, id, n)
-			}
-			w, bit := id/64, uint64(1)<<(id%64)
-			if seen[w]&bit != 0 {
-				return fmt.Errorf("%w: duplicate component %d", ErrBadComponent, id)
-			}
-			seen[w] |= bit
-		}
-		return nil
+	var stack [maxBitmaskComponents / 64]uint64
+	seen := stack[:]
+	if n > maxBitmaskComponents {
+		seen = make([]uint64, (n+63)/64)
 	}
-	seen := make(map[int]struct{}, len(ids))
 	for _, id := range ids {
 		if id < 0 || id >= n {
 			return fmt.Errorf("%w: component %d out of range [0,%d)", ErrBadComponent, id, n)
 		}
-		if _, dup := seen[id]; dup {
+		w, bit := id/64, uint64(1)<<(id%64)
+		if seen[w]&bit != 0 {
 			return fmt.Errorf("%w: duplicate component %d", ErrBadComponent, id)
 		}
-		seen[id] = struct{}{}
+		seen[w] |= bit
 	}
 	return nil
 }

@@ -9,7 +9,7 @@ import (
 
 // TestValidateIDsBitmaskPath exercises the stack-bitmask duplicate check
 // used for sets wider than 32 on objects up to maxBitmaskComponents, and
-// the map fallback above it.
+// the heap bitmask above it.
 func TestValidateIDsBitmaskPath(t *testing.T) {
 	// Valid wide set on a mid-size object.
 	ids := make([]int, 64)
@@ -33,7 +33,7 @@ func TestValidateIDsBitmaskPath(t *testing.T) {
 		10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 63}); !errors.Is(err, ErrBadComponent) {
 		t.Fatal("duplicate across bitmask words not caught")
 	}
-	// Map fallback for objects too large for the bitmask.
+	// Heap bitmask for objects too large for the stack one.
 	big := make([]int, 40)
 	for i := range big {
 		big[i] = i * 1000
@@ -43,15 +43,15 @@ func TestValidateIDsBitmaskPath(t *testing.T) {
 	}
 	big[39] = big[0]
 	if err := validateIDs(maxBitmaskComponents*10, big); !errors.Is(err, ErrBadComponent) {
-		t.Fatalf("duplicate on map path: error = %v, want ErrBadComponent", err)
+		t.Fatalf("duplicate on heap-bitmask path: error = %v, want ErrBadComponent", err)
 	}
 }
 
 // TestValidateIDsHeapFallbackBoundary walks the seam between the
-// stack-bitmask fast path and the heap map fallback: n equal to
+// stack-bitmask fast path and the heap-bitmask fallback: n equal to
 // maxBitmaskComponents (inclusive — the highest id, 4095, must land in the
-// bitmask's last word) and n just above it (every wide set now takes the
-// map path), exercising accept, duplicate, out-of-range and negative ids
+// stack bitmask's last word) and n just above it (every wide set now takes
+// the heap bitmask), exercising accept, duplicate, out-of-range and negative ids
 // on both sides of the boundary.
 func TestValidateIDsHeapFallbackBoundary(t *testing.T) {
 	wideSet := func(n int) []int {
@@ -86,7 +86,7 @@ func TestValidateIDsHeapFallbackBoundary(t *testing.T) {
 	}
 }
 
-// TestValidateIDsHeapFallbackThroughPublicAPI drives the map fallback the
+// TestValidateIDsHeapFallbackThroughPublicAPI drives the heap fallback the
 // way a real caller hits it: a full Scan of an object wider than the
 // bitmask bound validates all n ids through the fallback, and wide invalid
 // sets surface the typed error from both operations.
@@ -123,7 +123,7 @@ func TestValidateIDsHeapFallbackThroughPublicAPI(t *testing.T) {
 }
 
 // TestValidateIDsBoundFollowsPinnedEpoch grows an object across the
-// stack-bitmask/heap-map seam — maxBitmaskComponents-1, exactly
+// stack-bitmask/heap-bitmask seam — maxBitmaskComponents-1, exactly
 // maxBitmaskComponents, then one past it — and checks at every size that
 // the validation bound is the PINNED epoch's component count, not the
 // construction-time one: the frontier id flips from rejected to accepted
@@ -156,8 +156,8 @@ func TestValidateIDsBoundFollowsPinnedEpoch(t *testing.T) {
 			t.Fatalf("n=%d: id %d accepted beyond the pinned bound: %v", n, n, err)
 		}
 		// Wide sets: valid at the frontier, duplicates caught on whichever
-		// detector this epoch's size selects (bitmask at and below the
-		// seam, map above).
+		// detector this epoch's size selects (stack bitmask at and below
+		// the seam, heap bitmask above).
 		ids := wideTo(n - 1)
 		if err := validateIDs(n, ids); err != nil {
 			t.Fatalf("n=%d: valid wide set rejected: %v", n, err)
@@ -188,9 +188,25 @@ func TestValidateIDsBoundFollowsPinnedEpoch(t *testing.T) {
 	}
 }
 
+// TestValidateIDsFullWidthDuplicate16384 validates a full-width set at
+// n=16,384 — the shape of a full Scan of a large object, four times the
+// stack bitmask's reach — and then the same set with a duplicate of its top
+// id planted last, where only a complete bitmask can catch it.
+func TestValidateIDsFullWidthDuplicate16384(t *testing.T) {
+	const n = 16384
+	ids := allIDs(n)
+	if err := validateIDs(n, ids); err != nil {
+		t.Fatalf("full-width set rejected: %v", err)
+	}
+	ids[n-1] = n - 2
+	err := validateIDs(n, ids)
+	if !errors.Is(err, ErrBadComponent) || err.Error() != referenceValidateIDs(n, ids).Error() {
+		t.Fatalf("full-width duplicate: error = %v, want %v", err, referenceValidateIDs(n, ids))
+	}
+}
+
 // TestValidateIDsAllocationFree pins the perf fix: validating a wide set on
-// an object within the bitmask bound must not allocate (the old code built
-// a map per call for every set wider than 32).
+// an object within the stack-bitmask bound must not allocate.
 func TestValidateIDsAllocationFree(t *testing.T) {
 	ids := make([]int, 64)
 	for i := range ids {
@@ -209,7 +225,7 @@ func TestValidateIDsAllocationFree(t *testing.T) {
 // FuzzValidateIDs checks validateIDs against a map-based reference on every
 // tier it dispatches to: the one-word bitmask (n <= 64), the quadratic scan
 // (at most 32 ids), the stack bitmask (n <= maxBitmaskComponents) and the
-// map fallback above it. Each pair of input bytes is one id, decoded into
+// heap bitmask above it. Each pair of input bytes is one id, decoded into
 // [-1, n] so the fuzzer reaches negative, in-range and just-past-the-end
 // ids alike; the verdict, its ErrBadComponent wrapping and its message
 // (which names the first offending id) must all match the reference.
