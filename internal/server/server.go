@@ -63,7 +63,9 @@ type Config struct{}
 // bad_resize. A component costs about 160 B — a 128 B announcement slot,
 // an 8 B register, the two 8 B pointers to them and an 8 B id-list entry —
 // so the cap bounds that state at about 10 MiB; without it one grow
-// request can ask the runtime for any amount.
+// request can ask the runtime for any amount. A written component can also
+// pin up to 128 B of stale values: its register keeps alive the whole run
+// its value slot came from, for at most another 8 MiB.
 const maxComponents = 1 << 16
 
 // Server serves one snapshot object over HTTP.

@@ -530,9 +530,10 @@ func TestOversizedBodies(t *testing.T) {
 // one scan through the handler, each checked by the conformance checker,
 // cost at most a few allocations more than GET /healthz through the same
 // mux, which is the floor net/http and httptest set. The extra ones are
-// the Content-Type reply header and the object's own allocation: the
-// update's cell batch, the scan's result slice. The checker recycles its
-// op slots and adds none. httptest.NewRecorder does not clone headers or
+// the Content-Type reply header and, for a scan, the result slice its
+// caller keeps. An update's value slots come from a 128 B run, one
+// allocation every eighth width-2 update, which AllocsPerRun's integer
+// average rounds away. The checker recycles its op slots and adds none. httptest.NewRecorder does not clone headers or
 // discard bodies; TestLoopbackAllocs measures over a real connection.
 func TestHandlerAllocs(t *testing.T) {
 	if raceEnabled {
@@ -556,9 +557,12 @@ func TestHandlerAllocs(t *testing.T) {
 	update := probe(http.MethodPost, "/update", `{"ids":[3,17],"vals":[4294967297,4294967298]}`)
 	scan := probe(http.MethodPost, "/scan", `{"ids":[3,17,40,63]}`)
 	t.Logf("allocs per request: healthz %.1f, update %.1f, scan %.1f", floor, update, scan)
-	const budget = 3
-	if update > floor+budget || scan > floor+budget {
-		t.Fatalf("update %.1f or scan %.1f allocs exceed healthz's %.1f by more than %d", update, scan, floor, budget)
+	const updateBudget, scanBudget = 2, 3
+	if update > floor+updateBudget {
+		t.Errorf("update %.1f allocs exceed healthz's %.1f by more than %d", update, floor, updateBudget)
+	}
+	if scan > floor+scanBudget {
+		t.Errorf("scan %.1f allocs exceed healthz's %.1f by more than %d", scan, floor, scanBudget)
 	}
 }
 
@@ -635,13 +639,16 @@ func atoi(b []byte) int {
 // TestLoopbackAllocs is TestHandlerAllocs over a real http.Server and one
 // raw keep-alive connection, where net/http's own per-request work shows:
 // the clone of a reply header the handler set, and the discard of a
-// request body the handler left open. An update and a scan may cost at
-// most budget allocations more than GET /healthz. Measured on go1.24 the
-// nine are: four net/http spends on any request with a body (one more
-// header value, the body reader, its length limit and its EOF hook), four
-// for the Content-Type reply header the wire contract pins (the map entry
-// and net/http's clone of the header), and the object's cell batch or
-// result slice. The body is read to EOF and closed, so no discard runs.
+// request body the handler left open. An update may cost at most
+// updateBudget allocations more than GET /healthz and a scan scanBudget.
+// Measured on go1.24 the update's eight are: four net/http spends on any
+// request with a body (one more header value, the body reader, its length
+// limit and its EOF hook) and four for the Content-Type reply header the
+// wire contract pins (the map entry and net/http's clone of the header).
+// A scan adds the result slice its caller keeps; an update's value slots
+// come from a 128 B run, one allocation every eighth width-2 update, which
+// AllocsPerRun's integer average rounds away. The body is read to EOF and
+// closed, so no discard runs.
 func TestLoopbackAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled buffers at random")
@@ -665,8 +672,11 @@ func TestLoopbackAllocs(t *testing.T) {
 	update := probe("/update", `{"ids":[3,17],"vals":[4294967297,4294967298]}`)
 	scan := probe("/scan", `{"ids":[3,17,40,63]}`)
 	t.Logf("allocs per request over loopback: healthz %.2f, update %.2f, scan %.2f", floor, update, scan)
-	const budget = 9
-	if update > floor+budget || scan > floor+budget {
-		t.Fatalf("update %.2f or scan %.2f allocs exceed healthz's %.2f by more than %d", update, scan, floor, budget)
+	const updateBudget, scanBudget = 8, 9
+	if update > floor+updateBudget {
+		t.Errorf("update %.2f allocs exceed healthz's %.2f by more than %d", update, floor, updateBudget)
+	}
+	if scan > floor+scanBudget {
+		t.Errorf("scan %.2f allocs exceed healthz's %.2f by more than %d", scan, floor, scanBudget)
 	}
 }

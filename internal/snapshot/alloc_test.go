@@ -2,19 +2,20 @@ package snapshot_test
 
 import (
 	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"partialsnapshot/internal/snapshot"
 )
 
 // Steady-state allocation budgets for the single-goroutine hot paths.
-// LockFree recycles scan records and collect buffers (pool.go) and batches
-// an update's cells into one backing array, so the only allocation an
-// uncontended operation performs is the one the caller (or the register
-// file) keeps: the result slice of a scan, the cell batch of an update.
-// These tests are the regression gate for that property — any new
-// per-operation allocation on the fast paths fails them, long before the
-// benchmark trend would show it.
+// LockFree recycles scan records and collect buffers (pool.go), and every
+// write takes never-used slots from a 128 B run (registers.go), so an
+// uncontended scan performs one allocation — the result slice its caller
+// keeps — and an update only its share of a run: 1/16 per int64 slot. These
+// tests are the regression gate for that property — any new per-operation
+// allocation on the fast paths fails them, long before the benchmark trend
+// would show it.
 //
 // The budgets allow a small fraction over the integer target because a GC
 // cycle during the measurement loop legitimately empties the pools and
@@ -41,7 +42,6 @@ func assertAllocs(t *testing.T, name string, budget float64, f func() error) {
 
 func TestAllocsPerOpLockFree(t *testing.T) {
 	o := snapshot.NewLockFree[int64](64)
-	narrow, narrowVals := []int{3}, []int64{1}
 	wide, wideVals := []int{3, 40, 17, 60}, []int64{1, 2, 3, 4}
 	scanIDs := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	// One set on each side of the stack-resident collect width (16): the
@@ -68,15 +68,34 @@ func TestAllocsPerOpLockFree(t *testing.T) {
 		}
 	}
 
-	// One allocation per update: the batch's cell array (never pooled —
-	// cell ABA safety is the GC's job), regardless of batch width.
-	assertAllocs(t, "lockfree Update width-1", 1, func() error { return o.Update(narrow, narrowVals) })
-	assertAllocs(t, "lockfree Update width-4", 1, func() error { return o.Update(wide, wideVals) })
 	// One allocation per scan: the result slice the caller keeps.
 	assertAllocs(t, "lockfree PartialScan width-8", 1, func() error { _, err := o.PartialScan(scanIDs); return err })
 	assertAllocs(t, "lockfree PartialScan width-16", 1, func() error { _, err := o.PartialScan(stackIDs); return err })
 	assertAllocs(t, "lockfree PartialScan width-17", 1, func() error { _, err := o.PartialScan(pooledIDs); return err })
 	assertAllocs(t, "lockfree full Scan", 1, func() error { _, err := o.Scan(); return err })
+
+	// Update budgets are fractional, which testing.AllocsPerRun would
+	// truncate to zero, so they are measured with mallocsPerRun. An int64
+	// run holds 16 slots, so a width-w update starts a run every 16/w
+	// updates; a batch wider than a run takes a run of its own.
+	if raceEnabled {
+		t.Skip("update budgets: the race detector drops sync.Pool Puts at random")
+	}
+	for _, tc := range []struct {
+		width  int
+		budget float64
+	}{{1, 1.0 / 16}, {2, 1.0 / 8}, {4, 1.0 / 4}, {17, 1}} {
+		ids, vals := make([]int, tc.width), make([]int64, tc.width)
+		for i := range ids {
+			ids[i], vals[i] = 3*i, int64(i)
+		}
+		allocs, _ := mallocsPerRun(t, func() error { return o.Update(ids, vals) })
+		if allocs > tc.budget+mallocSlack {
+			t.Errorf("lockfree Update width-%d: %.4f allocs/op, budget %.4f", tc.width, allocs, tc.budget)
+		} else {
+			t.Logf("lockfree Update width-%d: %.4f allocs/op (budget %.4f)", tc.width, allocs, tc.budget)
+		}
+	}
 }
 
 func TestAllocsPerOpRWMutex(t *testing.T) {
@@ -87,36 +106,108 @@ func TestAllocsPerOpRWMutex(t *testing.T) {
 	assertAllocs(t, "rwmutex PartialScan width-4", 1, func() error { _, err := o.PartialScan(scanIDs); return err })
 }
 
-// TestUpdateBytes pins the size of a cell: it holds only its value, so a
-// width-2 int64 update allocates one 16-byte batch and nothing else. A
-// field added to the cell (an op id, a version) doubles this.
-func TestUpdateBytes(t *testing.T) {
-	const (
-		runs   = 10_000
-		budget = 16
-	)
-	// Like testing.AllocsPerRun: one P, so no other goroutine's
-	// allocations land inside the measured window.
+// mallocSlack is the per-op slack mallocsPerRun budgets allow: 100 extra
+// allocations over its 10,000 runs, for pool refills after a GC.
+const mallocSlack = 0.01
+
+// mallocsPerRun returns the heap allocations and bytes f averages over
+// 10,000 runs after 64 warm-up runs. Like testing.AllocsPerRun it runs on
+// one P, so no other goroutine's allocations land inside the measured
+// window and every run meets the same per-P pool; unlike it, it does not
+// truncate the averages to integers.
+func mallocsPerRun(t *testing.T, f func() error) (allocs, bytes float64) {
+	t.Helper()
+	const runs = 10_000
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	ids, vals := []int{3, 40}, []int64{1, 2}
-	o := snapshot.NewLockFree[int64](64)
 	for i := 0; i < 64; i++ {
-		if err := o.Update(ids, vals); err != nil {
+		if err := f(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		if err := o.Update(ids, vals); err != nil {
+		if err := f(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	runtime.ReadMemStats(&after)
-	got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestUpdateBytes pins the size of a value slot: it holds only the value,
+// so a width-2 int64 update takes 16 bytes of a run and nothing else. A
+// field added beside the value (an op id, a version) doubles this.
+func TestUpdateBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool Puts at random")
+	}
+	const budget = 16
+	ids, vals := []int{3, 40}, []int64{1, 2}
+	o := snapshot.NewLockFree[int64](64)
+	_, got := mallocsPerRun(t, func() error { return o.Update(ids, vals) })
 	if got > budget+allocSlack {
 		t.Errorf("lockfree Update width-2: %.2f B/op, budget %d", got, budget)
 	} else {
 		t.Logf("lockfree Update width-2: %.2f B/op (budget %d)", got, budget)
 	}
+}
+
+// TestCellRetentionBytes pins what runs cost in live heap. A register
+// keeps its whole run alive, so the live heap per component depends on
+// the write pattern. Written once each in order, 16 int64 components
+// share one 128 B run: 8 B each. Written so that every run holds one
+// component's current value and fifteen stale ones, each component keeps
+// one run alive: 128 B. That is the bound — never more than one run per
+// component.
+func TestCellRetentionBytes(t *testing.T) {
+	const n = 4096
+	liveHeap() // the first metrics.Read allocates the package's tables
+	retained := func(write func(o *snapshot.LockFree[int64], c int) error) float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		o := snapshot.NewLockFree[int64](n)
+		before := liveHeap()
+		for c := 0; c < n; c++ {
+			if err := write(o, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after := liveHeap()
+		runtime.KeepAlive(o)
+		return float64(after-before) / n
+	}
+	one := []int64{1}
+	sequential := retained(func(o *snapshot.LockFree[int64], c int) error {
+		return o.Update([]int{c}, one)
+	})
+	adversarial := retained(func(o *snapshot.LockFree[int64], c int) error {
+		if err := o.Update([]int{c}, one); err != nil {
+			return err
+		}
+		for i := 0; i < 15; i++ {
+			if err := o.Update([]int{0}, one); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	t.Logf("live heap per component: sequential %.1f B, adversarial %.1f B", sequential, adversarial)
+	// One byte per component of slack absorbs the test binary's own heap
+	// noise (4 KiB at n=4,096).
+	if !raceEnabled && sequential > 8+1 {
+		t.Errorf("sequential writes keep %.1f B/component live, want at most 8", sequential)
+	}
+	if adversarial > 128+1 {
+		t.Errorf("adversarial writes keep %.1f B/component live, want at most one 128 B run", adversarial)
+	}
+}
+
+// liveHeap returns the heap the garbage collector found live, after two
+// cycles so that objects freed by the first are gone.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }

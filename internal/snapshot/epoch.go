@@ -106,13 +106,13 @@ type universe[V any] struct {
 	all    []int // cached [0..n) for Scan
 }
 
-// reg is one component's register: the atomic cell pointer every
-// operation reads and writes. Surviving components share their reg across
-// epochs, so a write through an old epoch is visible to readers of the new
-// one, while a shrunk-and-regrown component comes back with a fresh reg
-// and a fresh zero cell.
+// reg is one component's register: the atomic pointer to its value slot
+// that every operation reads and writes (see registers.go). Surviving
+// components share their reg across epochs, so a write through an old
+// epoch is visible to readers of the new one, while a shrunk-and-regrown
+// component comes back with a fresh reg pointing at a zero value.
 type reg[V any] struct {
-	ptr atomic.Pointer[cell[V]]
+	ptr atomic.Pointer[V]
 }
 
 // newUniverse returns epoch 0 with n zero-valued components. Regs and
@@ -128,7 +128,7 @@ func newUniverse[V any](n int) *universe[V] {
 	backing := make([]reg[V], n)
 	slotBacking := make([]slot[V], n)
 	groupBacking := make([]slotGroup, numGroups(n))
-	initial := &cell[V]{}
+	initial := new(V)
 	for i := 0; i < n; i++ {
 		backing[i].ptr.Store(initial)
 		u.regs[i] = &backing[i]
@@ -166,7 +166,7 @@ func (u *universe[V]) grown(k int) *universe[V] {
 	backing := make([]reg[V], k)
 	slotBacking := make([]slot[V], k)
 	groupBacking := make([]slotGroup, numGroups(n+k)-len(u.groups))
-	initial := &cell[V]{}
+	initial := new(V)
 	for i := 0; i < k; i++ {
 		backing[i].ptr.Store(initial)
 		succ.regs[n+i] = &backing[i]

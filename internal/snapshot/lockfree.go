@@ -16,7 +16,7 @@ import (
 //
 // The implementation is split by layer: epoch.go holds the epoch-versioned
 // universe (the resizable shape behind Grow/Shrink), registers.go the
-// per-component cells and counter shards, registry.go the sharded
+// value slots, their runs and the counter shards, registry.go the sharded
 // announcement registry, scan.go the scanner side, helping.go the updater
 // side.
 type LockFree[V any] struct {
@@ -38,13 +38,15 @@ type LockFree[V any] struct {
 
 	sched sched.Scheduler // nil outside schedule-injection tests
 
+	runs sync.Pool // each P's run of never-used value slots (takeCells)
+
 	// bufs and records recycle the hot paths' working state (collect
 	// buffers, scan records) so steady-state operations stay allocation-
 	// free; see pool.go for the reuse protocol.
 	bufs    sync.Pool
 	records recordPool[V]
 
-	mut mutations // test-only protocol breakages; all off in production
+	mut mutations[V] // test-only protocol breakages; all off in production
 
 	scanRetries  atomic.Uint64
 	helpsPosted  atomic.Uint64
@@ -76,13 +78,15 @@ type LockFree[V any] struct {
 // without re-loading the universe, so a view straddling a Shrink can pair
 // a dropped component's frozen cell with a later write.
 // earlySummaryDecrement hands a record's slot-group counts back at enroll,
-// so updaters skip a live announced scan.
-type mutations struct {
+// so updaters skip a live announced scan. A non-nil reuseCells makes
+// every update write into that fixed ring's first slots (see takeCells).
+type mutations[V any] struct {
 	helpBound             int
 	unsafeEagerRelease    bool
 	unpinnedEpoch         bool
 	skipEpochRecheck      bool
 	earlySummaryDecrement bool
+	reuseCells            []V
 }
 
 // NewLockFree returns a wait-free partial snapshot object with n components,
@@ -137,7 +141,9 @@ func (o *LockFree[V]) Update(ids []int, vals []V) error {
 
 // UpdateOp is Update, additionally returning the unique operation id this
 // update drew: the id it posts help views under, which provenance-aware
-// tests match against ScanInfo.HelperOp and spec.Op.UpdateID.
+// tests match against ScanInfo.HelperOp and spec.Op.UpdateID. Every write
+// takes never-used slots from a 128 B run, so the batch's stores publish
+// addresses no collect can already hold.
 func (o *LockFree[V]) UpdateOp(ids []int, vals []V) (uint64, error) {
 	// Pin once: validation, the helping walk and the stores all run against
 	// this one epoch's shape. A resize installed after this load linearizes
@@ -148,17 +154,11 @@ func (o *LockFree[V]) UpdateOp(ids []int, vals []V) (uint64, error) {
 	}
 	op := o.nextOp(u, ids)
 	o.helpIntersectingScans(u, ids, op)
-	// One backing array for the whole batch: a multi-component update costs
-	// one allocation, not one per component. Pointer identity still
-	// distinguishes writes for the double collect — every batch is fresh
-	// heap memory, and cells are never pooled, because a collect that
-	// already loaded a cell pointer may dereference it arbitrarily later
-	// (the GC, not a generation tag, is what rules out cell ABA).
-	batch := make([]cell[V], len(ids))
+	cells := o.takeCells(len(ids))
 	for i, id := range ids {
-		batch[i] = cell[V]{val: vals[i]}
+		cells[i] = vals[i]
 		o.yield(sched.PreCellStore, id)
-		u.regs[id].ptr.Store(&batch[i])
+		u.regs[id].ptr.Store(&cells[i])
 	}
 	return op, nil
 }

@@ -723,3 +723,125 @@ func TestMutationSkipEpochRecheckIsConvicted(t *testing.T) {
 	t.Logf("mutant caught at schedule %d/%d: %v\nshrunk trace (%d steps):\n%s",
 		f.Schedule, mutated.Schedules, f.Err, len(f.Trace), f.Trace)
 }
+
+// reuseCellsScenario stages the smallest state in which handing a value
+// slot out twice breaks the double collect. Slot identity is the
+// per-register tag the collect compares, so a slot must never be written
+// again while a collect may still hold it. Deterministic setup (scripted,
+// not explored): a seed update writes {0: 1, 1: 2}, which with the mutant
+// fills both slots of a two-slot ring.
+//
+// The search then owns the schedule of two actors:
+//
+//   - "scanner" scans {0};
+//   - "writer" writes 7 to component 1.
+//
+// The mutant's writer takes the ring's first slot again and writes 7 into
+// the very slot component 0's register still points at, so a scan whose collects land on
+// either side of that write sees component 0 unchanged and returns 7 for
+// it — a value never written to component 0, which spec.Check rejects. On
+// the intact object the writer's slot is never-used memory, so no schedule
+// can show the scanner anything but 1.
+func reuseCellsScenario(mutate bool) sched.Scenario {
+	return func(c *sched.Controller) sched.Oracle {
+		o := NewLockFree[int64](2).Instrument(c)
+		if mutate {
+			o.mut.reuseCells = make([]int64, 2)
+		}
+		rec := &spec.Recorder[int64]{}
+		var mu sync.Mutex
+		var opErrs []error
+		fail := func(err error) {
+			mu.Lock()
+			opErrs = append(opErrs, err)
+			mu.Unlock()
+		}
+
+		start := rec.Now()
+		seedOp, err := o.UpdateOp([]int{0, 1}, []int64{1, 2})
+		if err != nil {
+			return func(sched.Trace) error { return fmt.Errorf("seed update: %w", err) }
+		}
+		rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
+			Comps: []int{0, 1}, Vals: []int64{1, 2}, UpdateID: seedOp})
+
+		c.Spawn("scanner", func() {
+			start := rec.Now()
+			vals, si, err := o.PartialScanInfo([]int{0})
+			if err != nil {
+				fail(fmt.Errorf("scanner: %w", err))
+				return
+			}
+			rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
+				Comps: []int{0}, Vals: vals, AdoptedFrom: si.HelperOp})
+		})
+		c.Spawn("writer", func() {
+			start := rec.Now()
+			id, err := o.UpdateOp([]int{1}, []int64{7})
+			if err != nil {
+				fail(fmt.Errorf("writer: %w", err))
+				return
+			}
+			rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
+				Comps: []int{1}, Vals: []int64{7}, UpdateID: id})
+		})
+
+		return func(sched.Trace) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if len(opErrs) > 0 {
+				return opErrs[0]
+			}
+			ops := rec.Ops()
+			if err := spec.Check(2, ops); err != nil {
+				return fmt.Errorf("schedule rejected by spec: %w", err)
+			}
+			return spec.CheckProvenance(ops)
+		}
+	}
+}
+
+// TestMutationReusedCellsAreConvicted hands value slots out of a fixed
+// ring via the reuseCells seam and requires the systematic search to find
+// a scan returning a value its component never held — then shrink it and
+// replay it. The control arm runs the identical search against the intact
+// object and must exhaust with every schedule passing: never handing a
+// slot out twice, not luck, is what keeps slot identity an ABA-free tag.
+func TestMutationReusedCellsAreConvicted(t *testing.T) {
+	d := &sched.DFSExplorer{MaxPreemptions: 2, MaxSchedules: 20000, Timeout: 30 * time.Second}
+
+	intact := d.Explore(reuseCellsScenario(false))
+	if intact.Failure != nil {
+		t.Fatalf("intact protocol failed schedule %d: %v\n%s",
+			intact.Failure.Schedule, intact.Failure.Err, intact.Failure.Trace)
+	}
+	if !intact.Exhausted {
+		t.Fatalf("intact search did not exhaust: %+v", intact)
+	}
+
+	mutated := d.Explore(reuseCellsScenario(true))
+	if mutated.Failure == nil {
+		t.Fatalf("the searcher cannot fail: reused slots survived %d schedules at preemption bound %d",
+			mutated.Schedules, d.MaxPreemptions)
+	}
+	f := mutated.Failure
+	if len(f.Trace) > len(f.RawTrace) {
+		t.Fatalf("shrunk trace grew: %d > %d steps", len(f.Trace), len(f.RawTrace))
+	}
+	if _, err := d.Replay(reuseCellsScenario(true), f.Trace); err == nil {
+		t.Fatalf("shrunk failing trace replayed clean:\n%s", f.Trace)
+	}
+	// The intact object sails through the mutant-killing schedule. Both
+	// variants take the same yield points, so the replay is strict.
+	c := sched.NewController()
+	intactOracle := reuseCellsScenario(false)(c)
+	got, err := sched.ReplayTrace(c, f.Trace, true)
+	if err != nil {
+		t.Fatalf("strict replay on the intact object broke down: %v", err)
+	}
+	if err := intactOracle(got); err != nil {
+		t.Fatalf("intact object failed the mutant-killing schedule: %v\n%s", err, got)
+	}
+	t.Logf("mutant caught at schedule %d/%d (of %d intact): %v\nshrunk trace (%d steps):\n%s",
+		f.Schedule, mutated.Schedules, intact.Schedules, f.Err, len(f.Trace), f.Trace)
+}

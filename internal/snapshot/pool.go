@@ -9,10 +9,10 @@ import (
 // This file is the allocation recycling layer of LockFree. The hot paths
 // used to allocate a fresh scan record plus two collect buffers on every
 // operation that needed them; in steady state all of those now come from
-// pools (or, for scans up to stackCollect components wide, the stack) and
-// the only per-operation allocation left is the result slice the
-// caller keeps (scans) or the cell batch the object's registers keep
-// (updates).
+// pools (or, for scans up to stackCollect components wide, the stack). What
+// is left is the result slice a scan's caller keeps, and a share of the
+// 128 B run of never-used slots each write takes its values from (see
+// takeCells in registers.go; only a run's cursor is recycled).
 //
 // Two kinds of state are pooled, with very different hazard profiles:
 //
@@ -58,7 +58,7 @@ import (
 // wider than stackCollect. It grows to the widest scan it has served and
 // is only ever touched by the goroutine that got it from the pool.
 type scanBuffer[V any] struct {
-	cells []*cell[V]
+	cells []*V
 }
 
 // getBuf returns a collect buffer of length n, reusing a pooled one when
@@ -69,7 +69,7 @@ func (o *LockFree[V]) getBuf(n int) *scanBuffer[V] {
 		sb = &scanBuffer[V]{}
 	}
 	if cap(sb.cells) < n {
-		sb.cells = make([]*cell[V], n)
+		sb.cells = make([]*V, n)
 	}
 	sb.cells = sb.cells[:n]
 	return sb

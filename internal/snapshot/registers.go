@@ -1,25 +1,63 @@
 package snapshot
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
-// This file is the register layer of LockFree: the per-component atomic
-// cells every collect reads, and the sharded counters that hand out update
-// op ids. Nothing here knows about announcements or helping.
-
-// cell is one immutable register value for a single component. Every write
-// allocates a fresh cell, so pointer identity distinguishes writes: a
-// double collect that loads the same *cell twice knows the component did
-// not change in between (Go's GC rules out ABA while the collect still
-// holds the old pointer). That identity is the paper's per-register tag,
-// so the cell holds only the value.
+// This file is the register layer of LockFree: the value slots every
+// collect reads, the runs updates take them from, and the sharded counters
+// that hand out update op ids. Nothing here knows about announcements or
+// helping.
 //
-// The one exception is a zero-size V: Go may give every zero-size
-// allocation the same address, so all cells of such a V can share one
-// pointer and a double collect cannot see a write. That is harmless. V then
+// A register points at an immutable value slot. Every write takes
+// never-used slots from a 128 B run, so pointer identity distinguishes
+// writes: a double collect that loads the same *V twice knows the
+// component did not change in between. That identity is the paper's
+// per-register tag. Go's GC rules out ABA: a held pointer keeps its whole
+// run alive, and no slot is ever handed out twice, so no write can reuse
+// an address a collect still holds. The cost is that a register keeps up
+// to one run of stale values alive.
+//
+// The one exception is a zero-size V: every slot of such a V may share one
+// address, so a double collect cannot see a write. That is harmless. V then
 // has exactly one value, every write stores it, and so every view a scan
 // can return is the one every linearization agrees on.
-type cell[V any] struct {
-	val V
+
+// runBytes is the size of a run of value slots: two cache lines, so a
+// width-2 int64 update starts a new run (one allocation) every eighth time.
+const runBytes = 128
+
+// cellRun is one P's run of never-used value slots. It lives in the
+// object's runs pool, so only the cursor is recycled: a slot leaves free
+// exactly once and is written only before its register store publishes it.
+type cellRun[V any] struct {
+	free []V
+}
+
+// takeCells returns k never-used value slots, in order, from this P's run,
+// starting a run of max(k, 128 B worth) when fewer than k are left. The
+// one path covers wide batches and large V.
+func (o *LockFree[V]) takeCells(k int) []V {
+	if ring := o.mut.reuseCells; ring != nil {
+		// Test-only mutation seam: hand every update the ring's first k
+		// slots, so a slot is written again while a parked collect may
+		// still hold it — the cell ABA the never-reuse rule prevents.
+		return ring[:k]
+	}
+	r, _ := o.runs.Get().(*cellRun[V])
+	if r == nil {
+		r = &cellRun[V]{}
+	}
+	if len(r.free) < k {
+		// A V wider than a run gets a run of one batch; a zero-size V
+		// must not divide by zero.
+		r.free = make([]V, max(k, runBytes/max(1, int(unsafe.Sizeof(*new(V))))))
+	}
+	cells := r.free[:k:k]
+	r.free = r.free[k:]
+	o.runs.Put(r)
+	return cells
 }
 
 // opShards is the number of counter shards. It must stay a power of two

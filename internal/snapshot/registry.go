@@ -96,7 +96,7 @@ type registry[V any] struct {
 	live    atomic.Int64  // records enrolled and not yet retired
 	deduped atomic.Uint64 // walk encounters skipped as already seen
 
-	mut *mutations // the owning object's mutation seams
+	mut *mutations[V] // the owning object's mutation seams
 
 	// yield is the schedule-injection hook, nil outside instrumented
 	// tests. It fires at sched.PostEnroll after each per-slot enrollment,

@@ -227,8 +227,9 @@ const stackCollect = 16
 // of the first collect's cells and true when no cell changed — the memory
 // state at an instant between the two collects — and false on the first
 // changed cell. Cell identity, not value equality, is what rules out ABA:
-// every write allocates a fresh cell, and the held pointers keep the GC
-// from recycling one while the collect can still compare against it.
+// every write takes never-used slots from a 128 B run (see registers.go),
+// and the held pointers keep the GC from recycling a run while the collect
+// can still compare against one of its slots.
 // Surviving components alias their cells across epochs, so a double collect
 // through an old epoch still observes writes made through newer ones.
 //
@@ -238,7 +239,7 @@ const stackCollect = 16
 func (o *LockFree[V]) doubleCollect(u *universe[V], ids []int, level int) ([]V, bool) {
 	regs := u.regs
 	if len(ids) <= stackCollect {
-		var first [stackCollect]*cell[V]
+		var first [stackCollect]*V
 		for i, id := range ids {
 			first[i] = regs[id].ptr.Load()
 		}
@@ -250,7 +251,7 @@ func (o *LockFree[V]) doubleCollect(u *universe[V], ids []int, level int) ([]V, 
 		}
 		vals := make([]V, len(ids))
 		for i := range vals {
-			vals[i] = first[i].val
+			vals[i] = *first[i]
 		}
 		return vals, true
 	}
@@ -268,8 +269,8 @@ func (o *LockFree[V]) doubleCollect(u *universe[V], ids []int, level int) ([]V, 
 		}
 	}
 	vals := make([]V, len(ids))
-	for i, c := range first {
-		vals[i] = c.val
+	for i, p := range first {
+		vals[i] = *p
 	}
 	o.putBuf(buf)
 	return vals, true
