@@ -43,7 +43,7 @@ const (
 	ScenarioScanHeavy = string(workload.ScanHeavy)
 	// ScenarioUpdateHeavy is pure update traffic with no scans at all: the
 	// quiescent fast-path scenario, where every registry consultation
-	// should resolve through the slot-group summary skip.
+	// should read a nil slot head and skip the walk.
 	ScenarioUpdateHeavy = string(workload.UpdateHeavy)
 	// ScenarioChurn runs mixed traffic over a breathing universe: worker 0
 	// periodically Grows and Shrinks the object while everyone's component

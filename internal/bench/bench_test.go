@@ -88,9 +88,9 @@ func TestRunEveryScenario(t *testing.T) {
 				}
 			case bench.ScenarioUpdateHeavy:
 				// Pure update traffic: no scans run, no announcement is ever
-				// live, so every registry consultation resolves through the
-				// quiescence summary — walks stay zero and the skip count
-				// reconciles exactly with update ops x update width.
+				// live, so every registry consultation reads a nil slot head
+				// — walks stay zero and the skip count reconciles exactly
+				// with update ops x update width.
 				if res.ScanOps != 0 {
 					t.Fatalf("update-heavy ran %d scans, want 0", res.ScanOps)
 				}
@@ -156,9 +156,9 @@ func TestPartitionedScenarioLocality(t *testing.T) {
 	if res.Stats == nil {
 		t.Fatal("partitioned lockfree result is missing Stats")
 	}
-	// Consultations split into slot walks and summary-elided skips; with
-	// single-worker partitions most scans never announce, so most group
-	// summaries read quiescent and the skip side dominates.
+	// Consultations split into slot walks and nil-head skips; with
+	// single-worker partitions most scans never announce, so most slot
+	// heads read nil and the skip side dominates.
 	if res.Stats.RegistryWalks+res.Stats.WalksSkipped == 0 {
 		t.Fatalf("updaters never consulted the registry: %+v", res.Stats)
 	}

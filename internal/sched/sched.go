@@ -72,23 +72,14 @@ const (
 	// registry slots of every component it names. arg = the record's level.
 	PostAnnounce Point = "post-announce"
 
-	// PreSummaryRead fires before an updater loads the quiescence summary
-	// (the slot group's announced count) that decides whether the slots of
-	// a group of components it is about to write need walking at all. arg =
-	// the first written component of the group. An update yields here once
-	// per distinct slot group in its write set — NOT once per component:
-	// consecutive written components of the same group reuse one summary
-	// read. Scripts park an updater here and race an enroller's
-	// count-raise/head-CAS pair against the load (the boundary race the
-	// skip's soundness argument covers).
-	PreSummaryRead Point = "pre-summary-read"
-
-	// PreSlotWalk fires before an updater walks the announcement registry
-	// slot of one of the components it is about to write — only reached
-	// when the component's slot-group summary read a nonzero count (see
-	// PreSummaryRead). arg = the component id. A multi-component update
-	// yields here once per named component in a non-quiescent group, which
-	// is what makes retire-during-walk races scriptable.
+	// PreSlotWalk fires right before an updater loads the head of the
+	// announcement registry slot of one of the components it is about to
+	// write — the one load that is its whole consultation of that
+	// component when the head is nil. arg = the component id. A
+	// multi-component update yields here once per named component. Scripts
+	// park an updater here and race an enroller's head CAS against the load
+	// (a load after the CAS walks and helps; a load before it is a pre-walk
+	// update), or retire a record under the walk that follows.
 	PreSlotWalk Point = "pre-slot-walk"
 
 	// PreUnlink fires before a lazy-unlink CAS that removes a retired

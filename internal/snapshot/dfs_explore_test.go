@@ -137,16 +137,16 @@ func TestDFSExhaustsTwoWritersOneScanner(t *testing.T) {
 		bound, rep.Schedules, rep.Steps, rep.BudgetSkips)
 }
 
-// summaryTwoWritersOneScanner is twoWritersOneScanner with the quiescence
-// summary's two outcomes made observable: skipped and walked accumulate
-// WalksSkipped and RegistryWalks across the explored space, so the
-// exhaustion test can prove the search drove schedules through BOTH sides
-// of the summary branch — writers whose summary read found the group
-// quiescent and skipped the slot walk outright, and writers whose read ran
-// while the scanner's announcement was live and therefore walked (and
-// helped). Without the counters, an exhausted space in which every writer
-// happened to skip would vacuously "verify" the walk path.
-func summaryTwoWritersOneScanner(skipped, walked *atomic.Uint64) sched.Scenario {
+// headTwoWritersOneScanner is twoWritersOneScanner with the slot-head
+// consultation's two outcomes made observable: skipped and walked
+// accumulate WalksSkipped and RegistryWalks across the explored space, so
+// the exhaustion test can prove the search drove schedules through BOTH
+// sides of the head test — writers whose head load found the slot empty
+// and skipped the walk outright, and writers whose load ran while the
+// scanner's enrollment was linked and therefore walked (and helped).
+// Without the counters, an exhausted space in which every writer happened
+// to skip would vacuously "verify" the walk path.
+func headTwoWritersOneScanner(skipped, walked *atomic.Uint64) sched.Scenario {
 	return func(c *sched.Controller) sched.Oracle {
 		o := snapshot.NewLockFree[int64](2).Instrument(c)
 		rec := &spec.Recorder[int64]{}
@@ -194,16 +194,16 @@ func summaryTwoWritersOneScanner(skipped, walked *atomic.Uint64) sched.Scenario 
 	}
 }
 
-// TestDFSExhaustsSummaryGuardedWritersScanner enumerates the ENTIRE
+// TestDFSExhaustsHeadConsultationWritersScanner enumerates the ENTIRE
 // preemption-bounded schedule space of the 2-writer/1-scanner scenario with
-// the quiescence summary's outcome counters attached, and requires every
-// schedule — summary reads racing the enroller's count-raise, skips while
-// quiescent, walks while announced, retire-side sweeps racing walkers — to
-// pass the sequential-spec and provenance oracles. The aggregate counters
-// must show both sides of the summary branch were reached, so the claim
-// "the skip never loses a help obligation" is exhausted over a space that
+// the slot-head consultation's outcome counters attached, and requires
+// every schedule — head loads racing the enroller's head CAS, skips on nil
+// heads, walks while enrolled, retire-side sweeps racing walkers — to pass
+// the sequential-spec and provenance oracles. The aggregate counters must
+// show both sides of the head test were reached, so the claim "a nil-head
+// skip never loses a help obligation" is exhausted over a space that
 // actually contains skips AND walks.
-func TestDFSExhaustsSummaryGuardedWritersScanner(t *testing.T) {
+func TestDFSExhaustsHeadConsultationWritersScanner(t *testing.T) {
 	bound := 2
 	if testing.Short() {
 		bound = 1
@@ -211,7 +211,7 @@ func TestDFSExhaustsSummaryGuardedWritersScanner(t *testing.T) {
 	bound += deepExtra()
 	var skipped, walked atomic.Uint64
 	d := &sched.DFSExplorer{MaxPreemptions: bound, Timeout: dfsTimeout()}
-	rep := d.Explore(summaryTwoWritersOneScanner(&skipped, &walked))
+	rep := d.Explore(headTwoWritersOneScanner(&skipped, &walked))
 	if rep.Failure != nil {
 		f := rep.Failure
 		t.Fatalf("schedule %d failed: %v\nshrunk trace (%d steps):\n%s",
@@ -228,16 +228,16 @@ func TestDFSExhaustsSummaryGuardedWritersScanner(t *testing.T) {
 		t.Fatalf("suspiciously small schedule space (%d schedules at bound %d) — did the scenario degenerate?", rep.Schedules, bound)
 	}
 	if skipped.Load() == 0 {
-		t.Fatalf("no explored schedule skipped a walk (%d schedules) — the summary never read quiescent", rep.Schedules)
+		t.Fatalf("no explored schedule skipped a walk (%d schedules) — no head load ever read nil", rep.Schedules)
 	}
 	// Reaching the walk side takes two preemptions: one to land a writer's
 	// store inside the scanner's fast collect gap (forcing the
-	// announcement), one to land another writer's summary read inside the
-	// announced window. The bound-1 space provably contains only skips.
+	// announcement), one to land another writer's head load inside the
+	// enrolled window. The bound-1 space provably contains only skips.
 	if bound >= 2 && walked.Load() == 0 {
-		t.Fatalf("no explored schedule walked a slot (%d schedules, %d skips) — the summary never read a live announcement", rep.Schedules, skipped.Load())
+		t.Fatalf("no explored schedule walked a slot (%d schedules, %d skips) — no head load ever found an enrollment", rep.Schedules, skipped.Load())
 	}
-	t.Logf("exhausted preemption-%d summary space: %d schedules, %d steps, %d budget-pruned branches, %d skips, %d walks",
+	t.Logf("exhausted preemption-%d head-consultation space: %d schedules, %d steps, %d budget-pruned branches, %d skips, %d walks",
 		bound, rep.Schedules, rep.Steps, rep.BudgetSkips, skipped.Load(), walked.Load())
 }
 

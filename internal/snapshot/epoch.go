@@ -66,44 +66,15 @@ import (
 // folded into the object's retired accumulators at install time so Stats
 // stays monotonic across epochs.
 
-// groupShift and groupSize fix the granularity of the registry's
-// quiescence summary: components c and c' share one summary counter iff
-// c>>groupShift == c'>>groupShift. 64 components per group keeps the whole
-// summary of a mid-sized object on a handful of cache lines while still
-// letting disjoint workloads read disjoint counters.
-const (
-	groupShift = 6
-	groupSize  = 1 << groupShift
-)
-
-// numGroups returns how many slot groups cover n components.
-func numGroups(n int) int { return (n + groupSize - 1) >> groupShift }
-
-// slotGroup is the quiescence summary of groupSize consecutive components'
-// announcement slots: announced counts the enrollments currently linked
-// (or being linked) in the group's slots, one per (record, named component
-// in the group) pair. enroll raises every named component's count BEFORE
-// linking any slot and retire lowers it only AFTER the record is logically
-// done, so a zero read proves the group's slots hold no enrollment that
-// still needs help — the proof helpIntersectingScans skips walks on.
-// Padded so groups of different component ranges never share a cache line.
-type slotGroup struct {
-	announced atomic.Int64
-	_         [120]byte
-}
-
 // universe is one epoch's immutable shape: the per-component register cells
-// and announcement slots (plus their slot-group summaries), and the cached
-// full id set. The slices are never mutated after construction; surviving
-// components' pointers are shared between consecutive epochs — slot groups
-// included, so a count raised through one epoch is read through every
-// epoch that shares any of the group's components.
+// and announcement slots, and the cached full id set. The slices are never
+// mutated after construction; surviving components' pointers are shared
+// between consecutive epochs.
 type universe[V any] struct {
-	epoch  uint64
-	regs   []*reg[V]
-	slots  []*slot[V]
-	groups []*slotGroup
-	all    []int // cached [0..n) for Scan
+	epoch uint64
+	regs  []*reg[V]
+	slots []*slot[V]
+	all   []int // cached [0..n) for Scan
 }
 
 // reg is one component's register: the atomic pointer to its value slot
@@ -120,22 +91,17 @@ type reg[V any] struct {
 // epoch has the same memory layout a fixed-size object would.
 func newUniverse[V any](n int) *universe[V] {
 	u := &universe[V]{
-		regs:   make([]*reg[V], n),
-		slots:  make([]*slot[V], n),
-		groups: make([]*slotGroup, numGroups(n)),
-		all:    allIDs(n),
+		regs:  make([]*reg[V], n),
+		slots: make([]*slot[V], n),
+		all:   allIDs(n),
 	}
 	backing := make([]reg[V], n)
 	slotBacking := make([]slot[V], n)
-	groupBacking := make([]slotGroup, numGroups(n))
 	initial := new(V)
 	for i := 0; i < n; i++ {
 		backing[i].ptr.Store(initial)
 		u.regs[i] = &backing[i]
 		u.slots[i] = &slotBacking[i]
-	}
-	for i := range u.groups {
-		u.groups[i] = &groupBacking[i]
 	}
 	return u
 }
@@ -146,34 +112,20 @@ func newUniverse[V any](n int) *universe[V] {
 func (u *universe[V]) grown(k int) *universe[V] {
 	n := len(u.regs)
 	succ := &universe[V]{
-		epoch:  u.epoch + 1,
-		regs:   make([]*reg[V], n+k),
-		slots:  make([]*slot[V], n+k),
-		groups: make([]*slotGroup, numGroups(n+k)),
-		all:    allIDs(n + k),
+		epoch: u.epoch + 1,
+		regs:  make([]*reg[V], n+k),
+		slots: make([]*slot[V], n+k),
+		all:   allIDs(n + k),
 	}
 	copy(succ.regs, u.regs)
 	copy(succ.slots, u.slots)
-	// Every predecessor group survives — including a partial last group,
-	// whose surviving components must keep sharing their counter with
-	// enrollments made through the predecessor; only component ranges the
-	// predecessor never covered get fresh groups. This aliasing is what
-	// carries the summary across epochs: any two epochs that share a
-	// component's slot also share the group counter guarding it, so a count
-	// raised by a scanner pinned to either epoch is read by updaters pinned
-	// to the other.
-	copy(succ.groups, u.groups)
 	backing := make([]reg[V], k)
 	slotBacking := make([]slot[V], k)
-	groupBacking := make([]slotGroup, numGroups(n+k)-len(u.groups))
 	initial := new(V)
 	for i := 0; i < k; i++ {
 		backing[i].ptr.Store(initial)
 		succ.regs[n+i] = &backing[i]
 		succ.slots[n+i] = &slotBacking[i]
-	}
-	for i := range groupBacking {
-		succ.groups[len(u.groups)+i] = &groupBacking[i]
 	}
 	return succ
 }
@@ -184,21 +136,13 @@ func (u *universe[V]) grown(k int) *universe[V] {
 func (u *universe[V]) shrunk(k int) *universe[V] {
 	n := len(u.regs) - k
 	succ := &universe[V]{
-		epoch:  u.epoch + 1,
-		regs:   make([]*reg[V], n),
-		slots:  make([]*slot[V], n),
-		groups: make([]*slotGroup, numGroups(n)),
-		all:    allIDs(n),
+		epoch: u.epoch + 1,
+		regs:  make([]*reg[V], n),
+		slots: make([]*slot[V], n),
+		all:   allIDs(n),
 	}
 	copy(succ.regs, u.regs[:n])
 	copy(succ.slots, u.slots[:n])
-	// Surviving groups alias the predecessor's, the boundary group
-	// included even when some of its components were dropped: scans pinned
-	// to the predecessor may still hold counts there for dropped
-	// components, which makes the successor's summary a conservative
-	// over-approximation (nonzero forces a walk that finds nothing) —
-	// never an unsound zero.
-	copy(succ.groups, u.groups[:numGroups(n)])
 	return succ
 }
 

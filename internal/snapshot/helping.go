@@ -28,84 +28,52 @@ type seenRecord[V any] struct {
 // update is about to write and, for each live record found, completes an
 // embedded scan of that record's set and posts the view. Records enrolled
 // in several of the walked slots are seen once per shared slot and deduped
-// against the walk's seen list. Disjoint scans live in slots this walk
-// never touches, so they cost the update nothing and are never observed —
-// unlike the earlier global announcement stack, which every update walked
-// end to end.
+// against the update's seen list. Disjoint scans live in slots this update
+// never touches, so they cost it nothing and are never observed — unlike
+// the earlier global announcement stack, which every update walked end to
+// end.
 //
-// The consultation is summary-first: per written component the updater
-// loads the slot group's announced count (once per contiguous run of
-// same-group components — the load is cached across the run) and walks the
-// slot only when the count is nonzero. A zero count is a sound proof of
-// emptiness because enroll raises it before any head CAS: a scan enrolled
-// in component c either raised c's group before our load (we read nonzero
-// and walk c's slot) or raised it after (our consultation of c precedes
-// its enrollment, making this update one of the finitely many pre-walk
-// updates per component the termination argument in embeddedScan already
-// tolerates). The converse race — count already raised, head not yet
-// CAS'd — costs a walk that finds nothing, wasted but safe, and resolves
-// the same way. Skipped walks touch no slot cache line and are tallied in
-// the sharded walksSkipped counter instead of the per-slot gauges.
+// A consultation is one load of the slot's head, inline: a nil head means
+// no scan is enrolled there, and the update tallies a skip and moves on
+// without a call or a write to the slot's cache line. Only a non-nil head
+// is walked. A scan enrolled in component c either linked its enrollment
+// before our head load (we walk c's slot and find it) or after (our
+// consultation of c precedes its enrollment, making this update one of the
+// finitely many pre-walk updates per component the termination argument in
+// embeddedScan already tolerates). Skips are tallied in the op's counter
+// shard instead of the per-slot gauges.
 //
 // u is the updater's pinned universe. A slot surviving across epochs is
-// aliased — and so is its slot group, see epoch.go — so the summary and
-// the walk observe records enrolled through any epoch that shares the
-// component; records found may therefore carry a rec.uni older than u, and
-// the embedded scan runs through THAT universe — the epoch the scanner's
-// collects read.
+// aliased (see epoch.go), so the consultation observes records enrolled
+// through any epoch that shares the component; records found may therefore
+// carry a rec.uni older than u, and the embedded scan runs through THAT
+// universe — the epoch the scanner's collects read.
 func (o *LockFree[V]) helpIntersectingScans(u *universe[V], ids []int, op uint64) {
 	var seen []seenRecord[V] // allocated only if a live record is found
-	var lastGroup *slotGroup
-	lastQuiet := false
 	skipped := 0
 	for _, id := range ids {
-		// The summary is read through the pinned epoch: its groups are
-		// aliased by every epoch sharing any of the group's components, so a
-		// count raised through any such epoch is visible here.
-		if g := u.groups[id>>groupShift]; g != lastGroup {
-			o.yield(sched.PreSummaryRead, id)
-			lastGroup, lastQuiet = g, g.announced.Load() == 0
-		}
-		if lastQuiet {
-			skipped++
-			continue
-		}
 		o.yield(sched.PreSlotWalk, id)
-		wu := u
+		s := u.slots[id]
 		if o.mut.unpinnedEpoch {
-			// Test-only mutation seam: walk the slot of whatever universe is
-			// installed at WALK time instead of the pinned one, while the
-			// caller still stores through the pinned cells — the
+			// Test-only mutation seam: consult the slot of whatever universe
+			// is installed at consultation time instead of the pinned one,
+			// while the caller still stores through the pinned cells — the
 			// unpinned-epoch walker bug the DFS conviction test targets. A
 			// shrink-then-regrow between the pin and this load replaces the
-			// component's slot with a fresh one, so the walk misses
+			// component's slot with a fresh one, so the update misses
 			// enrollments the protocol obliges it to serve. The bounds guard
 			// keeps the mutant a protocol violation rather than a crash when
 			// the current universe is smaller than the pinned one.
 			if cur := o.uni.Load(); id < len(cur.slots) {
-				wu = cur
+				s = cur.slots[id]
 			}
 		}
-		o.reg.walkSlot(wu.slots[id], id, func(rec *scanRecord[V], gen uint64) {
-			for _, s := range seen {
-				if s.rec == rec && s.gen == gen {
-					o.reg.deduped.Add(1)
-					return
-				}
-			}
-			seen = append(seen, seenRecord[V]{rec: rec, gen: gen})
-			if rec.help.Load() != nil {
-				return
-			}
-			o.yield(sched.PreHelpScan, rec.level+1)
-			if view, depth, ok := o.embeddedScan(rec, op); ok {
-				o.yield(sched.PreHelpPost, rec.level)
-				if rec.help.CompareAndSwap(nil, &helpView[V]{vals: view, by: op, depth: depth}) {
-					o.helpsPosted.Add(1)
-					atomicMax(&o.maxDepth, int64(depth))
-				}
-			}
-		})
+		head := s.head.Load()
+		if head == nil || (o.mut.staleHeadEmpty && head.stale()) {
+			skipped++
+			continue
+		}
+		seen = o.walkSlot(s, id, head, op, seen)
 	}
 	if skipped != 0 {
 		// One sharded add per update, on the counter shard its op id came
@@ -114,6 +82,32 @@ func (o *LockFree[V]) helpIntersectingScans(u *universe[V], ids []int, op uint64
 		// registry cache line at all, and no second counter line.
 		o.shards[op&(opShards-1)].walksSkipped.Add(uint64(skipped))
 	}
+}
+
+// help serves one live record a walk found: unless the update already
+// served this incarnation through an earlier slot (seen), or help is
+// already posted, it runs an embedded scan of the record's set and posts
+// the view under op. It returns seen extended by the record.
+func (o *LockFree[V]) help(rec *scanRecord[V], gen, op uint64, seen []seenRecord[V]) []seenRecord[V] {
+	for _, s := range seen {
+		if s.rec == rec && s.gen == gen {
+			o.deduped.Add(1)
+			return seen
+		}
+	}
+	seen = append(seen, seenRecord[V]{rec: rec, gen: gen})
+	if rec.help.Load() != nil {
+		return seen
+	}
+	o.yield(sched.PreHelpScan, rec.level+1)
+	if view, depth, ok := o.embeddedScan(rec, op); ok {
+		o.yield(sched.PreHelpPost, rec.level)
+		if rec.help.CompareAndSwap(nil, &helpView[V]{vals: view, by: op, depth: depth}) {
+			o.helpsPosted.Add(1)
+			atomicMax(&o.maxDepth, int64(depth))
+		}
+	}
+	return seen
 }
 
 // embeddedScan produces a consistent view of target's component set on
@@ -126,17 +120,13 @@ func (o *LockFree[V]) helpIntersectingScans(u *universe[V], ids []int, op uint64
 // Termination argument (why unbounded looping here cannot run forever): a
 // double collect only fails when some update stored one of the record's
 // cells between the two collects. An update that writes component c
-// consults c's registry before storing to c — it loads c's slot-group
-// summary and, on a nonzero count, walks c's slot — so if its summary load
-// for c came after rec's enrollment raised the count there, it reads
-// nonzero, walks, finds rec and posts help. Only updates whose
-// consultation of some named component (summary load or walk) preceded
-// rec's count-raise for it can obstruct without helping — finitely many
-// per component, finitely many in total — so after they drain, every
-// further obstruction implies help arrives on rec and the loop exits via
-// adoption. The summary skip thus changes which updates are "pre-walk",
-// never their finiteness: a skipping update IS a pre-walk update for every
-// record enrolled after its load. The same argument
+// consults c's registry slot before storing to c — it loads the slot's
+// head and walks from there — so if its head load for c came after rec's
+// enrollment CAS there, it finds rec and posts help. Only updates whose
+// head load for some named component preceded rec's enrollment in it can
+// obstruct without helping — finitely many per component, finitely many in
+// total — so after they drain, every further obstruction implies help
+// arrives on rec and the loop exits via adoption. The same argument
 // applies to the helper of the helper; the chain is finite because each
 // level is occupied by a distinct concurrent update and the deepest level,
 // obstructed by nobody new, completes by a clean double collect.

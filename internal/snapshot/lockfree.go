@@ -17,8 +17,8 @@ import (
 // The implementation is split by layer: epoch.go holds the epoch-versioned
 // universe (the resizable shape behind Grow/Shrink), registers.go the
 // value slots, their runs and the counter shards, registry.go the sharded
-// announcement registry, scan.go the scanner side, helping.go the updater
-// side.
+// announcement registry (announce, retire and the slot walk), scan.go the
+// scanner side, helping.go the updater side.
 type LockFree[V any] struct {
 	// uni is the current universe — the single atomically-published pointer
 	// behind which the whole component shape (register cells, registry
@@ -26,10 +26,8 @@ type LockFree[V any] struct {
 	// Grow/Shrink replace it by CAS.
 	uni atomic.Pointer[universe[V]]
 
-	reg registry[V] // announcement bookkeeping shared by all epochs
-
-	// shards holds the sharded counters: update op ids (nextOp), walks the
-	// quiescence summary proved unnecessary (see helpIntersectingScans),
+	// shards holds the sharded counters: update op ids (nextOp),
+	// consultations that found an empty slot (see helpIntersectingScans),
 	// and completed scan views the epoch recheck threw away because a
 	// resize replaced a named component's register mid-scan (see
 	// scanPinned). Sharding keeps the quiescent update path and the discard
@@ -53,6 +51,8 @@ type LockFree[V any] struct {
 	helpsAdopted atomic.Uint64
 	maxDepth     atomic.Int64
 	recReuses    atomic.Uint64
+	live         atomic.Int64  // records announced and not yet retired
+	deduped      atomic.Uint64 // walk encounters skipped as already seen
 
 	epochInstalls atomic.Uint64
 	grows         atomic.Uint64
@@ -77,16 +77,17 @@ type LockFree[V any] struct {
 // shrink-and-regrow replaced. skipEpochRecheck returns scanPinned's views
 // without re-loading the universe, so a view straddling a Shrink can pair
 // a dropped component's frozen cell with a later write.
-// earlySummaryDecrement hands a record's slot-group counts back at enroll,
-// so updaters skip a live announced scan. A non-nil reuseCells makes
-// every update write into that fixed ring's first slots (see takeCells).
+// staleHeadEmpty makes an update treat a slot whose head enrollment is
+// stale as empty, missing any live enrollment linked behind it. A non-nil
+// reuseCells makes every update write into that fixed ring's first slots
+// (see takeCells).
 type mutations[V any] struct {
-	helpBound             int
-	unsafeEagerRelease    bool
-	unpinnedEpoch         bool
-	skipEpochRecheck      bool
-	earlySummaryDecrement bool
-	reuseCells            []V
+	helpBound          int
+	unsafeEagerRelease bool
+	unpinnedEpoch      bool
+	skipEpochRecheck   bool
+	staleHeadEmpty     bool
+	reuseCells         []V
 }
 
 // NewLockFree returns a wait-free partial snapshot object with n components,
@@ -97,8 +98,6 @@ func NewLockFree[V any](n int) *LockFree[V] {
 	}
 	o := &LockFree[V]{records: &sharedRecordPool[V]{}}
 	o.uni.Store(newUniverse[V](n))
-	o.reg.release = o.releaseRef
-	o.reg.mut = &o.mut
 	return o
 }
 
@@ -110,7 +109,6 @@ func NewLockFree[V any](n int) *LockFree[V] {
 // shared; it is not safe to race with operations.
 func (o *LockFree[V]) Instrument(s sched.Scheduler) *LockFree[V] {
 	o.sched = s
-	o.reg.yield = o.yield
 	o.records = &scriptedRecordPool[V]{}
 	return o
 }
@@ -183,18 +181,17 @@ type Stats struct {
 	// MaxHelpDepth is the deepest help-chain level at which a view was
 	// posted over the object's lifetime (0 = helping never recursed).
 	MaxHelpDepth int64 `json:"max_help_depth"`
-	// RegistryWalks counts updater walks of registry slots, one per
-	// (update, named component) pair whose slot group's quiescence summary
-	// read nonzero, summed across the current epoch's slots and the slots
-	// retired by Shrink.
+	// RegistryWalks counts updater consultations of registry slots that
+	// found a non-empty head and walked the slot, one per (update, named
+	// component) pair, summed across the current epoch's slots and the
+	// slots retired by Shrink.
 	RegistryWalks uint64 `json:"registry_walks"`
-	// WalksSkipped counts the walks the quiescence summary elided: one per
-	// (update, named component) pair whose slot group held no live
-	// enrollment at the update's summary read. In a quiescent (no-scanner)
-	// workload this approaches update ops × update width while
-	// RegistryWalks stays near zero — the registry tax the summary
-	// removes. RegistryWalks + WalksSkipped is the total consultation
-	// count the walk-before-store argument is stated over.
+	// WalksSkipped counts consultations that found a nil head: one per
+	// (update, named component) pair whose slot held no enrollment at the
+	// update's head load. In a quiescent (no-scanner) workload it equals
+	// update ops × update width while RegistryWalks stays zero.
+	// RegistryWalks + WalksSkipped is the total consultation count the
+	// walk-before-store argument is stated over.
 	WalksSkipped uint64 `json:"walks_skipped"`
 	// RecordsVisited counts live records those walks encountered, one per
 	// (walk, enrollment) encounter. Under a workload partitioned over
@@ -232,9 +229,9 @@ func (o *LockFree[V]) Stats() Stats {
 		ScanRetries:       o.scanRetries.Load(),
 		HelpsPosted:       o.helpsPosted.Load(),
 		HelpsAdopted:      o.helpsAdopted.Load(),
-		LiveAnnouncements: o.reg.live.Load(),
+		LiveAnnouncements: o.live.Load(),
 		MaxHelpDepth:      o.maxDepth.Load(),
-		RecordsDeduped:    o.reg.deduped.Load(),
+		RecordsDeduped:    o.deduped.Load(),
 		RecordReuses:      o.recReuses.Load(),
 		Epoch:             u.epoch,
 		EpochInstalls:     o.epochInstalls.Load(),
@@ -255,8 +252,8 @@ func (o *LockFree[V]) Stats() Stats {
 }
 
 // SlotStats reports the registry activity of component c's slot in the
-// current epoch: how many updater walks consulted it and how many live
-// records those walks encountered. Locality tests sum these per component
+// current epoch: how many updater consultations found a non-nil head and
+// walked it, and how many live records those walks encountered. Locality tests sum these per component
 // range to prove that a partitioned workload performs zero cross-partition
 // registry visits.
 func (o *LockFree[V]) SlotStats(c int) (walks, visited uint64) {

@@ -205,34 +205,37 @@ func TestMutationBoundedHelperIsCaught(t *testing.T) {
 		f.Schedule, mutated.Schedules, f.Err, len(f.Trace), f.Trace)
 }
 
-// earlySummaryDecrementScenario stages the smallest state in which handing
-// a slot group's announced count back before the record retires loses a
-// help obligation. Deterministic setup (scripted, not explored):
+// staleHeadEmptyScenario stages the smallest state in which treating a
+// slot whose head enrollment is stale as empty loses a help obligation.
+// Deterministic setup (scripted, not explored):
 //
 //   - "scanner" was obstructed out of its fast path on {1,2}, announced —
-//     with the mutant active, enroll raises the group count and gives it
-//     straight back, so the fully-enrolled live record sits behind a
-//     summary that reads zero — and parked inside its announced collect
-//     gap.
-//   - "walker" is an update of component 2 spawned after the announcement:
-//     the protocol obliges it to find the record and post help before
-//     storing.
+//     its enrollment is the only one in slots 1 and 2 — and parked inside
+//     its announced collect gap.
+//   - "sweeper" then scanned [2,0]: obstructed out of its fast path by a
+//     write of component 0 (whose slot was empty, so the write owed nobody
+//     help), it announced — its enrollment now heads slot 2, on top of the
+//     scanner's — completed a clean announced collect, and retired. It is
+//     parked at its first sweep unlink: done, but still slot 2's head.
+//   - "walker" is an update of component 2 spawned after all of that: the
+//     protocol obliges it to find the scanner's record and post help
+//     before storing.
 //
-// The search owns the schedule from there. The intact walker's summary
-// load reads nonzero (enroll's decrement waits for retire), so it walks
-// slot 2, finds the record and posts help before storing. The mutant reads
-// zero, skips the walk the soundness argument says is unnecessary — and
-// stores through component 2 anyway, obstructing the very scanner whose
-// record it never saw. The trip wire is the same lost-help shape as the
-// unpinned-epoch scenario: the scanner's final view shows the walker's
-// store (so the walker consulted the summary while the record was
-// demonstrably fully announced and live), yet no help was ever posted and
-// the scan never adopted. On the intact object that outcome is
-// unreachable.
-func earlySummaryDecrementScenario(mutate bool) sched.Scenario {
+// The search owns the schedule from there. The intact walker loads slot
+// 2's head, finds it non-nil and walks: it unlinks the sweeper's stale
+// enrollment, reaches the scanner's live one and posts help before
+// storing. The mutant (staleHeadEmpty) reads the stale head as an empty
+// slot whenever the sweep has not popped it yet — and stores through
+// component 2 anyway, obstructing the very scanner whose enrollment sat
+// one link behind the head. The trip wire is the same lost-help shape as
+// the unpinned-epoch scenario: the scanner's final view shows the walker's
+// store (so the walker consulted slot 2 while the record was demonstrably
+// fully announced and live), yet no help was ever posted and the scan
+// never adopted. On the intact object that outcome is unreachable.
+func staleHeadEmptyScenario(mutate bool) sched.Scenario {
 	return func(c *sched.Controller) sched.Oracle {
 		o := NewLockFree[int64](3).Instrument(c)
-		o.mut.earlySummaryDecrement = mutate
+		o.mut.staleHeadEmpty = mutate
 		rec := &spec.Recorder[int64]{}
 		var mu sync.Mutex
 		var opErrs []error
@@ -249,37 +252,41 @@ func earlySummaryDecrementScenario(mutate bool) sched.Scenario {
 			rec.Add(spec.Op[int64]{Kind: kind, Start: start, End: rec.Now(),
 				Comps: comps, Vals: vals, UpdateID: id})
 		}
+		update := func(ids []int, vals []int64) error {
+			start := rec.Now()
+			id, err := o.UpdateOp(ids, vals)
+			if err == nil {
+				record(spec.Update, start, ids, vals, id)
+			}
+			return err
+		}
+		scan := func(name string, ids []int, out *[]int64, info *ScanInfo) {
+			c.Spawn(name, func() {
+				start := rec.Now()
+				vals, si, err := o.PartialScanInfo(ids)
+				if err != nil {
+					fail(fmt.Errorf("%s: %w", name, err))
+					return
+				}
+				*out, *info = vals, si
+				rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
+					Comps: ids, Vals: vals, AdoptedFrom: si.HelperOp})
+			})
+		}
 
 		// Seed and drive the scanner into its announced collect gap.
-		start := rec.Now()
-		seedOp, err := o.UpdateOp([]int{1, 2}, []int64{20, 30})
-		if err != nil {
+		if err := update([]int{1, 2}, []int64{20, 30}); err != nil {
 			return setupErr("seed update: %v", err)
 		}
-		record(spec.Update, start, []int{1, 2}, []int64{20, 30}, seedOp)
-
-		var info ScanInfo
-		var scanVals []int64
-		c.Spawn("scanner", func() {
-			start := rec.Now()
-			vals, si, err := o.PartialScanInfo([]int{1, 2})
-			if err != nil {
-				fail(fmt.Errorf("scanner: %w", err))
-				return
-			}
-			scanVals, info = vals, si
-			rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
-				Comps: []int{1, 2}, Vals: vals, AdoptedFrom: si.HelperOp})
-		})
+		var info, sweepInfo ScanInfo
+		var scanVals, sweepVals []int64
+		scan("scanner", []int{1, 2}, &scanVals, &info)
 		if _, ok := c.StepUntil("scanner", sched.PostFirstCollect); !ok {
 			return setupErr("scanner finished before its fast collect gap")
 		}
-		start = rec.Now()
-		obstructOp, err := o.UpdateOp([]int{2}, []int64{31})
-		if err != nil {
+		if err := update([]int{2}, []int64{31}); err != nil {
 			return setupErr("obstructing update: %v", err)
 		}
-		record(spec.Update, start, []int{2}, []int64{31}, obstructOp)
 		if _, ok := c.StepUntil("scanner", sched.PostAnnounce); !ok {
 			return setupErr("scanner finished without announcing")
 		}
@@ -287,16 +294,26 @@ func earlySummaryDecrementScenario(mutate bool) sched.Scenario {
 			return setupErr("scanner finished before its announced collect gap")
 		}
 
-		// The walker: spawned after the announcement, so its summary load is
-		// oblige-to-walk by construction. The search explores from here.
+		// The sweeper: announced on top of the scanner in slot 2, retired,
+		// parked before popping its stale enrollment off slot 2's head.
+		scan("sweeper", []int{2, 0}, &sweepVals, &sweepInfo)
+		if _, ok := c.StepUntil("sweeper", sched.PostFirstCollect); !ok {
+			return setupErr("sweeper finished before its fast collect gap")
+		}
+		if err := update([]int{0}, []int64{10}); err != nil {
+			return setupErr("sweeper's obstructing update: %v", err)
+		}
+		if arg, ok := c.StepUntil("sweeper", sched.PreUnlink); !ok || arg != 2 {
+			return setupErr("sweeper park = arg %d (ok=%v), want pre-unlink(2)", arg, ok)
+		}
+
+		// The walker: spawned after both announcements, so its consultation
+		// of slot 2 is oblige-to-help by construction. The search explores
+		// from here.
 		c.Spawn("walker", func() {
-			start := rec.Now()
-			id, err := o.UpdateOp([]int{2}, []int64{333})
-			if err != nil {
+			if err := update([]int{2}, []int64{333}); err != nil {
 				fail(fmt.Errorf("walker: %w", err))
-				return
 			}
-			record(spec.Update, start, []int{2}, []int64{333}, id)
 		})
 
 		return func(tr sched.Trace) error {
@@ -317,7 +334,7 @@ func earlySummaryDecrementScenario(mutate bool) sched.Scenario {
 			}
 			if scanVals[1] == 333 && !info.Adopted && o.Stats().HelpsPosted == 0 {
 				return fmt.Errorf(
-					"lost help obligation: the walker's store obstructed the scanner (final view %v) after a summary read that ran while the record was fully announced and live, yet no help was posted — the announced count was handed back before retirement",
+					"lost help obligation: the walker's store obstructed the scanner (final view %v) after a consultation of slot 2 that ran while the record was fully announced and live, yet no help was posted — the stale head hid the live enrollment behind it",
 					scanVals)
 			}
 			return nil
@@ -325,17 +342,16 @@ func earlySummaryDecrementScenario(mutate bool) sched.Scenario {
 	}
 }
 
-// TestMutationEarlySummaryDecrementIsConvicted injects the early summary
-// decrement via its seam and requires the systematic search to find the
-// lost-help-obligation schedule within two preemptions — then shrink and
-// replay it. The control arm runs the identical search against the intact
-// object and must exhaust with every schedule passing: holding the group
-// count for the record's whole live span, not luck, is what makes the
-// summary skip sound.
-func TestMutationEarlySummaryDecrementIsConvicted(t *testing.T) {
+// TestMutationStaleHeadEmptyIsConvicted injects the stale-head skip via its
+// seam and requires the systematic search to find the lost-help-obligation
+// schedule within two preemptions — then shrink and replay it. The control
+// arm runs the identical search against the intact object and must exhaust
+// with every schedule passing: only a nil head proves a slot empty; a
+// stale head still has to be walked.
+func TestMutationStaleHeadEmptyIsConvicted(t *testing.T) {
 	d := &sched.DFSExplorer{MaxPreemptions: 2, MaxSchedules: 20000, Timeout: 30 * time.Second}
 
-	intact := d.Explore(earlySummaryDecrementScenario(false))
+	intact := d.Explore(staleHeadEmptyScenario(false))
 	if intact.Failure != nil {
 		t.Fatalf("intact protocol failed schedule %d: %v\n%s",
 			intact.Failure.Schedule, intact.Failure.Err, intact.Failure.Trace)
@@ -344,23 +360,23 @@ func TestMutationEarlySummaryDecrementIsConvicted(t *testing.T) {
 		t.Fatalf("intact search did not exhaust: %+v", intact)
 	}
 
-	mutated := d.Explore(earlySummaryDecrementScenario(true))
+	mutated := d.Explore(staleHeadEmptyScenario(true))
 	if mutated.Failure == nil {
-		t.Fatalf("the searcher cannot fail: early summary decrement survived %d schedules at preemption bound %d",
+		t.Fatalf("the searcher cannot fail: the stale-head skip survived %d schedules at preemption bound %d",
 			mutated.Schedules, d.MaxPreemptions)
 	}
 	f := mutated.Failure
 	if len(f.Trace) > len(f.RawTrace) {
 		t.Fatalf("shrunk trace grew: %d > %d steps", len(f.Trace), len(f.RawTrace))
 	}
-	if _, err := d.Replay(earlySummaryDecrementScenario(true), f.Trace); err == nil {
+	if _, err := d.Replay(staleHeadEmptyScenario(true), f.Trace); err == nil {
 		t.Fatalf("shrunk failing trace replayed clean:\n%s", f.Trace)
 	}
 	// The intact object sails through the mutant-killing schedule. Tolerant
 	// replay: the intact walker takes extra yield points (it walks the slot
 	// and helps where the mutant skipped), so strict positions cannot apply.
 	c := sched.NewController()
-	intactOracle := earlySummaryDecrementScenario(false)(c)
+	intactOracle := staleHeadEmptyScenario(false)(c)
 	got, err := sched.ReplayTrace(c, f.Trace, false)
 	if err != nil {
 		t.Fatalf("tolerant replay on the intact object broke down: %v", err)

@@ -202,9 +202,8 @@ func TestParityAcrossWorkloadShapes(t *testing.T) {
 						t.Fatalf("%s discarded %d views with no resizes in the workload: %+v",
 							shape, st.ViewsDiscarded, st)
 					}
-					// Consultations split into walks (group summary nonzero)
-					// and summary-elided skips; the sequential arm runs one
-					// op at a time, so most groups read quiescent.
+					// Consultations split into walks (non-nil slot head) and
+					// nil-head skips; either way every update consults.
 					if st.RegistryWalks+st.WalksSkipped == 0 {
 						t.Fatalf("%s updaters never consulted the registry: %+v", shape, st)
 					}

@@ -27,21 +27,16 @@ import (
 // components sees that record once per shared slot, and the walk dedups
 // (helpIntersectingScans keeps the per-walk seen list).
 //
-// A per-group quiescence summary sits in front of the slots (slotGroup in
-// epoch.go): enroll raises each named component's group count before
-// linking, retire lowers it after the done flag, and an updater loads the
-// count once per written group — when it reads zero, every slot of the
-// group it would walk is provably free of live enrollments and the walk is
-// skipped outright (see helpIntersectingScans).
+// An updater's consultation of a slot is one load of its head: nil means
+// no scan is enrolled there, and the update moves on without touching the
+// slot's counters (see helpIntersectingScans).
 //
 // Retirement is logical (rec.done) and unlinking is lazy and per-slot: the
 // retiring owner sweeps consecutive stale enrollments off its own slots'
-// heads (sweepStale — quiescent updates skip the slots, so somebody must),
-// and the next walker or enroller of a slot unlinks retired enrollments it
-// passes.
-// A record can therefore be gone from one slot while still linked in
-// another; walkers skip done records, so a reader that reaches a record
-// through a stale slot never helps it. Unlink CASes can lose to each other
+// heads (sweepStale), and the next walker or enroller of a slot unlinks
+// retired enrollments it passes. A record can therefore be gone from one
+// slot while still linked in another; walkers skip done records, so a
+// reader that reaches a record through a stale slot never helps it. Unlink CASes can lose to each other
 // or briefly resurrect an already-unlinked retired enrollment; both are
 // harmless because only retired enrollments are ever unlinked and retired
 // records are never visited.
@@ -81,53 +76,17 @@ func (e *enrollment[V]) stale() bool {
 // prefetcher pairing).
 type slot[V any] struct {
 	head    atomic.Pointer[enrollment[V]]
-	walks   atomic.Uint64 // updater walks of this slot
+	walks   atomic.Uint64 // consultations that found a non-nil head
 	visited atomic.Uint64 // live records those walks encountered
 	_       [104]byte
 }
 
-// registry is the announcement bookkeeping shared by every epoch. The
-// slots themselves live in the universe (one per component of each epoch,
-// aliased across epochs for surviving components — see epoch.go); an
-// enrolling record carries the universe it pinned, so enroll and walkSlot
-// always address slots through an explicit epoch, never through the
-// object's current pointer.
-type registry[V any] struct {
-	live    atomic.Int64  // records enrolled and not yet retired
-	deduped atomic.Uint64 // walk encounters skipped as already seen
-
-	mut *mutations[V] // the owning object's mutation seams
-
-	// yield is the schedule-injection hook, nil outside instrumented
-	// tests. It fires at sched.PostEnroll after each per-slot enrollment,
-	// at sched.PreUnlink before each lazy-unlink CAS (walk-path,
-	// enroll-time and retire-sweep unlinks alike), and at sched.PreVisit
-	// once per enrollment a walk loads, so the half-enrolled windows, the
-	// unlink races (two walkers unlinking the same retired enrollment; an
-	// unlinker racing a fresh enroller) and the
-	// retire-and-recycle-under-a-walker races are scriptable rather than
-	// yield-point gaps.
-	yield func(p sched.Point, arg int)
-
-	// release drops a walker's pin on a record (set by the owning
-	// LockFree; whoever drops the last reference pools the record).
-	release func(rec *scanRecord[V])
-}
-
-// enroll links rec into the slot of every component it names — in the
+// announce links rec into the slot of every component it names — in the
 // epoch rec pinned (rec.uni), in the record's id order — opportunistically
-// unlinking retired enrollments at each slot head.
-func (r *registry[V]) enroll(rec *scanRecord[V]) {
-	r.live.Add(1)
-	// Raise every named component's slot-group summary BEFORE any head CAS
-	// makes an enrollment findable. The order is the skip's soundness: an
-	// updater that reads a zero count afterwards read it before this raise,
-	// hence before every link — it is one of the finitely many pre-walk
-	// updates the termination argument already tolerates (see
-	// helpIntersectingScans and embeddedScan).
-	for _, c := range rec.ids {
-		rec.uni.groups[c>>groupShift].announced.Add(1)
-	}
+// unlinking retired enrollments at each slot head. Each head CAS is where
+// an updater's consultation of that component starts to find rec.
+func (o *LockFree[V]) announce(rec *scanRecord[V]) {
+	o.live.Add(1)
 	gen := rec.gen.Load() // stable: the enrolling owner holds a reference
 	for _, c := range rec.ids {
 		e := &enrollment[V]{rec: rec, gen: gen}
@@ -135,9 +94,7 @@ func (r *registry[V]) enroll(rec *scanRecord[V]) {
 		for {
 			head := s.head.Load()
 			if head != nil && head.stale() {
-				if r.yield != nil {
-					r.yield(sched.PreUnlink, c)
-				}
+				o.yield(sched.PreUnlink, c)
 				s.head.CompareAndSwap(head, head.next.Load())
 				continue
 			}
@@ -146,47 +103,43 @@ func (r *registry[V]) enroll(rec *scanRecord[V]) {
 				break
 			}
 		}
-		if r.yield != nil {
-			r.yield(sched.PostEnroll, c)
-		}
-	}
-	if r.mut.earlySummaryDecrement {
-		// Injected mutation: hand the counts back while the record is still
-		// live, making it summary-invisible — updaters now skip slots that
-		// hold an announced, unhelped scan.
-		for _, c := range rec.ids {
-			rec.uni.groups[c>>groupShift].announced.Add(-1)
-		}
+		o.yield(sched.PostEnroll, c)
 	}
 }
 
-// retire marks rec completed and lowers its slot-group summaries. The
-// decrement comes strictly AFTER the done flag: between the two a group
-// may read nonzero for a record that no longer needs help (a wasted walk),
-// but a group can never read zero while some linked record still does.
-// Enrollments stay linked until the retire-side sweep or the next walk or
-// enroll of each slot unlinks them.
-func (r *registry[V]) retire(rec *scanRecord[V]) {
+// retire marks rec completed, sweeps its stale enrollments off its slots'
+// heads and drops the owner's reference; deeper enrollments are unlinked
+// lazily by later walks and announces, and the record itself returns to
+// the pool once the last pinned helper lets go. The sweep runs before any
+// pooling path so rec.ids and rec.uni are still this incarnation's.
+func (o *LockFree[V]) retire(rec *scanRecord[V]) {
 	rec.done.Store(true)
-	r.live.Add(-1)
-	if !r.mut.earlySummaryDecrement {
-		// rec.uni.groups are the very group objects enroll raised (aliased
-		// across any epochs installed since), so the counts conserve.
-		for _, c := range rec.ids {
-			rec.uni.groups[c>>groupShift].announced.Add(-1)
-		}
+	o.live.Add(-1)
+	o.sweepStale(rec)
+	if o.mut.unsafeEagerRelease {
+		// Test-only mutation seam: return the record to the pool the moment
+		// the owner retires it, ignoring helper pins — the use-after-reuse
+		// bug the reference count exists to prevent. While the seam is
+		// active, retire is the ONLY pooling site (releaseRef checks the
+		// flag): a lingering helper's release after the record has been
+		// recycled would otherwise drop the new owner's count to zero and
+		// pool the same live record twice.
+		rec.refs.Store(0)
+		o.records.put(rec)
+		return
 	}
+	o.releaseRef(rec)
 }
 
 // sweepStale pops consecutive stale enrollments off the head of every slot
-// rec names. The retiring owner runs it right after retire: with the
-// quiescence summary in place, updaters skip quiet groups' slots entirely
-// and no longer unlink lazily there, so without this sweep the last
-// retired enrollments of a slot would linger until the next announcement.
-// Popping only from the head is enough for hygiene — a live head keeps its
-// group's count nonzero, so walks (which unlink mid-chain) still happen
-// there — and the final retirement of a fully-stale chain drains it.
-func (r *registry[V]) sweepStale(rec *scanRecord[V]) {
+// rec names. Without it the last retired enrollment of a slot would linger
+// as its head until the next announcement, and every update of the
+// component would walk it instead of reading a nil head: the sweep is what
+// keeps a quiet slot's consultation one load. Popping only from the head
+// is enough — a live head means updates walk the slot anyway, unlinking
+// mid-chain as they go — and the final retirement of a fully-stale chain
+// drains it.
+func (o *LockFree[V]) sweepStale(rec *scanRecord[V]) {
 	for _, c := range rec.ids {
 		s := rec.uni.slots[c]
 		for {
@@ -194,34 +147,26 @@ func (r *registry[V]) sweepStale(rec *scanRecord[V]) {
 			if head == nil || !head.stale() {
 				break
 			}
-			if r.yield != nil {
-				r.yield(sched.PreUnlink, c)
-			}
+			o.yield(sched.PreUnlink, c)
 			s.head.CompareAndSwap(head, head.next.Load())
 		}
 	}
 }
 
-// walkSlot visits every live record enrolled in component c's slot, newest
-// enrollment first, unlinking stale enrollments (retired records and
-// leftover paths to recycled ones) encountered on the way. The visit
-// callback receives the enrollment's generation alongside the record so
-// the caller's dedup can tell incarnations apart; the record is pinned for
-// the duration of the callback, so it cannot return to the pool — and
-// therefore cannot be recycled into a different scan — while the caller
-// helps it. The newest-first order serves the deepest records of any help
-// chain before the records that wait on them.
-func (r *registry[V]) walkSlot(s *slot[V], c int, visit func(rec *scanRecord[V], gen uint64)) {
+// walkSlot visits every live record enrolled in component c's slot s,
+// starting from head (the non-nil head the caller's consultation loaded),
+// newest enrollment first, unlinking stale enrollments (retired records and
+// leftover paths to recycled ones) encountered on the way. Each visited
+// record is pinned while the updater helps it (see help), so it cannot
+// return to the pool — and therefore cannot be recycled into a different
+// scan — under the helper. The newest-first order serves the deepest
+// records of any help chain before the records that wait on them. seen is
+// the update's dedup list across slots; walkSlot returns it extended.
+func (o *LockFree[V]) walkSlot(s *slot[V], c int, cur *enrollment[V], op uint64, seen []seenRecord[V]) []seenRecord[V] {
 	s.walks.Add(1)
-	cur := s.head.Load()
-	if cur == nil {
-		return // common case: no scanner names this component, zero overhead
-	}
 	var prev *enrollment[V]
 	for cur != nil {
-		if r.yield != nil {
-			r.yield(sched.PreVisit, c)
-		}
+		o.yield(sched.PreVisit, c)
 		next := cur.next.Load()
 		// Three-step liveness check: a quick stale glance, then a pin, then
 		// a recheck under the pin (the record may have retired — or retired
@@ -230,13 +175,11 @@ func (r *registry[V]) walkSlot(s *slot[V], c int, visit func(rec *scanRecord[V],
 		// still the enrollment's).
 		live := !cur.stale() && cur.rec.pin()
 		if live && cur.stale() {
-			r.release(cur.rec)
+			o.releaseRef(cur.rec)
 			live = false
 		}
 		if !live {
-			if r.yield != nil {
-				r.yield(sched.PreUnlink, c)
-			}
+			o.yield(sched.PreUnlink, c)
 			if prev != nil {
 				prev.next.CompareAndSwap(cur, next)
 			} else {
@@ -246,11 +189,12 @@ func (r *registry[V]) walkSlot(s *slot[V], c int, visit func(rec *scanRecord[V],
 			continue
 		}
 		s.visited.Add(1)
-		visit(cur.rec, cur.gen)
-		r.release(cur.rec)
+		seen = o.help(cur.rec, cur.gen, op, seen)
+		o.releaseRef(cur.rec)
 		prev = cur
 		cur = next
 	}
+	return seen
 }
 
 // slotLen counts enrollments currently linked in a slot,

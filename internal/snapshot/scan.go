@@ -6,9 +6,10 @@ import (
 	"partialsnapshot/internal/sched"
 )
 
-// This file is the scanner side of LockFree: scan records, announcement
-// and retirement, and the PartialScan double-collect/adopt loop. The
-// updater side that serves announced records lives in helping.go.
+// This file is the scanner side of LockFree: scan records and the
+// PartialScan double-collect/adopt loop. Announcement and retirement live
+// in registry.go; the updater side that serves announced records lives in
+// helping.go.
 
 // scanRecord is one announcement: "somebody needs a consistent view of this
 // component set". Level 0 records are posted by PartialScan; level k >= 1
@@ -36,36 +37,6 @@ type scanRecord[V any] struct {
 	done atomic.Bool
 	gen  atomic.Uint64 // incarnation count; enrollments capture it
 	refs atomic.Int64  // owner + pinned walkers; 0 = poolable
-}
-
-// announce enrolls rec in the registry slot of each component it names.
-func (o *LockFree[V]) announce(rec *scanRecord[V]) {
-	o.reg.enroll(rec)
-}
-
-// retire marks rec completed and drops the owner's reference; the owner
-// sweeps consecutive stale enrollments off its slots' heads (quiescent
-// updates skip those slots, so retirement must drain them — see
-// sweepStale), deeper ones are unlinked lazily by later walks and enrolls,
-// and the record itself returns to the pool once the last pinned helper
-// lets go. The sweep runs before any pooling path so rec.ids and rec.uni
-// are still this incarnation's.
-func (o *LockFree[V]) retire(rec *scanRecord[V]) {
-	o.reg.retire(rec)
-	o.reg.sweepStale(rec)
-	if o.mut.unsafeEagerRelease {
-		// Test-only mutation seam: return the record to the pool the moment
-		// the owner retires it, ignoring helper pins — the use-after-reuse
-		// bug the reference count exists to prevent. While the seam is
-		// active, retire is the ONLY pooling site (releaseRef checks the
-		// flag): a lingering helper's release after the record has been
-		// recycled would otherwise drop the new owner's count to zero and
-		// pool the same live record twice.
-		rec.refs.Store(0)
-		o.records.put(rec)
-		return
-	}
-	o.releaseRef(rec)
 }
 
 // ScanInfo describes how a partial scan completed.

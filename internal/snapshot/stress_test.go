@@ -144,11 +144,11 @@ func TestDisjointSetsDoNotInterfere(t *testing.T) {
 	if stats.ScanRetries != 0 || stats.HelpsPosted != 0 || stats.HelpsAdopted != 0 {
 		t.Fatalf("disjoint workload caused interference: %+v (want all zero)", stats)
 	}
-	// The quiescence summary makes locality structural AND free: the
-	// scanners never announced anywhere, so every updater consultation read
-	// a zero group count and skipped the slot walk outright. Every (update,
-	// component) pair still counts as a consultation — it just lands in
-	// WalksSkipped instead of RegistryWalks.
+	// Locality is structural AND free: the scanners never announced
+	// anywhere, so every updater consultation read a nil slot head and
+	// skipped the walk outright. Every (update, component) pair still
+	// counts as a consultation — it just lands in WalksSkipped instead of
+	// RegistryWalks.
 	if stats.RegistryWalks != 0 {
 		t.Fatalf("quiescent disjoint workload walked registry slots %d times, want 0 (all skipped): %+v",
 			stats.RegistryWalks, stats)

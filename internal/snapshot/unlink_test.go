@@ -16,24 +16,19 @@ import (
 // updater walks and the retiring owner's sweep — immediately before their
 // unlink CAS of the *same* retired enrollment, lets them fire in order, and
 // checks the losers' stale CASes neither corrupt the slot nor double-count:
-// the slot ends empty, stats stay coherent, and both updates complete. An
-// auxiliary live record on the group's other slot keeps the quiescence
-// summary nonzero, so the walkers actually walk instead of skipping.
+// the slot ends empty, stats stay coherent, and both updates complete.
+// The stale enrollment is still slot 0's head, so both walkers' head loads
+// find it non-nil and they walk instead of skipping.
 func TestUnlinkRaceTwoWalkersSameEnrollment(t *testing.T) {
 	ctl := sched.NewController()
 	o := NewLockFree[int64](2).Instrument(ctl)
-
-	// aux keeps the (single) slot group's announced count nonzero for the
-	// whole script without ever being enrolled in slot 0.
-	aux := o.acquireRecord(o.uni.Load(), []int{1}, 0)
-	o.announce(aux)
 
 	rec := o.acquireRecord(o.uni.Load(), []int{0}, 0)
 	o.announce(rec)
 
 	// The owner's retirement sweep parks before popping rec's now-stale
 	// enrollment off slot 0's head; the record is already logically retired
-	// (done flag set, summary count given back).
+	// (done flag set).
 	ctl.Spawn("retirer", func() { o.retire(rec) })
 	if arg, ok := ctl.StepUntil("retirer", sched.PreUnlink); !ok || arg != 0 {
 		t.Fatalf("retirer parked at PreUnlink(%d) ok=%v, want arg 0", arg, ok)
@@ -49,8 +44,8 @@ func TestUnlinkRaceTwoWalkersSameEnrollment(t *testing.T) {
 	spawnUpdate("u1", 1)
 	spawnUpdate("u2", 2)
 
-	// Both walkers read aux's nonzero summary, load the same stale head and
-	// park before their unlink CAS.
+	// Both walkers load the same stale head, walk, and park before their
+	// unlink CAS.
 	for _, name := range []string{"u1", "u2"} {
 		if arg, ok := ctl.StepUntil(name, sched.PreUnlink); !ok || arg != 0 {
 			t.Fatalf("%s parked at PreUnlink(%d) ok=%v, want arg 0", name, arg, ok)
@@ -66,11 +61,15 @@ func TestUnlinkRaceTwoWalkersSameEnrollment(t *testing.T) {
 		t.Fatalf("slotLen(0) = %d after racing unlinks, want 0", n)
 	}
 	st := o.Stats()
-	if st.LiveAnnouncements != 1 {
-		t.Fatalf("LiveAnnouncements = %d, want 1 (aux)", st.LiveAnnouncements)
+	if st.LiveAnnouncements != 0 {
+		t.Fatalf("LiveAnnouncements = %d, want 0", st.LiveAnnouncements)
 	}
 	if st.RecordsVisited != 0 || st.HelpsPosted != 0 {
 		t.Fatalf("retired record was visited or helped: %+v", st)
+	}
+	if st.RegistryWalks != 2 || st.WalksSkipped != 0 {
+		t.Fatalf("RegistryWalks = %d, WalksSkipped = %d, want 2 and 0 (both walkers found the stale head)",
+			st.RegistryWalks, st.WalksSkipped)
 	}
 	// Both stores landed despite the lost CASes.
 	got, err := o.PartialScan([]int{0})
@@ -79,10 +78,6 @@ func TestUnlinkRaceTwoWalkersSameEnrollment(t *testing.T) {
 	}
 	if got[0] != 1 && got[0] != 2 {
 		t.Fatalf("component 0 = %d, want one of the racing updates' values", got[0])
-	}
-	o.retire(aux)
-	if live := o.Stats().LiveAnnouncements; live != 0 {
-		t.Fatalf("LiveAnnouncements = %d after retiring aux, want 0", live)
 	}
 }
 
@@ -123,14 +118,14 @@ func TestUnlinkRaceAgainstEnroller(t *testing.T) {
 		t.Fatalf("retirer parked at PreUnlink(%d) ok=%v, want arg 0", arg, ok)
 	}
 
-	// The enroller raises the summary count, then finds b's stale enrollment
-	// at the head and parks before unlinking it.
+	// The enroller finds b's stale enrollment at the head and parks before
+	// unlinking it.
 	ctl.Spawn("enroller", func() { o.announce(fresh) })
 	if arg, ok := ctl.StepUntil("enroller", sched.PreUnlink); !ok || arg != 0 {
 		t.Fatalf("enroller parked at PreUnlink(%d) ok=%v, want arg 0", arg, ok)
 	}
 
-	// The updater's walk (summary nonzero: the enroller already raised it)
+	// The updater's walk (its head load finds b's stale enrollment)
 	// unlinks b's stale head AND a's stale-by-generation enrollment out from
 	// under both parked CASes (uncontrolled goroutine: runs straight
 	// through).

@@ -43,9 +43,8 @@ const (
 	ScanHeavy Shape = "scan-heavy"
 	// UpdateHeavy is pure update traffic: no worker ever scans, so no
 	// announcement is ever live and every updater's registry consultation
-	// resolves through the quiescence summary's skip — the shape that
-	// measures the uncontended update fast path (and, on implementations
-	// without the summary, the per-update registry tax it removes).
+	// reads a nil slot head and skips the walk — the shape that measures
+	// the uncontended update fast path.
 	UpdateHeavy Shape = "update-heavy"
 	// Churn runs uniform-style traffic over a breathing universe: worker 0
 	// interleaves alternating Grow/Shrink ops (every ResizeEvery-th op) that
