@@ -16,7 +16,9 @@ import (
 // perfbenchBodies returns request bodies exactly as the repository
 // benchmark (perfbench, serve-mixed) writes them: its workload shape and
 // its encoder, {"ids":[...]} for a scan and {"ids":[...],"vals":[...]} for
-// an update.
+// an update. It returns the first bodiesPerKind of each kind from one
+// stream, so the fuzz targets' seed ids stay put when the generator's
+// draws move.
 func perfbenchBodies(tb testing.TB) (updates, scans [][]byte) {
 	tb.Helper()
 	gen, err := workload.New(workload.Config{Shape: workload.Uniform, Components: 64,
@@ -25,7 +27,8 @@ func perfbenchBodies(tb testing.TB) (updates, scans [][]byte) {
 		tb.Fatal(err)
 	}
 	st := gen.Stream(1)
-	for len(updates) < 4 || len(scans) < 4 {
+	const bodiesPerKind = 8
+	for len(updates) < bodiesPerKind || len(scans) < bodiesPerKind {
 		op := st.Next()
 		b := []byte(`{"ids":[`)
 		for i, c := range op.Comps {
@@ -48,7 +51,7 @@ func perfbenchBodies(tb testing.TB) (updates, scans [][]byte) {
 		}
 		updates = append(updates, append(b, "]}"...))
 	}
-	return updates, scans
+	return updates[:bodiesPerKind], scans[:bodiesPerKind]
 }
 
 // Seeds every target shares: valid and invalid corners of the grammar the

@@ -8,6 +8,10 @@
 // (internal/bench) — correctness search and performance measurement stop
 // drifting apart the moment they share the generator.
 //
+// Every stream draws from its own math/rand/v2 PCG source seeded with the
+// pair (Config.Seed, worker): two words of state, seeded in O(1), so
+// setting up a stream costs far less than the object it drives.
+//
 // The package is deliberately ignorant of the snapshot object: it emits
 // (kind, components, values) triples and nothing else, so it imports
 // neither internal/snapshot nor internal/spec.
@@ -15,7 +19,7 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 )
 
 // Shape names a workload distribution.
@@ -76,8 +80,9 @@ func Flex(n int) int {
 	return max(1, n/4)
 }
 
-// zipfSkew is the rank exponent of the Zipfian shape (s in rand.NewZipf;
-// larger = hotter head).
+// zipfSkew is the rank exponent of the Zipfian shape: rand.NewZipf draws
+// rank k with probability proportional to (1+k)^-zipfSkew (larger = hotter
+// head).
 const zipfSkew = 1.2
 
 // Config describes one workload. Zero ScanWidth/UpdateWidth and negative
@@ -255,9 +260,10 @@ func New(cfg Config) (*Generator, error) {
 // Config returns the resolved configuration (shape defaults filled in).
 func (g *Generator) Config() Config { return g.cfg }
 
-// Stream returns worker w's operation stream. Streams are independent and
-// deterministic: stream w of two generators with equal configs yield
-// identical sequences, which is what lets the parity suite drive two
+// Stream returns worker w's operation stream, drawn from a PCG source
+// seeded with (Seed, w). Streams are independent and deterministic:
+// stream w of two generators with equal configs yield identical
+// sequences, which is what lets the parity suite drive two
 // implementations with the same traffic and the exploration tests replay
 // a workload from (shape, seed) alone.
 func (g *Generator) Stream(worker int) *Stream {
@@ -274,10 +280,7 @@ func (g *Generator) Stream(worker int) *Stream {
 	for i := range pool {
 		pool[i] = lo + i
 	}
-	// Mix the worker index into the seed with a splitmix64-style odd
-	// constant so per-worker streams are decorrelated even for adjacent
-	// seeds.
-	rng := rand.New(rand.NewSource(c.Seed ^ int64(worker+1)*-0x61c8864680b583eb))
+	rng := rand.New(rand.NewPCG(uint64(c.Seed), uint64(worker)))
 	s := &Stream{
 		cfg:    c,
 		worker: worker,
@@ -345,9 +348,10 @@ func (s *Stream) Next() Op {
 	}
 	// Degenerate mixes draw no mix decision: a pure-scan (frac >= 1) or
 	// pure-update (frac <= 0) stream spends its randomness only on component
-	// picks. Mixed streams consume exactly one Float64 per op as before, so
-	// their draw sequences — and the committed baselines measured under
-	// them — are unchanged.
+	// picks. Mixed streams consume exactly one Float64 per op. Any change to
+	// the draws changes every seeded stream, which TestGoldenStreamFingerprints
+	// pins; the committed BENCH_*.json baselines were measured under the
+	// earlier math/rand streams, equally distributed but not identical.
 	if s.cfg.ScanFrac >= 1 || (s.cfg.ScanFrac > 0 && s.rng.Float64() < s.cfg.ScanFrac) {
 		return Op{Kind: OpScan, Comps: s.pick(s.cfg.ScanWidth)}
 	}
@@ -373,7 +377,7 @@ func (s *Stream) pick(k int) []int {
 	// uniform over k-subsets; the pool stays a permutation of itself.
 	n := len(s.pool)
 	for i := 0; i < k; i++ {
-		j := i + s.rng.Intn(n-i)
+		j := i + s.rng.IntN(n-i)
 		s.pool[i], s.pool[j] = s.pool[j], s.pool[i]
 	}
 	return append(s.comps[:0], s.pool[:k]...)
@@ -402,7 +406,7 @@ func (s *Stream) pickCrowd(k int) []int {
 	}
 	n := len(pool)
 	for i := 0; i < k; i++ {
-		j := i + s.rng.Intn(n-i)
+		j := i + s.rng.IntN(n-i)
 		pool[i], pool[j] = pool[j], pool[i]
 	}
 	return append(s.comps[:0], pool[:k]...)

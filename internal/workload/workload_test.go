@@ -1,7 +1,11 @@
 package workload
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -314,5 +318,153 @@ func TestNextReusesBuffers(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("%s Stream.Next allocates %v per op, want 0", shape, allocs)
 		}
+	}
+}
+
+// fingerprint hashes the first n ops of worker w's stream with FNV-64a:
+// kind, delta, components and values of each op, little-endian.
+func fingerprint(g *Generator, w, n int) uint64 {
+	h := fnv.New64a()
+	var buf []byte
+	s := g.Stream(w)
+	for i := 0; i < n; i++ {
+		op := s.Next()
+		buf = append(buf[:0], byte(op.Kind))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Delta))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(op.Comps)))
+		for _, c := range op.Comps {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(c))
+		}
+		for _, v := range op.Vals {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		}
+		h.Write(buf)
+	}
+	return h.Sum64()
+}
+
+// TestGoldenStreamFingerprints pins the streams themselves: the first
+// 1,000 ops of workers 0 and 1 at Seed 1, per shape. Every seeded test
+// runs under these streams, so a change to the generator that moves them
+// must update this table on purpose.
+func TestGoldenStreamFingerprints(t *testing.T) {
+	golden := map[Shape][2]uint64{
+		Uniform:     {0x5a95da3bc76d0ecb, 0x1c83f662c83ba5a0},
+		Zipfian:     {0x495f74ef8a15d384, 0x901360f4089c7fca},
+		Partitioned: {0x49e620309ce618a5, 0x042293213647e369},
+		BatchHeavy:  {0x130e5e45bccfdaa6, 0x8b10e93c0e513604},
+		ScanHeavy:   {0x2676b2146634de34, 0x17684d97bbba395c},
+		UpdateHeavy: {0x92cd4e0ac2b540ed, 0xe5ff9f79f6dbebf4},
+		Churn:       {0x97aae7a22208d0fe, 0xa60dbc84ce578530},
+		FlashCrowd:  {0xa4be0c3840cca0ad, 0x8c59d467c0cdd8dc},
+	}
+	for _, shape := range Shapes() {
+		g, err := New(baseConfig(shape))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < 2; w++ {
+			got := fingerprint(g, w, 1000)
+			if want := golden[shape][w]; got != want {
+				t.Errorf("%s worker %d: fingerprint %#016x, want %#016x", shape, w, got, want)
+			}
+		}
+	}
+}
+
+// TestZipfianFollowsTheLaw: width-1 zipfian picks draw component k with
+// probability (1+k)^-1.2 / Σ_{j=1..n} j^-1.2. Component 0's share over
+// 100,000 picks on 16 components must sit within 2 points of the law's
+// 1/Σ — the distribution itself, not only its skew.
+func TestZipfianFollowsTheLaw(t *testing.T) {
+	const n, total = 16, 100_000
+	g, err := New(Config{Shape: Zipfian, Components: n, Workers: 1, ScanWidth: 1, UpdateWidth: 1, ScanFrac: -1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for j := 1; j <= n; j++ {
+		sum += math.Pow(float64(j), -zipfSkew)
+	}
+	want := 1 / sum
+	hits := 0
+	s := g.Stream(0)
+	for i := 0; i < total; i++ {
+		if s.Next().Comps[0] == 0 {
+			hits++
+		}
+	}
+	got := float64(hits) / total
+	if math.Abs(got-want) > 0.02 {
+		t.Fatalf("component 0 drew %.2f%% of zipfian picks, the law gives %.2f%%", got*100, want*100)
+	}
+	t.Logf("component 0 drew %.2f%% of zipfian picks, the law gives %.2f%%", got*100, want*100)
+}
+
+// streamConfig is the object benchmarks' traffic at 64 components: scans
+// of width 4, updates of width 2, half of each, two workers.
+func streamConfig(shape Shape) Config {
+	return Config{Shape: shape, Components: 64, Workers: 2, ScanWidth: 4, UpdateWidth: 2, ScanFrac: 0.5, Seed: 1}
+}
+
+// TestStreamSetupAllocsAndBytes bounds what setting up a stream costs: at
+// 64 components, at most 8 allocations and 1 KiB for every shape. A
+// source whose seeding allocates or fills a large state table breaks it.
+func TestStreamSetupAllocsAndBytes(t *testing.T) {
+	const runs, allocBudget, byteBudget = 1000, 8, 1024
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, shape := range Shapes() {
+		g, err := New(streamConfig(shape))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sink *Stream
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			sink = g.Stream(i % 2)
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(sink)
+		allocs := float64(after.Mallocs-before.Mallocs) / runs
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		if allocs > allocBudget || bytes > byteBudget {
+			t.Errorf("%s Stream: %.1f allocs, %.0f B; budget %d allocs, %d B", shape, allocs, bytes, allocBudget, byteBudget)
+		} else {
+			t.Logf("%s Stream: %.1f allocs, %.0f B", shape, allocs, bytes)
+		}
+	}
+}
+
+// BenchmarkStream times setting up one stream per shape.
+func BenchmarkStream(b *testing.B) {
+	for _, shape := range Shapes() {
+		b.Run(string(shape), func(b *testing.B) {
+			g, err := New(streamConfig(shape))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				g.Stream(0)
+			}
+		})
+	}
+}
+
+// BenchmarkStreamNext times the generator's per-op cost per shape.
+func BenchmarkStreamNext(b *testing.B) {
+	for _, shape := range Shapes() {
+		b.Run(string(shape), func(b *testing.B) {
+			g, err := New(streamConfig(shape))
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := g.Stream(0)
+			b.ReportAllocs()
+			for b.Loop() {
+				s.Next()
+			}
+		})
 	}
 }
