@@ -32,12 +32,6 @@ type cellKey struct {
 	ScanWidth   int
 	UpdateWidth int
 	ScanFrac    float64
-	// ResizeEvery is the churn cadence of resizing scenarios (0 for
-	// fixed-universe cells, and for files predating the field). Keying on
-	// it guarantees a churn cell is never compared against a fixed-universe
-	// cell — or against a churn cell of a different cadence — since those
-	// measure different universes.
-	ResizeEvery int
 	Seed        int64
 }
 
@@ -54,7 +48,6 @@ func keyOf(r bench.Result) cellKey {
 		ScanWidth:   r.ScanWidth,
 		UpdateWidth: r.UpdateWidth,
 		ScanFrac:    r.ScanFrac,
-		ResizeEvery: r.ResizeEvery,
 		Seed:        r.Seed,
 	}
 }
@@ -62,9 +55,6 @@ func keyOf(r bench.Result) cellKey {
 func (k cellKey) String() string {
 	s := fmt.Sprintf("%s/%s g=%d n=%d scanW=%d updW=%d", k.Impl, k.Scenario,
 		k.Goroutines, k.Components, k.ScanWidth, k.UpdateWidth)
-	if k.ResizeEvery != 0 {
-		s += fmt.Sprintf(" resizeEvery=%d", k.ResizeEvery)
-	}
 	return s
 }
 

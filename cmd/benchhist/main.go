@@ -9,8 +9,7 @@
 // baselines?" — it applies no thresholds and never fails; it only renders.
 // Cells are matched by the same workload dimensions benchdiff keys on
 // (implementation, scenario, goroutines, components, widths, scan fraction,
-// resize cadence, seed), so a churn cell is never charted against a
-// fixed-universe one.
+// seed), so a churn cell is never charted against a fixed-universe one.
 //
 // Usage:
 //
@@ -42,8 +41,7 @@ type benchFile struct {
 }
 
 // cellKey mirrors cmd/benchdiff's cell identity: the workload dimensions,
-// duration excluded. ResizeEvery distinguishes churn cadences; files
-// predating the field decode it as 0 and chart as fixed-universe cells.
+// duration excluded.
 type cellKey struct {
 	Impl        string
 	Scenario    string
@@ -52,7 +50,6 @@ type cellKey struct {
 	ScanWidth   int
 	UpdateWidth int
 	ScanFrac    float64
-	ResizeEvery int
 	Seed        int64
 }
 
@@ -69,7 +66,6 @@ func keyOf(r bench.Result) cellKey {
 		ScanWidth:   r.ScanWidth,
 		UpdateWidth: r.UpdateWidth,
 		ScanFrac:    r.ScanFrac,
-		ResizeEvery: r.ResizeEvery,
 		Seed:        r.Seed,
 	}
 }
@@ -77,9 +73,6 @@ func keyOf(r bench.Result) cellKey {
 func (k cellKey) String() string {
 	s := fmt.Sprintf("%s/%s g=%d n=%d scanW=%d updW=%d", k.Impl, k.Scenario,
 		k.Goroutines, k.Components, k.ScanWidth, k.UpdateWidth)
-	if k.ResizeEvery != 0 {
-		s += fmt.Sprintf(" resizeEvery=%d", k.ResizeEvery)
-	}
 	return s
 }
 

@@ -11,7 +11,7 @@
 // the same generator the exploration and stress tests model-check, so
 // every measured scenario is also a correctness-searched one. A scan
 // fraction of -1 (the default) and zero widths take the shape's own
-// defaults; so does a -resize-every of 0 for the resizing shapes.
+// defaults.
 //
 // Examples:
 //
@@ -27,11 +27,10 @@
 //	snapbench -scenario zipfian -goroutines 4 -components 64 \
 //	          -scan-widths 8 -duration 200ms
 //
-//	# Epoch churn: worker 0 Grows/Shrinks the universe every 4th op while
-//	# the rest update and scan; cells record resize_every so benchdiff
-//	# never compares universes of different cadence.
+//	# Epoch churn: worker 0 Grows the universe once, at its 4th op, while
+//	# the rest update and scan; cells record resize_ops and rejected_ops.
 //	snapbench -scenario churn -goroutines 4 -components 64 \
-//	          -scan-widths 8 -resize-every 4 -duration 200ms
+//	          -scan-widths 8 -duration 200ms
 package main
 
 import (
@@ -63,7 +62,6 @@ func main() {
 	scanWidths := flag.String("scan-widths", "1,8,32", "comma-separated partial-scan widths")
 	updateWidth := flag.Int("update-width", 2, "components per update")
 	scanFrac := flag.Float64("scan-frac", -1, "fraction of operations that are scans (-1 = the scenario shape's default)")
-	resizeEvery := flag.Int("resize-every", 0, "resizing scenarios: worker 0 Grows/Shrinks every Nth op (0 = the shape's default; must stay 0 for fixed-universe scenarios)")
 	duration := flag.Duration("duration", 200*time.Millisecond, "duration of each benchmark cell")
 	seed := flag.Int64("seed", 1, "workload random seed")
 	out := flag.String("out", "", "output path (default BENCH_<scenario>.json)")
@@ -83,7 +81,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if err := run(*scenario, implList, gList, cList, wList, *updateWidth, *scanFrac, *resizeEvery, *duration, *seed, *out); err != nil {
+	if err := run(*scenario, implList, gList, cList, wList, *updateWidth, *scanFrac, *duration, *seed, *out); err != nil {
 		fail(err)
 	}
 }
@@ -93,7 +91,7 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-func run(scenario string, impls []string, goroutines, components, scanWidths []int, updateWidth int, scanFrac float64, resizeEvery int, duration time.Duration, seed int64, out string) error {
+func run(scenario string, impls []string, goroutines, components, scanWidths []int, updateWidth int, scanFrac float64, duration time.Duration, seed int64, out string) error {
 	// A bad scenario name is a sweep-wide mistake: abort before the loop
 	// instead of skipping every cell.
 	known := scenario == ""
@@ -125,7 +123,6 @@ func run(scenario string, impls []string, goroutines, components, scanWidths []i
 						ScanWidth:   w,
 						UpdateWidth: min(updateWidth, n),
 						ScanFrac:    scanFrac,
-						ResizeEvery: resizeEvery,
 						Duration:    duration,
 						Seed:        seed,
 					}
@@ -146,9 +143,6 @@ func run(scenario string, impls []string, goroutines, components, scanWidths []i
 						contention = fmt.Sprintf("  retries=%d visited=%d helps=%d reuses=%d",
 							res.Stats.ScanRetries, res.Stats.RecordsVisited, res.Stats.HelpsPosted,
 							res.Stats.RecordReuses)
-						if res.Stats.ViewsDiscarded > 0 {
-							contention += fmt.Sprintf(" views_discarded=%d", res.Stats.ViewsDiscarded)
-						}
 					}
 					allocs := ""
 					if res.AllocsPerOp != nil {
@@ -169,9 +163,9 @@ func run(scenario string, impls []string, goroutines, components, scanWidths []i
 	}
 	// Skipping is per-cell (one infeasible width should not kill a sweep),
 	// but a sweep where EVERY cell was skipped is a sweep-wide mistake —
-	// e.g. -resize-every on a fixed-universe scenario — and writing an
-	// empty BENCH file with exit 0 would hide it from both the user and
-	// benchdiff.
+	// e.g. every scan width wider than every component count — and
+	// writing an empty BENCH file with exit 0 would hide it from both the
+	// user and benchdiff.
 	if len(rep.Results) == 0 {
 		return fmt.Errorf("no feasible cells: every cell in the sweep was skipped (see skip lines above)")
 	}

@@ -31,7 +31,6 @@ func main() {
 	scanWidth := flag.Int("scan-width", 0, "components per scan (0 = shape default)")
 	updateWidth := flag.Int("update-width", 0, "components per update (0 = shape default)")
 	scanFrac := flag.Float64("scan-frac", -1, "fraction of ops that are scans (-1 = shape default)")
-	resizeEvery := flag.Int("resize-every", 0, "resizing scenarios: churner cadence (0 = shape default)")
 	batch := flag.Int("batch", 1, "consecutive updates coalesced per /update request")
 	seed := flag.Int64("seed", 1, "workload random seed")
 	out := flag.String("out", "BENCH_serving.json", "report output path")
@@ -48,7 +47,6 @@ func main() {
 		ScanWidth:       *scanWidth,
 		UpdateWidth:     *updateWidth,
 		ScanFrac:        *scanFrac,
-		ResizeEvery:     *resizeEvery,
 		Batch:           *batch,
 		Seed:            *seed,
 		SkipConformance: *noConf,

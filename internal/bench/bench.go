@@ -45,12 +45,12 @@ const (
 	// quiescent fast-path scenario, where every registry consultation
 	// should read a nil slot head and skip the walk.
 	ScenarioUpdateHeavy = string(workload.UpdateHeavy)
-	// ScenarioChurn runs mixed traffic over a breathing universe: worker 0
-	// periodically Grows and Shrinks the object while everyone's component
-	// picks spread over the base and flex zones.
+	// ScenarioChurn runs mixed traffic over a growing universe: worker 0
+	// Grows the object once, early, while everyone's component picks spread
+	// over the base and flex zones.
 	ScenarioChurn = string(workload.Churn)
-	// ScenarioFlashCrowd is churn with most traffic rushing the appearing-
-	// and-disappearing flex components.
+	// ScenarioFlashCrowd is churn with most traffic rushing the flex
+	// components the Grow adds.
 	ScenarioFlashCrowd = string(workload.FlashCrowd)
 )
 
@@ -99,11 +99,6 @@ type Config struct {
 	// ScanFrac is the fraction of operations that are scans, in [0,1];
 	// negative selects the scenario shape's default.
 	ScanFrac float64 `json:"scan_frac"`
-	// ResizeEvery is the churner's resize cadence for resizing scenarios
-	// (0 = shape default; must stay 0 for fixed-universe scenarios). Part
-	// of the benchdiff cell key: cells with different churn cadences — or a
-	// churn cell and a fixed cell — are never compared against each other.
-	ResizeEvery int `json:"resize_every,omitempty"`
 	// Duration is how long the workload runs.
 	Duration time.Duration `json:"duration_ns"`
 	// Seed makes the workload reproducible.
@@ -117,9 +112,9 @@ type Result struct {
 	ScanOps    uint64  `json:"scan_ops"`
 	ElapsedSec float64 `json:"elapsed_sec"`
 	OpsPerSec  float64 `json:"ops_per_sec"`
-	// ResizeOps counts completed Grow/Shrink operations (resizing
-	// scenarios only); RejectedOps counts updates and scans that drew
-	// ErrBadComponent because they named a momentarily-shrunk component —
+	// ResizeOps counts completed Grow operations (resizing scenarios
+	// only); RejectedOps counts updates and scans that drew ErrBadComponent
+	// because they named a component before the Grow that adds it landed —
 	// expected traffic in a resizing scenario, a hard failure anywhere
 	// else. Rejected ops count toward neither OpsPerSec nor the
 	// per-operation allocation figures.
@@ -171,7 +166,6 @@ func generator(cfg Config) (*workload.Generator, Config, error) {
 		ScanWidth:   cfg.ScanWidth,
 		UpdateWidth: cfg.UpdateWidth,
 		ScanFrac:    cfg.ScanFrac,
-		ResizeEvery: cfg.ResizeEvery,
 		Seed:        cfg.Seed,
 	})
 	if err != nil {
@@ -181,7 +175,6 @@ func generator(cfg Config) (*workload.Generator, Config, error) {
 	cfg.ScanWidth = resolved.ScanWidth
 	cfg.UpdateWidth = resolved.UpdateWidth
 	cfg.ScanFrac = resolved.ScanFrac
-	cfg.ResizeEvery = resolved.ResizeEvery
 	return gen, cfg, nil
 }
 
@@ -217,8 +210,9 @@ func Run(cfg Config) (Result, error) {
 // trips a shared stop that cancels the clock and the other workers
 // promptly.
 func runWithObject(obj snapshot.Object[int64], gen *workload.Generator, cfg Config) (Result, error) {
-	// Resizing shapes generate ops that legitimately name momentarily-
-	// shrunk components; those rejections are counted, not fatal.
+	// Resizing shapes generate ops that legitimately name components
+	// before the Grow that adds them; those rejections are counted, not
+	// fatal.
 	tolerateRejects := gen.Config().Shape.Resizes()
 	var stop atomic.Bool
 	var updates, scans, resizes, rejects atomic.Uint64
@@ -291,12 +285,6 @@ func runWithObject(obj snapshot.Object[int64], gen *workload.Generator, cfg Conf
 					// The generator guarantees a single churner, so a resize
 					// failure is a harness bug, never expected traffic.
 					if _, err := obj.Grow(op.Delta); err != nil {
-						fail(err)
-						return
-					}
-					localResizes++
-				case workload.OpShrink:
-					if _, err := obj.Shrink(op.Delta); err != nil {
 						fail(err)
 						return
 					}

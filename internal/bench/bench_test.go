@@ -60,16 +60,6 @@ func TestRunEveryScenario(t *testing.T) {
 			if res.ScanWidth == 0 || res.UpdateWidth == 0 || res.ScanFrac < 0 {
 				t.Fatalf("shape defaults not resolved into the result: %+v", res.Config)
 			}
-			// ViewsDiscarded counts pinned views invalidated by a resize
-			// install; only the churn shapes run a resizer, so every other
-			// scenario must report exactly zero — any nonzero reading there
-			// means the exit recheck discarded a view nothing invalidated.
-			if res.Stats != nil && scenario != bench.ScenarioChurn && scenario != bench.ScenarioFlashCrowd {
-				if res.Stats.ViewsDiscarded != 0 {
-					t.Fatalf("%s discarded %d views with no resizer in the workload: %+v",
-						scenario, res.Stats.ViewsDiscarded, res.Stats)
-				}
-			}
 			switch scenario {
 			case bench.ScenarioScanHeavy:
 				if res.ScanOps <= res.UpdateOps {

@@ -38,12 +38,11 @@ type Config struct {
 	// it from the server's /stats (it must match the server's object, or
 	// the generated ids will draw bad_component rejections).
 	Components int `json:"components"`
-	// ScanWidth, UpdateWidth, ScanFrac and ResizeEvery tune the shape
-	// (zero values = shape defaults, as everywhere else).
+	// ScanWidth, UpdateWidth and ScanFrac tune the shape (zero values =
+	// shape defaults, as everywhere else).
 	ScanWidth   int     `json:"scan_width"`
 	UpdateWidth int     `json:"update_width"`
 	ScanFrac    float64 `json:"scan_frac"`
-	ResizeEvery int     `json:"resize_every,omitempty"`
 	// Batch coalesces up to this many consecutive update ops of a worker's
 	// stream into one POST /update request (<=1 = no batching). Scans and
 	// resizes flush the pending batch first, preserving each worker's
@@ -140,7 +139,6 @@ func Run(cfg Config) (Report, error) {
 		ScanWidth:   cfg.ScanWidth,
 		UpdateWidth: cfg.UpdateWidth,
 		ScanFrac:    cfg.ScanFrac,
-		ResizeEvery: cfg.ResizeEvery,
 		Seed:        cfg.Seed,
 	})
 	if err != nil {
@@ -148,7 +146,7 @@ func Run(cfg Config) (Report, error) {
 	}
 	resolved := gen.Config()
 	cfg.ScanWidth, cfg.UpdateWidth = resolved.ScanWidth, resolved.UpdateWidth
-	cfg.ScanFrac, cfg.ResizeEvery = resolved.ScanFrac, resolved.ResizeEvery
+	cfg.ScanFrac = resolved.ScanFrac
 
 	tolerateRejects := resolved.Shape.Resizes()
 	var stop atomic.Bool
@@ -243,17 +241,12 @@ func runWorker(ws *workerState, client *http.Client, cfg Config, stream *workloa
 				server.ScanReq{IDs: append([]int(nil), op.Comps...)}, tolerateRejects) == http.StatusOK {
 				ws.scans++
 			}
-		case workload.OpGrow, workload.OpShrink:
+		case workload.OpGrow:
 			flush()
-			path := "/grow"
-			if op.Kind == workload.OpShrink {
-				path = "/shrink"
-			}
 			// A 409 is tolerated on resizing shapes: the generator's single
-			// churner never conflicts with itself, but another client
-			// resizing the same daemon can make a generated shrink
-			// infeasible.
-			if ws.do(client, cfg.BaseURL+path, server.ResizeReq{Delta: op.Delta}, tolerateRejects) == http.StatusOK {
+			// churner never conflicts with itself, but other clients growing
+			// the same daemon can take it to the server's component cap.
+			if ws.do(client, cfg.BaseURL+"/grow", server.ResizeReq{Delta: op.Delta}, tolerateRejects) == http.StatusOK {
 				ws.resizes++
 			}
 		}

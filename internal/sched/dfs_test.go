@@ -147,7 +147,7 @@ func TestDFSSleepSetPruning(t *testing.T) {
 		t.Fatalf("independence relation never pruned: %+v", slim)
 	}
 	if slim.Schedules >= full.Schedules {
-		t.Fatalf("sleep sets did not shrink the space: %d schedules pruned vs %d full", slim.Schedules, full.Schedules)
+		t.Fatalf("sleep sets did not reduce the space: %d schedules pruned vs %d full", slim.Schedules, full.Schedules)
 	}
 	t.Logf("sleep sets: %d schedules instead of %d (%d skips)", slim.Schedules, full.Schedules, slim.SleepSkips)
 }

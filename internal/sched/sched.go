@@ -49,7 +49,7 @@ const (
 	// against whichever universe it then pins.
 	PreEpochPin Point = "pre-epoch-pin"
 
-	// PreEpochInstall fires inside Grow/Shrink, after the successor universe
+	// PreEpochInstall fires inside Grow, after the successor universe
 	// is built and before the CAS that publishes it. arg = the successor's
 	// component count. Scripts use it to race an install against in-flight
 	// walks, enrollments and other installs.
@@ -126,17 +126,6 @@ const (
 	// PreAdopt fires when a scan found a posted help view and is about to
 	// return it. arg = the adopting record's level.
 	PreAdopt Point = "pre-adopt"
-
-	// PreEpochRecheck fires after a pinned scan completed a view (a clean
-	// double collect or an adopted one) and before the universe-pointer
-	// re-load that decides whether the view survives: if a resize installed
-	// since the pin and any named component no longer aliases the pinned
-	// epoch's register, the view is discarded and the scan retakes under
-	// the current epoch (see scanPinned). arg = the pinned universe's
-	// epoch. Scripts park a scan here to slide a Shrink (and the write that
-	// would make the stale view observable) into the window the recheck
-	// exists to close.
-	PreEpochRecheck Point = "pre-epoch-recheck"
 )
 
 // Scheduler receives yield callbacks from instrumented code. Yield must be

@@ -10,7 +10,6 @@
 //	POST /update      {"ids":[...],"vals":[...]} or {"ops":[{...},{...}]}
 //	POST /scan        {"ids":[...]} or {"all":true}
 //	POST /grow        {"delta":k}
-//	POST /shrink      {"delta":k}
 //	GET  /stats       server + object counters
 //	GET  /conformance the conformance verdict over the whole run so far
 //	GET  /healthz     liveness
@@ -99,8 +98,7 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/update", s.handleUpdate)
 	mux.HandleFunc("/scan", s.handleScan)
-	mux.HandleFunc("/grow", s.handleResize(true))
-	mux.HandleFunc("/shrink", s.handleResize(false))
+	mux.HandleFunc("/grow", s.handleGrow)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/conformance", s.handleConformance)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -151,7 +149,7 @@ type ScanResp struct {
 	Vals []int64 `json:"vals"`
 }
 
-// ResizeReq is POST /grow's and /shrink's body.
+// ResizeReq is POST /grow's body.
 type ResizeReq struct {
 	Delta int `json:"delta"`
 }
@@ -298,35 +296,29 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	send(w, http.StatusOK, q.out)
 }
 
-func (s *Server) handleResize(grow bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.requests.Add(1)
-		q, ok := s.decode(w, r, resizeFields)
-		if !ok {
-			return
-		}
-		defer putRequest(q)
-		kind, apply := spec.Shrink, s.obj.Shrink
-		if grow {
-			kind, apply = spec.Grow, s.grow
-		}
-		t := s.conf.begin()
-		n, err := apply(q.delta)
-		if err != nil {
-			s.conf.abort(t)
-			s.failApplied(w, q, err, 0)
-			return
-		}
-		s.conf.end(t, spec.Op[int64]{Kind: kind, Delta: q.delta, Size: n})
-		s.resizes.Add(1)
-		q.out = appendCount(q.out, "components", n)
-		send(w, http.StatusOK, q.out)
+func (s *Server) handleGrow(w http.ResponseWriter, r *http.Request) {
+	s.requests.Add(1)
+	q, ok := s.decode(w, r, resizeFields)
+	if !ok {
+		return
 	}
+	defer putRequest(q)
+	t := s.conf.begin()
+	n, err := s.grow(q.delta)
+	if err != nil {
+		s.conf.abort(t)
+		s.failApplied(w, q, err, 0)
+		return
+	}
+	s.conf.end(t, spec.Op[int64]{Kind: spec.Grow, Delta: q.delta, Size: n})
+	s.resizes.Add(1)
+	q.out = appendCount(q.out, "components", n)
+	send(w, http.StatusOK, q.out)
 }
 
 // grow grows the object by k components unless that would take it past
 // maxComponents. Grows are serialised so the size checked is the size
-// grown; a concurrent shrink only makes the check conservative.
+// grown.
 func (s *Server) grow(k int) (int, error) {
 	s.growMu.Lock()
 	defer s.growMu.Unlock()

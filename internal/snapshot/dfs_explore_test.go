@@ -242,105 +242,109 @@ func TestDFSExhaustsHeadConsultationWritersScanner(t *testing.T) {
 }
 
 // churnScenario is the dynamic-universe acceptance scenario: one grower
-// that installs an epoch, writes the component it created, and removes it
-// again (Grow(1) → Update{2} → Shrink(1)); one writer on the permanent
-// components {0,1}; one scanner over {1,2}, whose scan is valid only in
-// the grown epoch — every schedule in which it pins a 2-component universe
-// must reject with ErrBadComponent, and every schedule in which it pins
-// the grown one must return a view the dynamic spec accepts. This is the
-// smallest shape in which epoch pinning, the install CAS, cross-epoch
-// helping and shrunk-component rejection all interleave.
-func churnScenario(c *sched.Controller) sched.Oracle {
-	o := snapshot.NewLockFree[int64](2).Instrument(c)
-	rec := &spec.Recorder[int64]{}
-	var mu sync.Mutex
-	var opErrs []error
-	var rejected atomic.Uint64
-	fail := func(err error) {
-		mu.Lock()
-		opErrs = append(opErrs, err)
-		mu.Unlock()
-	}
-	c.Spawn("grower", func() {
-		start := rec.Now()
-		size, err := o.Grow(1)
-		if err != nil {
-			fail(fmt.Errorf("grower Grow: %w", err))
-			return
+// that installs an epoch and then writes the component it created
+// (Grow(1) → Update{2}); one writer on the original components {0,1}; one
+// scanner over {1,2}, whose scan is valid only in the grown epoch — every
+// schedule in which it pins the 2-component universe must reject with
+// ErrBadComponent, and every schedule in which it pins the grown one must
+// return a view the dynamic spec accepts. This is the smallest shape in
+// which epoch pinning, the install CAS, cross-epoch helping and the
+// rejection of a not-yet-grown component all interleave. freshSurvivors
+// turns on the mutation seam that makes the Grow copy components 0 and 1
+// into new registers and slots instead of aliasing them.
+func churnScenario(freshSurvivors bool) sched.Scenario {
+	return func(c *sched.Controller) sched.Oracle {
+		o := snapshot.NewLockFree[int64](2).Instrument(c)
+		if freshSurvivors {
+			snapshot.WithFreshSurvivors(o)
 		}
-		rec.Add(spec.Op[int64]{Kind: spec.Grow, Start: start, End: rec.Now(), Delta: 1, Size: size})
-		// The grower is the only resizer, so between its own resizes the
-		// grown component indisputably exists: this update must succeed.
-		start = rec.Now()
-		id, err := o.UpdateOp([]int{2}, []int64{workload.Value(2, 2)})
-		if err != nil {
-			fail(fmt.Errorf("grower Update{2}: %w", err))
-			return
+		rec := &spec.Recorder[int64]{}
+		var mu sync.Mutex
+		var opErrs []error
+		fail := func(err error) {
+			mu.Lock()
+			opErrs = append(opErrs, err)
+			mu.Unlock()
 		}
-		rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
-			Comps: []int{2}, Vals: []int64{workload.Value(2, 2)}, UpdateID: id})
-		start = rec.Now()
-		size, err = o.Shrink(1)
-		if err != nil {
-			fail(fmt.Errorf("grower Shrink: %w", err))
-			return
-		}
-		rec.Add(spec.Op[int64]{Kind: spec.Shrink, Start: start, End: rec.Now(), Delta: 1, Size: size})
-	})
-	c.Spawn("writer", func() {
-		start := rec.Now()
-		id, err := o.UpdateOp([]int{0, 1}, []int64{workload.Value(0, 0), workload.Value(0, 1)})
-		if err != nil {
-			fail(fmt.Errorf("writer: %w", err))
-			return
-		}
-		rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
-			Comps: []int{0, 1}, Vals: []int64{workload.Value(0, 0), workload.Value(0, 1)}, UpdateID: id})
-	})
-	c.Spawn("scanner", func() {
-		start := rec.Now()
-		vals, info, err := o.PartialScanInfo([]int{1, 2})
-		if err != nil {
-			if errors.Is(err, snapshot.ErrBadComponent) {
-				// Pinned a universe without component 2: the rejection
-				// linearizes at the pin, against a 2-component epoch — a
-				// legal outcome, not a history event.
-				rejected.Add(1)
+		c.Spawn("grower", func() {
+			start := rec.Now()
+			size, err := o.Grow(1)
+			if err != nil {
+				fail(fmt.Errorf("grower Grow: %w", err))
 				return
 			}
-			fail(fmt.Errorf("scanner: %w", err))
-			return
+			rec.Add(spec.Op[int64]{Kind: spec.Grow, Start: start, End: rec.Now(), Delta: 1, Size: size})
+			// The grow has returned, so the grown component indisputably
+			// exists: this update must succeed.
+			start = rec.Now()
+			id, err := o.UpdateOp([]int{2}, []int64{workload.Value(2, 2)})
+			if err != nil {
+				fail(fmt.Errorf("grower Update{2}: %w", err))
+				return
+			}
+			rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
+				Comps: []int{2}, Vals: []int64{workload.Value(2, 2)}, UpdateID: id})
+		})
+		c.Spawn("writer", func() {
+			start := rec.Now()
+			id, err := o.UpdateOp([]int{0, 1}, []int64{workload.Value(0, 0), workload.Value(0, 1)})
+			if err != nil {
+				fail(fmt.Errorf("writer: %w", err))
+				return
+			}
+			rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
+				Comps: []int{0, 1}, Vals: []int64{workload.Value(0, 0), workload.Value(0, 1)}, UpdateID: id})
+		})
+		c.Spawn("scanner", func() {
+			start := rec.Now()
+			vals, info, err := o.PartialScanInfo([]int{1, 2})
+			if err != nil {
+				if errors.Is(err, snapshot.ErrBadComponent) {
+					// Pinned the universe without component 2: the
+					// rejection linearizes at the pin, before the Grow — a
+					// legal outcome, not a history event.
+					return
+				}
+				fail(fmt.Errorf("scanner: %w", err))
+				return
+			}
+			rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
+				Comps: []int{1, 2}, Vals: vals, AdoptedFrom: info.HelperOp})
+		})
+		base := specOracle(2, o, rec, &mu, &opErrs)
+		return func(tr sched.Trace) error {
+			if err := base(tr); err != nil {
+				return err
+			}
+			if st := o.Stats(); st.Grows != 1 || st.Epoch != 1 {
+				return fmt.Errorf("epoch accounting corrupted: %+v", st)
+			}
+			return nil
 		}
-		rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
-			Comps: []int{1, 2}, Vals: vals, AdoptedFrom: info.HelperOp})
-	})
-	base := specOracle(2, o, rec, &mu, &opErrs)
-	return func(tr sched.Trace) error {
-		if err := base(tr); err != nil {
-			return err
-		}
-		if st := o.Stats(); st.Grows != 1 || st.Shrinks != 1 || st.Epoch != 2 {
-			return fmt.Errorf("epoch accounting corrupted: %+v", st)
-		}
-		return nil
 	}
+}
+
+// churnBound is the preemption bound of the churn searches: 2 at the PR
+// gate, 1 under -short, plus the SCHED_DEEP extra.
+func churnBound() int {
+	bound := 2
+	if testing.Short() {
+		bound = 1
+	}
+	return bound + deepExtra()
 }
 
 // TestDFSExhaustsChurnScenario enumerates the ENTIRE preemption-bounded
 // schedule space of the 1-grower/1-writer/1-scanner churn scenario and
 // requires every schedule — scans pinned before, during and after the
-// grow/shrink pair, helps crossing epochs, rejections landing on the
-// shrunk component — to pass the dynamic sequential spec and the
-// provenance oracle. Within the bound there is no interleaving of resizes
-// with the snapshot protocol the oracle has not accepted.
+// Grow, helps crossing epochs, rejections of the not-yet-grown component —
+// to pass the dynamic sequential spec and the provenance oracle. Within
+// the bound there is no interleaving of a Grow with the snapshot protocol
+// the oracle has not accepted.
 func TestDFSExhaustsChurnScenario(t *testing.T) {
-	bound := 2
-	if testing.Short() {
-		bound = 1
-	}
-	bound += deepExtra()
+	bound := churnBound()
 	d := &sched.DFSExplorer{MaxPreemptions: bound, Timeout: dfsTimeout()}
-	rep := d.Explore(churnScenario)
+	rep := d.Explore(churnScenario(false))
 	if rep.Failure != nil {
 		f := rep.Failure
 		t.Fatalf("schedule %d failed: %v\nshrunk trace (%d steps):\n%s",
@@ -361,6 +365,55 @@ func TestDFSExhaustsChurnScenario(t *testing.T) {
 	}
 	t.Logf("exhausted preemption-%d churn space: %d schedules, %d steps, %d budget-pruned branches",
 		bound, rep.Schedules, rep.Steps, rep.BudgetSkips)
+}
+
+// TestMutationFreshSurvivorsIsConvicted turns on the freshSurvivors seam,
+// so Grow gives the existing components new registers and slots holding
+// their current values instead of aliasing them, and requires the churn
+// search to find a violating schedule — then shrink it and replay it. The
+// control arm is the intact churn search, which must exhaust with every
+// schedule passing. Aliasing is the one argument behind a scan that needs
+// no check against a resize: with it, an update pinned to the old epoch
+// stores into the register every later epoch reads, and a walker of any
+// epoch finds every enrollment.
+func TestMutationFreshSurvivorsIsConvicted(t *testing.T) {
+	d := &sched.DFSExplorer{MaxPreemptions: churnBound(), Timeout: dfsTimeout()}
+
+	intact := d.Explore(churnScenario(false))
+	if intact.Failure != nil {
+		t.Fatalf("intact protocol failed schedule %d: %v\n%s",
+			intact.Failure.Schedule, intact.Failure.Err, intact.Failure.Trace)
+	}
+	if !intact.Exhausted {
+		t.Fatalf("intact search did not exhaust: %+v", intact)
+	}
+
+	mutated := d.Explore(churnScenario(true))
+	if mutated.Failure == nil {
+		t.Fatalf("the searcher cannot fail: fresh survivors survived %d schedules at preemption bound %d",
+			mutated.Schedules, d.MaxPreemptions)
+	}
+	f := mutated.Failure
+	if len(f.Trace) > len(f.RawTrace) {
+		t.Fatalf("shrunk trace grew: %d > %d steps", len(f.Trace), len(f.RawTrace))
+	}
+	if _, err := d.Replay(churnScenario(true), f.Trace); err == nil {
+		t.Fatalf("shrunk failing trace replayed clean:\n%s", f.Trace)
+	}
+	// The intact object sails through the mutant-killing schedule. Tolerant
+	// replay: aliased slots can make the intact object walk and help where
+	// the mutant found an empty slot, so strict positions cannot apply.
+	c := sched.NewController()
+	intactOracle := churnScenario(false)(c)
+	got, err := sched.ReplayTrace(c, f.Trace, false)
+	if err != nil {
+		t.Fatalf("tolerant replay on the intact object broke down: %v", err)
+	}
+	if err := intactOracle(got); err != nil {
+		t.Fatalf("intact object failed the mutant-killing schedule: %v\n%s", err, got)
+	}
+	t.Logf("mutant caught at schedule %d/%d (of %d intact): %v\nshrunk trace (%d steps):\n%s",
+		f.Schedule, mutated.Schedules, intact.Schedules, f.Err, len(f.Trace), f.Trace)
 }
 
 // reuseTwoWritersOneScanner is twoWritersOneScanner with a primed record
@@ -569,148 +622,4 @@ func TestDFSWorkloadScenarioWithSleepSets(t *testing.T) {
 		t.Fatalf("sleep sets never pruned the disjoint-partition space: %+v", rep)
 	}
 	t.Logf("disjoint-partition space under sleep sets: %+v", rep)
-}
-
-// recheckChurnScenario is the dynamic-universe acceptance scenario for the
-// pinned scan's exit recheck (the mixed-epoch fix in scanPinned): a seeded
-// component 1, a churner whose Shrink(1)+Grow(1) retires and re-creates
-// that component's register, a writer moving the survivor through its
-// aliased register, and a scanner over {1, 0}. Schedules in which the
-// scanner's pinned view straddles the churn must discard at the recheck and
-// retake (counted into discarded via the per-schedule ViewsDiscarded
-// gauge); schedules in which the view completes against an undisturbed
-// universe must return it unrechallenged (counted into clean). The explorer
-// must reach both — a search space in which one of the recheck's outcomes
-// is unreachable would prove nothing about it.
-func recheckChurnScenario(discarded, clean *atomic.Uint64) sched.Scenario {
-	return func(c *sched.Controller) sched.Oracle {
-		o := snapshot.NewLockFree[int64](2).Instrument(c)
-		rec := &spec.Recorder[int64]{}
-		var mu sync.Mutex
-		var opErrs []error
-		var scanDone atomic.Bool
-		fail := func(err error) {
-			mu.Lock()
-			opErrs = append(opErrs, err)
-			mu.Unlock()
-		}
-		setupErr := func(format string, args ...any) sched.Oracle {
-			err := fmt.Errorf(format, args...)
-			return func(sched.Trace) error { return err }
-		}
-
-		// Scripted seed, uncontrolled: component 1 holds a value the churn
-		// will kill, so a stale view is observably stale.
-		start := rec.Now()
-		seedOp, err := o.UpdateOp([]int{1}, []int64{workload.Value(4, 1)})
-		if err != nil {
-			return setupErr("seed update: %v", err)
-		}
-		rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
-			Comps: []int{1}, Vals: []int64{workload.Value(4, 1)}, UpdateID: seedOp})
-
-		c.Spawn("scanner", func() {
-			start := rec.Now()
-			vals, info, err := o.PartialScanInfo([]int{1, 0})
-			if err != nil {
-				if errors.Is(err, snapshot.ErrBadComponent) {
-					// Pinned (or retook under) the shrunk single-component
-					// epoch: the rejection linearizes there — a legal
-					// outcome, not a history event.
-					return
-				}
-				fail(fmt.Errorf("scanner: %w", err))
-				return
-			}
-			scanDone.Store(true)
-			rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
-				Comps: []int{1, 0}, Vals: vals, AdoptedFrom: info.HelperOp})
-		})
-		c.Spawn("churner", func() {
-			start := rec.Now()
-			size, err := o.Shrink(1)
-			if err != nil {
-				fail(fmt.Errorf("churner Shrink: %w", err))
-				return
-			}
-			rec.Add(spec.Op[int64]{Kind: spec.Shrink, Start: start, End: rec.Now(), Delta: 1, Size: size})
-			start = rec.Now()
-			size, err = o.Grow(1)
-			if err != nil {
-				fail(fmt.Errorf("churner Grow: %w", err))
-				return
-			}
-			rec.Add(spec.Op[int64]{Kind: spec.Grow, Start: start, End: rec.Now(), Delta: 1, Size: size})
-		})
-		c.Spawn("writer", func() {
-			start := rec.Now()
-			id, err := o.UpdateOp([]int{0}, []int64{workload.Value(4, 0)})
-			if err != nil {
-				fail(fmt.Errorf("writer: %w", err))
-				return
-			}
-			rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
-				Comps: []int{0}, Vals: []int64{workload.Value(4, 0)}, UpdateID: id})
-		})
-
-		base := specOracle(2, o, rec, &mu, &opErrs)
-		return func(tr sched.Trace) error {
-			if err := base(tr); err != nil {
-				return err
-			}
-			if st := o.Stats(); st.ViewsDiscarded > 0 {
-				discarded.Add(1)
-			} else if scanDone.Load() {
-				clean.Add(1)
-			}
-			return nil
-		}
-	}
-}
-
-// TestDFSExhaustsRecheckChurnScenario enumerates the ENTIRE
-// preemption-bounded schedule space of the recheck scenario and requires
-// every schedule to pass the dynamic sequential spec — including every
-// schedule in which the scanner's completed view straddles the
-// Shrink+Grow churn and is discarded and retaken at the exit recheck. Both
-// outcomes of the recheck must be reached: schedules that discard (the view
-// straddled an install of a named component) and schedules that return
-// clean (no install, or the scan pinned after the churn). Within the bound
-// there is no interleaving of the discard/retake logic with updates,
-// helping and resizes that the oracle has not accepted.
-func TestDFSExhaustsRecheckChurnScenario(t *testing.T) {
-	bound := 2
-	if testing.Short() {
-		bound = 1
-	}
-	bound += deepExtra()
-	d := &sched.DFSExplorer{MaxPreemptions: bound, Timeout: dfsTimeout()}
-	var discarded, clean atomic.Uint64
-	rep := d.Explore(recheckChurnScenario(&discarded, &clean))
-	if rep.Failure != nil {
-		f := rep.Failure
-		t.Fatalf("schedule %d failed: %v\nshrunk trace (%d steps):\n%s",
-			f.Schedule, f.Err, len(f.Trace), f.Trace)
-	}
-	if !rep.Exhausted {
-		t.Fatalf("search did not exhaust the preemption-%d space: %+v", bound, rep)
-	}
-	floor := 50
-	if bound == 1 {
-		floor = 20
-	}
-	if rep.Schedules < floor {
-		t.Fatalf("suspiciously small schedule space (%d schedules at bound %d) — did the scenario degenerate?", rep.Schedules, bound)
-	}
-	if rep.BudgetSkips == 0 {
-		t.Fatalf("the preemption bound never pruned anything, scenario too small: %+v", rep)
-	}
-	if discarded.Load() == 0 {
-		t.Fatalf("no schedule exercised the discard/retake path: the recheck was never challenged")
-	}
-	if clean.Load() == 0 {
-		t.Fatalf("no schedule exercised the clean path: every view was discarded, the recheck cannot be vacuous")
-	}
-	t.Logf("exhausted preemption-%d recheck space: %d schedules (%d discarded a view, %d returned clean), %d steps, %d budget-pruned branches",
-		bound, rep.Schedules, discarded.Load(), clean.Load(), rep.Steps, rep.BudgetSkips)
 }

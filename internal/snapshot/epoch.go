@@ -10,66 +10,57 @@ import (
 
 // This file is the epoch layer of LockFree: the universe — one immutable
 // snapshot of the object's SHAPE (which components exist, and where their
-// register cells and announcement slots live) — and the Grow/Shrink
-// operations that replace it.
+// register cells and announcement slots live) — and Grow, the one
+// operation that replaces it. The universe only grows: the paper's object,
+// like the classic snapshot of Afek et al., fixes n, and Grow extends it
+// without ever retiring a component.
 //
 // The object holds a single atomic *universe pointer. Every Update and
 // PartialScan pins the universe once, up front, and runs entirely against
-// the pinned epoch's cell and slot arrays; Grow and Shrink build a
-// copy-on-grow successor and install it with one CAS, which is the resize's
-// linearization point. Surviving components ALIAS their per-component state
-// across epochs — successor slices copy the per-component POINTERS, never
-// the cells or slots themselves — so a store through any epoch's view of
-// component c is immediately visible to every other epoch that still knows
-// c, and an enrollment in c's announcement slot is found by walkers pinned
-// to any epoch sharing c. Freshly grown components get fresh, zero-valued
-// state: a component that is shrunk away and later re-grown comes back
-// empty rather than resurrecting its old value.
+// the pinned epoch's cell and slot arrays; Grow builds a copy-on-grow
+// successor and installs it with one CAS, which is the resize's
+// linearization point. The successor ALIASES every existing component's
+// state — its slices copy the per-component POINTERS, never the cells or
+// slots themselves — so a store through any epoch's view of component c is
+// immediately visible to every later epoch, and an enrollment in c's
+// announcement slot is found by walkers pinned to any epoch. Grown
+// components get fresh, zero-valued state.
 //
-// Why pinning preserves linearizability: an operation that pinned epoch e
-// before a resize installed e+1 is, by that very ordering, concurrent with
-// the resize (its interval contains the pin, the resize's contains the
-// install, and pin < install), so linearizing the operation BEFORE the
-// resize is always consistent with real time — PROVIDED everything it
-// observed existed before the install. Pinning alone does not guarantee
-// that for scans: a survivor's register is the SAME object in e and e+1
-// (aliasing), so an update pinned to e+1 stores through a cell a parked
-// epoch-e scan still reads, and a scan whose named set also includes a
-// component the install dropped can stabilise a view mixing that
-// component's frozen pre-install cell with the survivor's post-install
-// write — a view that linearizes neither before the install (it contains
-// a later write) nor after it (the dropped id no longer exists). Making
-// every returned view single-instant across installs is therefore the
-// scanner's job, not the pin's: scanPinned (scan.go) re-loads the
-// universe pointer after each completed view and discards it unless every
-// named component still aliases the pinned epoch's register. Updates need
-// no such recheck — each one writes exactly one epoch's cells, and a
-// write through an aliased cell is a write in every epoch sharing it.
+// Why pinning preserves linearizability with no recheck: a component's
+// register is the same object in every epoch that has it, and every epoch
+// has every component of its predecessors. So an operation pinned to epoch
+// e reads and writes exactly the registers it would have reached through
+// the current epoch; the pin only fixes the bound validation checks ids
+// against. A scan's view is a set of values its named registers held at
+// one instant, and those registers are the current universe's registers
+// for those ids, so the view is a view of the current object too. An id
+// that is valid in e stays valid in every later epoch, and one that is
+// invalid in e was invalid at the pin, which lies inside the operation's
+// interval, so the rejection linearizes there.
 //
 // Why pinning preserves wait-freedom: the walk-before-store termination
 // argument (see embeddedScan) is restated PER EPOCH. A collect over
 // universe u can only be obstructed by updates writing u's cells, and every
-// such update is pinned to an epoch that shares those cells — hence shares
-// the announcement slots the scan enrolled in, hence walks them before
-// storing and posts help. An install racing a walk changes neither array
-// under the walker: the walker's epoch is immutable, and updates pinned to
-// the successor either share the slot (aliased — they find the record) or
-// write only fresh cells the pinned collect never reads (they cannot
-// obstruct it). A resize is therefore just one more of the finitely many
-// pre-walk events the argument already tolerates.
+// such update writes them through an epoch that shares those cells — hence
+// shares the announcement slots the scan enrolled in, hence walks them
+// before storing and posts help. An install racing a walk changes neither
+// array under the walker: the walker's epoch is immutable, and updates
+// pinned to the successor either name an existing component (whose slot is
+// aliased, so they find the record) or write only fresh cells the pinned
+// collect never reads (they cannot obstruct it). A resize is therefore
+// just one more of the finitely many pre-walk events the argument already
+// tolerates.
 //
-// Reclamation of retired epochs is the garbage collector's job, by the same
-// idiom the generation-tagged record pool uses for record incarnations: a
-// retired universe stays reachable exactly as long as some in-flight
-// operation (or a scan record's help chain) still pins it, and is collected
-// the moment the last pin drops. Shrunk components' locality counters are
-// folded into the object's retired accumulators at install time so Stats
-// stays monotonic across epochs.
+// Reclamation of superseded epochs is the garbage collector's job: a
+// superseded universe stays reachable exactly as long as some in-flight
+// operation (or a scan record's help chain) still pins it. Since every
+// slot lives on in the successor, the locality gauges stay monotonic
+// without any folding at install time.
 
 // universe is one epoch's immutable shape: the per-component register cells
 // and announcement slots, and the cached full id set. The slices are never
-// mutated after construction; surviving components' pointers are shared
-// between consecutive epochs.
+// mutated after construction; every component's pointers are shared by all
+// the epochs that have it.
 type universe[V any] struct {
 	epoch uint64
 	regs  []*reg[V]
@@ -78,10 +69,9 @@ type universe[V any] struct {
 }
 
 // reg is one component's register: the atomic pointer to its value slot
-// that every operation reads and writes (see registers.go). Surviving
-// components share their reg across epochs, so a write through an old
-// epoch is visible to readers of the new one, while a shrunk-and-regrown
-// component comes back with a fresh reg pointing at a zero value.
+// that every operation reads and writes (see registers.go). Every epoch
+// that has a component shares its reg, so a write through an old epoch is
+// visible to readers of the new one.
 type reg[V any] struct {
 	ptr atomic.Pointer[V]
 }
@@ -107,8 +97,9 @@ func newUniverse[V any](n int) *universe[V] {
 }
 
 // grown returns the copy-on-grow successor with k fresh components: the
-// surviving prefix aliases u's per-component state, the new tail is fresh
-// and zero-valued.
+// prefix aliases u's per-component state, the new tail is fresh and
+// zero-valued. Copying the pointers, not the cells and slots, is the whole
+// correctness argument for resizing (see the file comment).
 func (u *universe[V]) grown(k int) *universe[V] {
 	n := len(u.regs)
 	succ := &universe[V]{
@@ -130,22 +121,6 @@ func (u *universe[V]) grown(k int) *universe[V] {
 	return succ
 }
 
-// shrunk returns the successor without the k highest-numbered components.
-// The surviving prefix is copied into fresh slices (not re-sliced), so the
-// successor does not pin the dropped components' state for the collector.
-func (u *universe[V]) shrunk(k int) *universe[V] {
-	n := len(u.regs) - k
-	succ := &universe[V]{
-		epoch: u.epoch + 1,
-		regs:  make([]*reg[V], n),
-		slots: make([]*slot[V], n),
-		all:   allIDs(n),
-	}
-	copy(succ.regs, u.regs[:n])
-	copy(succ.slots, u.slots[:n])
-	return succ
-}
-
 // pin loads the current universe — the one atomic read that decides which
 // epoch the calling operation runs against.
 func (o *LockFree[V]) pin() *universe[V] {
@@ -155,10 +130,10 @@ func (o *LockFree[V]) pin() *universe[V] {
 
 // Grow appends k fresh zero-valued components and returns the new component
 // count. The resize linearizes at the CAS that installs the successor
-// universe; in-flight operations pinned to the predecessor are unaffected
-// (they linearize before the Grow). Lost CAS races against concurrent
-// resizes rebuild and retry — each retry is caused by another install
-// succeeding, so the loop is lock-free.
+// universe; in-flight operations pinned to the predecessor are unaffected,
+// since they name only components whose state the successor aliases. Lost
+// CAS races against concurrent resizes rebuild and retry — each retry is
+// caused by another install succeeding, so the loop is lock-free.
 func (o *LockFree[V]) Grow(k int) (int, error) {
 	if k <= 0 {
 		return 0, fmt.Errorf("%w: grow by %d components", ErrBadResize, k)
@@ -169,43 +144,21 @@ func (o *LockFree[V]) Grow(k int) (int, error) {
 			return 0, fmt.Errorf("%w: grow %d components by %d overflows int", ErrBadResize, len(old.regs), k)
 		}
 		succ := old.grown(k)
-		o.yield(sched.PreEpochInstall, len(succ.regs))
-		if o.uni.CompareAndSwap(old, succ) {
-			o.epochInstalls.Add(1)
-			o.grows.Add(1)
-			return len(succ.regs), nil
-		}
-	}
-}
-
-// Shrink removes the k highest-numbered components and returns the new
-// count. At least one component must survive. Operations already pinned to
-// the predecessor still see — and may still write — the dropped components
-// (they linearize before the Shrink); operations pinning the successor get
-// ErrBadComponent for them. A component re-created by a later Grow starts
-// fresh and zero-valued.
-func (o *LockFree[V]) Shrink(k int) (int, error) {
-	if k <= 0 {
-		return 0, fmt.Errorf("%w: shrink by %d components", ErrBadResize, k)
-	}
-	for {
-		old := o.uni.Load()
-		if k >= len(old.regs) {
-			return 0, fmt.Errorf("%w: shrink by %d of %d components", ErrBadResize, k, len(old.regs))
-		}
-		succ := old.shrunk(k)
-		o.yield(sched.PreEpochInstall, len(succ.regs))
-		if o.uni.CompareAndSwap(old, succ) {
-			// Fold the dropped slots' locality gauges into the retired
-			// accumulators so Stats stays monotonic. Walkers still pinned to
-			// the old epoch may bump a dropped slot after this fold; the
-			// undercount is bounded by the ops in flight at the install.
-			for _, s := range old.slots[len(succ.regs):] {
-				o.retiredWalks.Add(s.walks.Load())
-				o.retiredVisited.Add(s.visited.Load())
+		if o.mut.freshSurvivors {
+			// Test-only mutation seam: give every existing component a new
+			// register holding its current value and a new empty slot,
+			// instead of aliasing its state. A write by an update pinned to
+			// old then lands in a register the successor no longer reads,
+			// and an enrollment in old's slot is missed by walkers of succ.
+			for i := range old.regs {
+				r := new(reg[V])
+				r.ptr.Store(old.regs[i].ptr.Load())
+				succ.regs[i], succ.slots[i] = r, new(slot[V])
 			}
-			o.epochInstalls.Add(1)
-			o.shrinks.Add(1)
+		}
+		o.yield(sched.PreEpochInstall, len(succ.regs))
+		if o.uni.CompareAndSwap(old, succ) {
+			o.grows.Add(1)
 			return len(succ.regs), nil
 		}
 	}

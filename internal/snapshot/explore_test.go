@@ -63,9 +63,9 @@ func exploreCells() []exploreCell {
 		{shape: workload.Partitioned, components: 4, workers: 2, scanWidth: 2, updateWidth: 1, opsPerWorker: 5},
 		{shape: workload.BatchHeavy, components: 4, workers: 3, scanWidth: 2, updateWidth: 3, opsPerWorker: 5},
 		{shape: workload.ScanHeavy, components: 4, workers: 3, scanWidth: 3, updateWidth: 1, opsPerWorker: 5},
-		// Resizing shapes: 8 ops per worker so the churner (worker 0, shape
-		// default cadence 4) issues a full Grow/Shrink pair per stream and
-		// every explored schedule crosses at least two epoch installs.
+		// Resizing shapes: 8 ops per worker so the churner (worker 0) issues
+		// its one Grow at its 4th op and every explored schedule runs
+		// traffic on both sides of the epoch install.
 		{shape: workload.Churn, components: 4, workers: 3, scanWidth: 2, updateWidth: 2, opsPerWorker: 8},
 		{shape: workload.FlashCrowd, components: 4, workers: 3, scanWidth: 2, updateWidth: 2, opsPerWorker: 8},
 	}
@@ -141,9 +141,10 @@ func (ec exploreCell) scenario(seed int64, run *exploreRun) sched.Scenario {
 		rec := &spec.Recorder[int64]{}
 		var mu sync.Mutex
 		var opErrs []error
-		// On resizing shapes an update or scan may name a component a
-		// concurrent Shrink removed; the typed rejection linearizes after
-		// that Shrink and is dropped from the history, not recorded.
+		// On resizing shapes an update or scan may name a component the
+		// churner's Grow has not installed yet; the typed rejection
+		// linearizes at its pin, before that Grow, and is dropped from the
+		// history, not recorded.
 		tolerateRejects := gen.Config().Shape.Resizes()
 		for w := 0; w < ec.workers; w++ {
 			ops := gen.Ops(w, ec.opsPerWorker)
@@ -189,17 +190,6 @@ func (ec exploreCell) scenario(seed int64, run *exploreRun) sched.Scenario {
 							return
 						}
 						rec.Add(spec.Op[int64]{Kind: spec.Grow, Start: start, End: rec.Now(),
-							Delta: op.Delta, Size: size})
-					case workload.OpShrink:
-						start := rec.Now()
-						size, err := o.Shrink(op.Delta)
-						if err != nil {
-							mu.Lock()
-							opErrs = append(opErrs, fmt.Errorf("%s: Shrink(%d): %w", name, op.Delta, err))
-							mu.Unlock()
-							return
-						}
-						rec.Add(spec.Op[int64]{Kind: spec.Shrink, Start: start, End: rec.Now(),
 							Delta: op.Delta, Size: size})
 					}
 				}

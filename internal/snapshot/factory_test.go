@@ -64,7 +64,7 @@ func TestErrorCode(t *testing.T) {
 		{snapshot.ErrBadComponent, snapshot.CodeBadComponent},
 		{fmt.Errorf("update: %w", snapshot.ErrBadComponent), snapshot.CodeBadComponent},
 		{snapshot.ErrBadResize, snapshot.CodeBadResize},
-		{fmt.Errorf("shrink by 9: %w", snapshot.ErrBadResize), snapshot.CodeBadResize},
+		{fmt.Errorf("grow by 0: %w", snapshot.ErrBadResize), snapshot.CodeBadResize},
 		{nil, ""},
 		{errors.New("disk on fire"), ""},
 	}

@@ -43,31 +43,22 @@ type seenRecord[V any] struct {
 // embeddedScan already tolerates). Skips are tallied in the op's counter
 // shard instead of the per-slot gauges.
 //
-// u is the updater's pinned universe. A slot surviving across epochs is
-// aliased (see epoch.go), so the consultation observes records enrolled
-// through any epoch that shares the component; records found may therefore
-// carry a rec.uni older than u, and the embedded scan runs through THAT
-// universe — the epoch the scanner's collects read.
+// u is the updater's pinned universe. Every epoch aliases its
+// predecessors' slots (see epoch.go), so the consultation observes records
+// enrolled through any epoch that has the component; records found may
+// therefore carry a rec.uni older than u, and the embedded scan runs
+// through THAT universe — the epoch the scanner's collects read.
+//
+// The dedup list starts in a small stack array, as doubleCollect's first
+// collect does: an update that serves a handful of records allocates
+// nothing for it.
 func (o *LockFree[V]) helpIntersectingScans(u *universe[V], ids []int, op uint64) {
-	var seen []seenRecord[V] // allocated only if a live record is found
+	var seenBuf [4]seenRecord[V]
+	seen := seenBuf[:0]
 	skipped := 0
 	for _, id := range ids {
 		o.yield(sched.PreSlotWalk, id)
 		s := u.slots[id]
-		if o.mut.unpinnedEpoch {
-			// Test-only mutation seam: consult the slot of whatever universe
-			// is installed at consultation time instead of the pinned one,
-			// while the caller still stores through the pinned cells — the
-			// unpinned-epoch walker bug the DFS conviction test targets. A
-			// shrink-then-regrow between the pin and this load replaces the
-			// component's slot with a fresh one, so the update misses
-			// enrollments the protocol obliges it to serve. The bounds guard
-			// keeps the mutant a protocol violation rather than a crash when
-			// the current universe is smaller than the pinned one.
-			if cur := o.uni.Load(); id < len(cur.slots) {
-				s = cur.slots[id]
-			}
-		}
 		head := s.head.Load()
 		if head == nil || (o.mut.staleHeadEmpty && head.stale()) {
 			skipped++
@@ -143,11 +134,10 @@ func (o *LockFree[V]) help(rec *scanRecord[V], gen, op uint64, seen []seenRecord
 // the helper's own pinned epoch: the view must be consistent in the
 // scanner's universe, and the chained record must be findable by exactly
 // the updates that can obstruct collects of that universe. A posted view
-// may therefore be epoch-stale by the time it is adopted — a resize can
-// install while the help was being produced — which is fine because the
-// adopting scan's exit recheck (scanPinned) judges adopted views by the
-// same per-component aliasing rule as its own collects, discarding any
-// that straddle an install of a named component.
+// may be collected through an epoch older than the current one by the
+// time it is adopted — a Grow can install while the help was being
+// produced — which is harmless because every later epoch aliases the
+// record's registers: the view is a view of the current object too.
 func (o *LockFree[V]) embeddedScan(target *scanRecord[V], op uint64) (view []V, depth int, ok bool) {
 	tu := target.uni
 	level := target.level + 1

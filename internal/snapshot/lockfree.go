@@ -15,7 +15,7 @@ import (
 // usable; call NewLockFree.
 //
 // The implementation is split by layer: epoch.go holds the epoch-versioned
-// universe (the resizable shape behind Grow/Shrink), registers.go the
+// universe (the growable shape behind Grow), registers.go the
 // value slots, their runs and the counter shards, registry.go the sharded
 // announcement registry (announce, retire and the slot walk), scan.go the
 // scanner side, helping.go the updater side.
@@ -23,15 +23,13 @@ type LockFree[V any] struct {
 	// uni is the current universe — the single atomically-published pointer
 	// behind which the whole component shape (register cells, registry
 	// slots) lives. Operations pin it once (see pin) and never look again;
-	// Grow/Shrink replace it by CAS.
+	// Grow replaces it by CAS.
 	uni atomic.Pointer[universe[V]]
 
-	// shards holds the sharded counters: update op ids (nextOp),
-	// consultations that found an empty slot (see helpIntersectingScans),
-	// and completed scan views the epoch recheck threw away because a
-	// resize replaced a named component's register mid-scan (see
-	// scanPinned). Sharding keeps the quiescent update path and the discard
-	// path off any counter line an unrelated operation writes.
+	// shards holds the sharded counters: update op ids (nextOp) and
+	// consultations that found an empty slot (see helpIntersectingScans).
+	// Sharding keeps the quiescent update path off any counter line an
+	// unrelated operation writes.
 	shards [opShards]counterShard
 
 	sched sched.Scheduler // nil outside schedule-injection tests
@@ -54,15 +52,7 @@ type LockFree[V any] struct {
 	live         atomic.Int64  // records announced and not yet retired
 	deduped      atomic.Uint64 // walk encounters skipped as already seen
 
-	epochInstalls atomic.Uint64
-	grows         atomic.Uint64
-	shrinks       atomic.Uint64
-
-	// retiredWalks/retiredVisited accumulate the locality gauges of slots
-	// dropped by Shrink, folded in at install time so Stats stays monotonic
-	// across epochs (see Shrink).
-	retiredWalks   atomic.Uint64
-	retiredVisited atomic.Uint64
+	grows atomic.Uint64 // installed universes: every install is a Grow
 }
 
 // mutations are the object's mutation seams. Each field, when set,
@@ -72,20 +62,15 @@ type LockFree[V any] struct {
 // give up without posting help after that many failed double collects
 // (the lock-free-only helping that preceded wait-freedom).
 // unsafeEagerRelease pools a retired scan record despite helper pins.
-// unpinnedEpoch makes an update walk the slots of the universe installed
-// at walk time instead of the one it pinned, missing enrollments a
-// shrink-and-regrow replaced. skipEpochRecheck returns scanPinned's views
-// without re-loading the universe, so a view straddling a Shrink can pair
-// a dropped component's frozen cell with a later write.
-// staleHeadEmpty makes an update treat a slot whose head enrollment is
+// freshSurvivors makes Grow give every existing component a new register
+// and slot instead of aliasing them (see Grow). staleHeadEmpty makes an update treat a slot whose head enrollment is
 // stale as empty, missing any live enrollment linked behind it. A non-nil
 // reuseCells makes every update write into that fixed ring's first slots
 // (see takeCells).
 type mutations[V any] struct {
 	helpBound          int
 	unsafeEagerRelease bool
-	unpinnedEpoch      bool
-	skipEpochRecheck   bool
+	freshSurvivors     bool
 	staleHeadEmpty     bool
 	reuseCells         []V
 }
@@ -123,7 +108,7 @@ func (o *LockFree[V]) yield(p sched.Point, arg int) {
 func (o *LockFree[V]) Components() int { return len(o.uni.Load().regs) }
 
 // Epoch returns the current universe's epoch number (0 at construction,
-// +1 per installed Grow/Shrink). Test and observability helper.
+// +1 per installed Grow). Test and observability helper.
 func (o *LockFree[V]) Epoch() uint64 { return o.uni.Load().epoch }
 
 // Update writes vals[i] into component ids[i], as a sequence of per-
@@ -183,8 +168,7 @@ type Stats struct {
 	MaxHelpDepth int64 `json:"max_help_depth"`
 	// RegistryWalks counts updater consultations of registry slots that
 	// found a non-empty head and walked the slot, one per (update, named
-	// component) pair, summed across the current epoch's slots and the
-	// slots retired by Shrink.
+	// component) pair, summed across the current epoch's slots.
 	RegistryWalks uint64 `json:"registry_walks"`
 	// WalksSkipped counts consultations that found a nil head: one per
 	// (update, named component) pair whose slot held no enrollment at the
@@ -209,18 +193,10 @@ type Stats struct {
 	RecordReuses uint64 `json:"record_reuses"`
 	// Epoch is the current universe's epoch number.
 	Epoch uint64 `json:"epoch"`
-	// EpochInstalls counts successfully installed universes (= Grows +
-	// Shrinks).
+	// EpochInstalls counts successfully installed universes.
 	EpochInstalls uint64 `json:"epoch_installs"`
-	// Grows and Shrinks split EpochInstalls by direction.
-	Grows   uint64 `json:"grows"`
-	Shrinks uint64 `json:"shrinks"`
-	// ViewsDiscarded counts completed scan views the epoch recheck threw
-	// away because a resize replaced a named component's register between
-	// the scan's pin and its completion (see scanPinned). Zero on every
-	// resize-free workload — the recheck is one relaxed pointer load on the
-	// success path and only ever fires across an install.
-	ViewsDiscarded uint64 `json:"views_discarded"`
+	// Grows counts successful Grow calls (= EpochInstalls).
+	Grows uint64 `json:"grows"`
 }
 
 func (o *LockFree[V]) Stats() Stats {
@@ -234,11 +210,8 @@ func (o *LockFree[V]) Stats() Stats {
 		RecordsDeduped:    o.deduped.Load(),
 		RecordReuses:      o.recReuses.Load(),
 		Epoch:             u.epoch,
-		EpochInstalls:     o.epochInstalls.Load(),
+		EpochInstalls:     o.grows.Load(),
 		Grows:             o.grows.Load(),
-		Shrinks:           o.shrinks.Load(),
-		RegistryWalks:     o.retiredWalks.Load(),
-		RecordsVisited:    o.retiredVisited.Load(),
 	}
 	for _, s := range u.slots {
 		st.RegistryWalks += s.walks.Load()
@@ -246,7 +219,6 @@ func (o *LockFree[V]) Stats() Stats {
 	}
 	for i := range o.shards {
 		st.WalksSkipped += o.shards[i].walksSkipped.Load()
-		st.ViewsDiscarded += o.shards[i].viewsDiscarded.Load()
 	}
 	return st
 }

@@ -46,8 +46,8 @@ func parityCfg(shape workload.Shape) workload.Config {
 
 // parityCounts tallies one implementation's completed work under a shape:
 // scans, updates, resizes, and — on resizing shapes only — operations the
-// object rejected with ErrBadComponent because they named a momentarily
-// shrunk component.
+// object rejected with ErrBadComponent because they named a component the
+// churner's Grow had not installed yet.
 type parityCounts struct {
 	Scans, Updates, Resizes, Rejects int
 }
@@ -55,9 +55,10 @@ type parityCounts struct {
 // runParityWorkload drives every worker's stream concurrently against obj
 // (run with -race), recording the history, and returns it with the op
 // counts. On resizing shapes, ErrBadComponent from an update or scan is
-// tolerated traffic (the op linearizes after the Shrink that removed its
-// component and is simply not recorded); resize failures are always fatal
-// because the single-churner discipline makes every resize well-formed.
+// tolerated traffic (the op linearizes at its pin, before the Grow that
+// adds its component, and is simply not recorded); resize failures are
+// always fatal because the single-churner discipline makes every resize
+// well-formed.
 func runParityWorkload(t *testing.T, obj snapshot.Object[int64], gen *workload.Generator, opsPerWorker int) ([]spec.Op[int64], parityCounts) {
 	t.Helper()
 	rec := &spec.Recorder[int64]{}
@@ -126,16 +127,6 @@ func runParityWorkload(t *testing.T, obj snapshot.Object[int64], gen *workload.G
 					local.Resizes++
 					rec.Add(spec.Op[int64]{Kind: spec.Grow, Start: start, End: rec.Now(),
 						Delta: op.Delta, Size: size})
-				case workload.OpShrink:
-					start := rec.Now()
-					size, err := obj.Shrink(op.Delta)
-					if err != nil {
-						t.Errorf("worker %d: Shrink(%d): %v", w, op.Delta, err)
-						return
-					}
-					local.Resizes++
-					rec.Add(spec.Op[int64]{Kind: spec.Shrink, Start: start, End: rec.Now(),
-						Delta: op.Delta, Size: size})
 				}
 			}
 			mu.Lock()
@@ -194,14 +185,6 @@ func TestParityAcrossWorkloadShapes(t *testing.T) {
 					if st.LiveAnnouncements != 0 {
 						t.Fatalf("%s leaked %d live announcements", shape, st.LiveAnnouncements)
 					}
-					// ViewsDiscarded counts pinned views invalidated by a
-					// resize install; without installs the exit recheck can
-					// never fail, so on every resize-free shape the gauge
-					// must read exactly zero.
-					if !shape.Resizes() && st.ViewsDiscarded != 0 {
-						t.Fatalf("%s discarded %d views with no resizes in the workload: %+v",
-							shape, st.ViewsDiscarded, st)
-					}
 					// Consultations split into walks (non-nil slot head) and
 					// nil-head skips; either way every update consults.
 					if st.RegistryWalks+st.WalksSkipped == 0 {
@@ -212,7 +195,7 @@ func TestParityAcrossWorkloadShapes(t *testing.T) {
 						// the epoch counters must account for exactly the
 						// resizes the workload issued — no install may be
 						// lost or double-counted.
-						if got := st.Grows + st.Shrinks; got != uint64(counts.Resizes) {
+						if got := st.Grows; got != uint64(counts.Resizes) {
 							t.Fatalf("%s: %d resizes issued but stats recorded %d installs: %+v",
 								shape, counts.Resizes, got, st)
 						}
@@ -231,8 +214,8 @@ func TestParityAcrossWorkloadShapes(t *testing.T) {
 							t.Fatalf("partitioned workload interfered: %+v", st)
 						}
 					}
-					t.Logf("%s/%s: %d ops, %d retries, %d helps, %d views discarded",
-						shape, impl, len(ops), st.ScanRetries, st.HelpsPosted, st.ViewsDiscarded)
+					t.Logf("%s/%s: %d ops, %d retries, %d helps",
+						shape, impl, len(ops), st.ScanRetries, st.HelpsPosted)
 				})
 			}
 			if t.Failed() {
@@ -354,29 +337,19 @@ func TestParitySequentialSemantics(t *testing.T) {
 									op.Comps, impl, got, want)
 							}
 						}
-					case workload.OpGrow, workload.OpShrink:
-						kind, apply := "Grow", snapshot.Object[int64].Grow
-						if op.Kind == workload.OpShrink {
-							kind, apply = "Shrink", snapshot.Object[int64].Shrink
-						}
+					case workload.OpGrow:
 						sizes := make(map[snapshot.Impl]int, len(objs))
 						for impl, obj := range objs {
-							sizes[impl], errs[impl] = apply(obj, op.Delta)
+							sizes[impl], errs[impl] = obj.Grow(op.Delta)
 						}
-						var nm int
-						var errM error
-						if op.Kind == workload.OpGrow {
-							nm, errM = model.Grow(op.Delta)
-						} else {
-							nm, errM = model.Shrink(op.Delta)
-						}
+						nm, errM := model.Grow(op.Delta)
 						if errM != nil {
-							t.Fatalf("model %s(%d): %v", kind, op.Delta, errM)
+							t.Fatalf("model Grow(%d): %v", op.Delta, errM)
 						}
-						wantOK(kind, nil, errs)
+						wantOK("Grow", nil, errs)
 						for impl, size := range sizes {
 							if size != nm {
-								t.Fatalf("%s(%d) sizes diverged: %s %d, model %d", kind, op.Delta, impl, size, nm)
+								t.Fatalf("Grow(%d) sizes diverged: %s %d, model %d", op.Delta, impl, size, nm)
 							}
 						}
 					}
@@ -395,11 +368,10 @@ func TestParitySequentialSemantics(t *testing.T) {
 					t.Fatalf("final state diverged: %s %v, model %v", impl, got, wantFinal)
 				}
 			}
-			// ViewsDiscarded must stay zero even though the op stream
-			// resizes: one op at a time means no scan is ever in flight
-			// across an install, so the exit recheck always passes.
+			// One op at a time: no scan ever overlaps an update, so no
+			// collect is ever obstructed and nobody ever helps.
 			lfStats := objs[snapshot.ImplLockFree].(snapshot.StatsReader).Stats()
-			if lfStats.ScanRetries != 0 || lfStats.HelpsPosted != 0 || lfStats.ViewsDiscarded != 0 {
+			if lfStats.ScanRetries != 0 || lfStats.HelpsPosted != 0 {
 				t.Fatalf("sequential workload triggered the concurrency machinery: %+v", lfStats)
 			}
 		})

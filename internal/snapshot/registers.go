@@ -65,16 +65,15 @@ func (o *LockFree[V]) takeCells(k int) []V {
 const opShards = 64
 
 // counterShard holds one shard of each of LockFree's sharded counters: the
-// op-id counter nextOp draws from and the walksSkipped and viewsDiscarded
-// tallies. All three pick their shard by one rule (universe.shard), so an
-// update's op-id add and its walk-skip add land on one cache line. The
+// op-id counter nextOp draws from and the walksSkipped tally. Both pick
+// their shard by one rule (universe.shard), so an update's op-id add and
+// its walk-skip add land on one cache line. The
 // padding keeps each shard alone on its line and on the line the
 // adjacent-line prefetcher pairs with it, so shards never false-share.
 type counterShard struct {
-	ops            atomic.Uint64
-	walksSkipped   atomic.Uint64
-	viewsDiscarded atomic.Uint64
-	_              [104]byte
+	ops          atomic.Uint64
+	walksSkipped atomic.Uint64
+	_            [112]byte
 }
 
 // shard returns the index of the counter shard of an operation naming
@@ -85,8 +84,8 @@ type counterShard struct {
 // operations pinned to disjoint ranges hit disjoint shards whenever the
 // ranges are at least n/opShards wide (a modulo would instead alias ranges
 // n/opShards apart onto the same shards). Scaling uses this epoch's size,
-// so the shard is stable within an operation regardless of concurrent
-// resizes.
+// so the shard is stable within an operation regardless of a concurrent
+// Grow.
 func (u *universe[V]) shard(ids []int) uint64 {
 	return uint64(ids[0]) * opShards / uint64(len(u.regs))
 }

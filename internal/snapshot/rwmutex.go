@@ -34,9 +34,9 @@ func (o *RWMutex[V]) Components() int {
 }
 
 func (o *RWMutex[V]) Update(ids []int, vals []V) error {
-	// Validation runs under the lock: the component count is resizable, so
-	// reading it outside the critical section would race a concurrent
-	// Grow/Shrink, and the rejection of a shrunk id must linearize with it.
+	// Validation runs under the lock: the component count is growable, so
+	// reading it outside the critical section would race a concurrent Grow,
+	// and the rejection of a not-yet-grown id must linearize before it.
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if err := validateArgs(len(o.vals), ids, vals); err != nil {
@@ -63,8 +63,7 @@ func (o *RWMutex[V]) PartialScan(ids []int) ([]V, error) {
 
 func (o *RWMutex[V]) Scan() ([]V, error) {
 	// One critical section: the component count and the values are read
-	// atomically, so a concurrent resize can neither tear the id set nor
-	// fail validation under the scan.
+	// atomically, so a concurrent Grow cannot tear the id set.
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	out := make([]V, len(o.vals))
@@ -84,23 +83,4 @@ func (o *RWMutex[V]) Grow(k int) (int, error) {
 	}
 	o.vals = append(o.vals, make([]V, k)...)
 	return len(o.vals), nil
-}
-
-// Shrink removes the k highest-numbered components under the write lock.
-// The surviving prefix is copied into a fresh slice so a later Grow cannot
-// resurrect dropped values through the old backing array.
-func (o *RWMutex[V]) Shrink(k int) (int, error) {
-	if k <= 0 {
-		return 0, fmt.Errorf("%w: shrink by %d components", ErrBadResize, k)
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if k >= len(o.vals) {
-		return 0, fmt.Errorf("%w: shrink by %d of %d components", ErrBadResize, k, len(o.vals))
-	}
-	n := len(o.vals) - k
-	vals := make([]V, n)
-	copy(vals, o.vals[:n])
-	o.vals = vals
-	return n, nil
 }

@@ -68,98 +68,22 @@ func (o *LockFree[V]) PartialScan(ids []int) ([]V, error) {
 // completed.
 func (o *LockFree[V]) PartialScanInfo(ids []int) ([]V, ScanInfo, error) {
 	// Pin once: validation, every collect and any announcement run against
-	// this one epoch's shape. A resize installed after this load linearizes
-	// after this scan (see epoch.go) — unless the scan's view straddles the
-	// install, which the epoch recheck in scanPinned detects and discards.
-	return o.scanPinned(o.pin(), ids, false)
+	// this one epoch's shape. Every later epoch aliases the named registers,
+	// so the view needs no check against a resize (see epoch.go).
+	return o.collectPinned(o.pin(), ids)
 }
 
-// scanPinned runs a partial scan against the already-pinned universe u,
-// rechecking after every completed view that no resize invalidated it.
-//
-// Pinning alone is not enough under Shrink: a scan pinned at epoch e reads
-// e's register pointers, and a survivor's register is ALIASED by every
-// later epoch, so a writer pinned at e+1 stores through the very cell the
-// parked scan re-reads. A view that pairs a shrunk component's frozen cell
-// with such a post-install write is stable under the double collect yet
-// linearizes nowhere: not before the install (it contains a later write)
-// and not after it (the shrunk id no longer exists). So after a view
-// completes — by clean double collect or by adoption — the scan re-loads
-// the universe pointer and keeps the view only if every named component
-// still aliases the pinned epoch's register (see survives). Otherwise the
-// view is discarded and the scan retakes under the current epoch; a named
-// id the new epoch no longer holds then fails validation with
-// ErrBadComponent, which is the answer the post-resize spec demands.
-//
-// One recheck after completion suffices: the view's collect (or the
-// adopted view's, inside the scan's interval) finished before the re-load,
-// so an install the re-load cannot see cannot have been observed by the
-// view either. Termination: each retake is caused by a successful resize
-// install, so the scan remains wait-free per epoch and lock-free under
-// unbounded churn — the progress class of Grow/Shrink themselves.
-func (o *LockFree[V]) scanPinned(u *universe[V], ids []int, full bool) ([]V, ScanInfo, error) {
-	var info ScanInfo
-	for {
-		vals, err := o.collectPinned(u, ids, &info)
-		if err != nil {
-			return nil, info, err
-		}
-		o.yield(sched.PreEpochRecheck, int(u.epoch))
-		if o.mut.skipEpochRecheck {
-			// Test-only mutation seam: return the pre-fix view unchecked.
-			return vals, info, nil
-		}
-		cur := o.uni.Load()
-		if cur == u || survives(u, cur, ids) {
-			return vals, info, nil
-		}
-		// A resize replaced at least one named component's register since
-		// the pin: the view may mix epochs, discard and retake. The retaken
-		// attempt starts from scratch — a discarded adoption must not leak
-		// its provenance into the next view's info.
-		o.shards[u.shard(ids)].viewsDiscarded.Add(1)
-		info.Adopted, info.HelperOp, info.Depth = false, 0, 0
-		u = cur
-		if full {
-			ids = u.all
-		}
-	}
-}
-
-// survives reports whether a view of the named components taken under
-// pinned universe u is still a view of the current universe cur — i.e.
-// every named id exists in cur and cur holds the same register pointer for
-// it. Registers are aliased forward by every install that keeps the
-// component and allocated fresh on regrow (never resurrected, and the
-// collect's held pointers keep the GC from recycling them), so pointer
-// equality proves the component was continuously aliased across all
-// intermediate epochs: every cell the view observed is a cell of cur too,
-// and the view linearizes after the last install exactly as a fresh scan
-// of cur would. Any named id that fails the test (dropped, or dropped and
-// regrown fresh) makes the whole view suspect — components dropped at
-// different installs need not share any instant with the survivors' values
-// — so the caller discards conservatively.
-func survives[V any](u, cur *universe[V], ids []int) bool {
-	for _, id := range ids {
-		if id >= len(cur.regs) || cur.regs[id] != u.regs[id] {
-			return false
-		}
-	}
-	return true
-}
-
-// collectPinned is one attempt at a view, running entirely against the
+// collectPinned is a partial scan running entirely against the
 // already-pinned universe u: validate, double collect, announce on
-// obstruction, adopt posted help. The caller (scanPinned) owns the epoch
-// recheck that decides whether the returned view survives.
-func (o *LockFree[V]) collectPinned(u *universe[V], ids []int, info *ScanInfo) ([]V, error) {
+// obstruction, adopt posted help.
+func (o *LockFree[V]) collectPinned(u *universe[V], ids []int) (_ []V, info ScanInfo, _ error) {
 	if err := validateIDs(len(u.regs), ids); err != nil {
-		return nil, err
+		return nil, info, err
 	}
 	// Fast path: an uncontended scan needs no announcement, and its only
 	// allocation is the result slice the caller keeps.
 	if vals, ok := o.doubleCollect(u, ids, 0); ok {
-		return vals, nil
+		return vals, info, nil
 	}
 	o.scanRetries.Add(1)
 	info.Retries++
@@ -169,7 +93,7 @@ func (o *LockFree[V]) collectPinned(u *universe[V], ids []int, info *ScanInfo) (
 	o.yield(sched.PostAnnounce, 0)
 	for {
 		if vals, ok := o.doubleCollect(u, rec.ids, 0); ok {
-			return vals, nil
+			return vals, info, nil
 		}
 		o.scanRetries.Add(1)
 		info.Retries++
@@ -182,7 +106,7 @@ func (o *LockFree[V]) collectPinned(u *universe[V], ids []int, info *ScanInfo) (
 			o.yield(sched.PreAdopt, 0)
 			o.helpsAdopted.Add(1)
 			info.Adopted, info.HelperOp, info.Depth = true, h.by, h.depth
-			return append([]V(nil), h.vals...), nil
+			return append([]V(nil), h.vals...), info, nil
 		}
 	}
 }
@@ -201,8 +125,8 @@ const stackCollect = 16
 // every write takes never-used slots from a 128 B run (see registers.go),
 // and the held pointers keep the GC from recycling a run while the collect
 // can still compare against one of its slots.
-// Surviving components alias their cells across epochs, so a double collect
-// through an old epoch still observes writes made through newer ones.
+// Every epoch aliases its predecessors' cells, so a double collect through
+// an old epoch still observes writes made through newer ones.
 //
 // Up to stackCollect ids, the first collect goes into a fixed array indexed
 // directly, which the compiler keeps on the stack; wider sets borrow one
@@ -247,13 +171,10 @@ func (o *LockFree[V]) doubleCollect(u *universe[V], ids []int, level int) ([]V, 
 	return vals, true
 }
 
-// Scan is PartialScan over every component. It pins the epoch once and
-// scans that epoch's full component set, so a concurrent resize can neither
-// tear the id set nor fail validation under it; a view invalidated by a
-// mid-scan resize is discarded and the scan retakes over the new epoch's
-// full set (scanPinned re-resolves ids on each retake).
+// Scan is PartialScan over every component of the epoch it pins, so a
+// concurrent Grow can neither tear the id set nor fail validation under it.
 func (o *LockFree[V]) Scan() ([]V, error) {
 	u := o.pin()
-	vals, _, err := o.scanPinned(u, u.all, true)
+	vals, _, err := o.collectPinned(u, u.all)
 	return vals, err
 }

@@ -51,15 +51,15 @@ import (
 
 // ErrBadComponent is returned (wrapped, with detail) when a component-ID
 // set handed to Update or PartialScan is empty, contains an out-of-range
-// ID, contains duplicates, or does not match the number of values. Under a
-// dynamic universe "out of range" means out of range of the epoch the
-// operation ran against — an id that was valid before a concurrent Shrink
-// may draw this error, and that rejection linearizes after the Shrink.
+// ID, contains duplicates, or does not match the number of values. "Out of
+// range" means out of range of the epoch the operation pinned: an id that
+// a concurrent Grow is adding may draw this error, and the rejection
+// linearizes at the pin, before that Grow. The universe never shrinks, so
+// an id that was valid once stays valid.
 var ErrBadComponent = errors.New("snapshot: bad component set")
 
-// ErrBadResize is returned (wrapped, with detail) when a Grow or Shrink
-// amount is not positive, a Grow would overflow int, or a Shrink would
-// remove every component.
+// ErrBadResize is returned (wrapped, with detail) when a Grow amount is
+// not positive or would overflow int.
 var ErrBadResize = errors.New("snapshot: bad resize")
 
 // Object is the partial snapshot API shared by all implementations.
@@ -79,13 +79,9 @@ type Object[V any] interface {
 	Scan() ([]V, error)
 	// Grow appends k fresh components, each initialised to the zero value
 	// of V, and returns the new component count. Linearizable: operations
-	// ordered after it see — and may name — the new components.
+	// ordered after it see — and may name — the new components. Grow is
+	// the only resize; the universe never shrinks.
 	Grow(k int) (int, error)
-	// Shrink removes the k highest-numbered components and returns the new
-	// component count. At least one component must survive. Operations
-	// ordered after it get ErrBadComponent for the removed ids, and a
-	// later Grow re-creates them zero-valued, never with their old values.
-	Shrink(k int) (int, error)
 }
 
 // maxBitmaskComponents bounds the stack-allocated duplicate bitmask in

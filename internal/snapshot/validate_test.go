@@ -127,9 +127,8 @@ func TestValidateIDsHeapFallbackThroughPublicAPI(t *testing.T) {
 // maxBitmaskComponents, then one past it — and checks at every size that
 // the validation bound is the PINNED epoch's component count, not the
 // construction-time one: the frontier id flips from rejected to accepted
-// at the Grow that legitimises it, wide sets pick the right duplicate
-// detector on both sides of the seam, and a Shrink moves the bound back
-// down.
+// at the Grow that legitimises it, and wide sets pick the right duplicate
+// detector on both sides of the seam.
 func TestValidateIDsBoundFollowsPinnedEpoch(t *testing.T) {
 	const seam = maxBitmaskComponents // 4096
 	o := NewLockFree[int64](seam - 1)
@@ -178,14 +177,6 @@ func TestValidateIDsBoundFollowsPinnedEpoch(t *testing.T) {
 		}
 	}
 
-	// Shrinking moves the bound back below the seam: 4096 is bad again,
-	// and the value written beyond the new bound is unreachable.
-	if size, err := o.Shrink(2); err != nil || size != seam-1 {
-		t.Fatalf("Shrink(2) = %d, %v; want %d, nil", size, err, seam-1)
-	}
-	if _, err := o.PartialScan([]int{seam - 1}); !errors.Is(err, ErrBadComponent) {
-		t.Fatalf("post-shrink scan of id %d: %v, want ErrBadComponent", seam-1, err)
-	}
 }
 
 // TestValidateIDsFullWidthDuplicate16384 validates a full-width set at

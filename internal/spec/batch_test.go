@@ -14,7 +14,7 @@ import (
 func CheckBatch[V comparable](n int, ops []Op[V]) error {
 	limit := n
 	for _, op := range ops {
-		if (op.Kind == Grow || op.Kind == Shrink) && op.Size > limit {
+		if op.Kind == Grow && op.Size > limit {
 			limit = op.Size
 		}
 	}
@@ -35,9 +35,6 @@ func CheckBatch[V comparable](n int, ops []Op[V]) error {
 		case Grow:
 			if op.Delta <= 0 || op.Size-op.Delta < 0 || op.Size > limit {
 				return fmt.Errorf("spec: malformed grow op: delta %d size %d (limit %d)", op.Delta, op.Size, limit)
-			}
-			for c := op.Size - op.Delta; c < op.Size; c++ {
-				perComp[c] = append(perComp[c], write[V]{start: op.Start, end: op.End, val: zero})
 			}
 		}
 	}

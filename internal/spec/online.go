@@ -146,13 +146,6 @@ func (c *Checker[V]) End(t Ticket, op Op[V]) {
 			return
 		}
 		c.limit = max(c.limit, op.Size)
-		var zero V
-		for comp := op.Size - op.Delta; comp < op.Size; comp++ {
-			c.name(comp)
-			c.write(comp, s.start, s.end, zero)
-		}
-	case Shrink:
-		c.limit = max(c.limit, op.Size)
 	case Scan:
 		if len(op.Vals) != len(op.Comps) {
 			c.fail(fmt.Errorf("spec: malformed scan op: %d values for %d components", len(op.Vals), len(op.Comps)))
@@ -179,10 +172,6 @@ func (c *Checker[V]) End(t Ticket, op Op[V]) {
 		for _, comp := range op.Comps {
 			c.retire(comp)
 		}
-	} else if c.err == nil && op.Kind == Grow {
-		for comp := op.Size - op.Delta; comp < op.Size; comp++ {
-			c.retire(comp)
-		}
 	}
 }
 
@@ -198,7 +187,7 @@ func (c *Checker[V]) Abort(t Ticket) {
 }
 
 // Err returns the first violation found, or nil. Component ids are
-// range-checked against the largest universe any resize has reported, as
+// range-checked against the largest universe any Grow has reported, as
 // Check does over a whole history.
 func (c *Checker[V]) Err() error {
 	if c.err == nil && c.maxComp >= c.limit {

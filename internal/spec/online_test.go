@@ -51,7 +51,7 @@ func TestCheckerAbortIsNotHistory(t *testing.T) {
 }
 
 // FuzzOnlineCheck decodes small histories — up to 4 components and 12
-// updates, scans, grows and shrinks, values repeating freely — and
+// updates, scans and grows, values repeating freely — and
 // requires the online Checker (through Check) to reach the batch
 // reference's verdict.
 func FuzzOnlineCheck(f *testing.F) {
@@ -63,10 +63,10 @@ func FuzzOnlineCheck(f *testing.F) {
 		{1, concurrentRead(0)}, {1, concurrentRead(7)},
 		{1, staleRead}, {1, futureRead}, {1, overwrittenRead},
 		{2, tornScan}, {2, consistentScan}, {2, midUpdateTear},
-		{2, sequentialResizes}, {2, sequentialResurrect}, {2, growWrongSize},
+		{2, sequentialResizes}, {2, sequentialMisread}, {2, growWrongSize},
 		{2, growThenScan}, {2, growThenScan[1:]},
-		{3, shrinkRegrowZero}, {3, staleZero}, {3, resurrectAfterRegrow},
-		{3, pinnedBeforeShrink},
+		{2, grownZeroBeforeWrite}, {2, grownStaleZero}, {2, grownUnwritten},
+		{2, growOverlapsScan},
 		{2, namedBeforeGrowReturns}, {2, namedBeforeGrowReturns[1:]},
 	} {
 		data := encodeHistory(h.n, h.ops)
@@ -86,7 +86,7 @@ func FuzzOnlineCheck(f *testing.F) {
 
 // decodeHistory reads a history from fuzz bytes: the initial component
 // count, then per op its kind, start and duration, and either a component
-// count and (component, value) pairs or a resize's delta and size.
+// count and (component, value) pairs or a Grow's delta and size.
 // encodeHistory is its inverse for the seed histories.
 func decodeHistory(data []byte) (int, []spec.Op[int64]) {
 	next := func() int {
@@ -100,7 +100,7 @@ func decodeHistory(data []byte) (int, []spec.Op[int64]) {
 	n := 1 + next()%4
 	var ops []spec.Op[int64]
 	for len(data) > 0 && len(ops) < 12 {
-		op := spec.Op[int64]{Kind: spec.Kind(next() % 4)}
+		op := spec.Op[int64]{Kind: spec.Kind(next() % 3)}
 		op.Start = int64(next() % 64)
 		op.End = op.Start + int64(next()%32)
 		switch op.Kind {

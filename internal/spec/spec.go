@@ -1,22 +1,22 @@
 // Package spec holds the sequential specification of a partial snapshot
-// object and a linearizability-style checker for concurrent histories
-// against it, which runs online (Checker) or over a recorded history
-// (Check, a replay through the same Checker).
+// object and a per-scan atomicity checker for concurrent histories against
+// it, which runs online (Checker) or over a recorded history (Check, a
+// replay through the same Checker).
 //
 // The sequential model is an array of components: Update assigns, Scan
-// reads, and the array is dynamic — Grow appends zero-valued components,
-// Shrink drops the highest-numbered ones — so resizes are part of the
-// checked history, not out-of-band events (a Grow acts as a pseudo-write
-// of zero to the components it creates; see Check). For sequential
-// (non-overlapping) histories, CheckSequential
-// replays the model exactly. For concurrent histories, Check verifies the
-// atomic-cut property the implementation promises: for every scan there
-// must exist an instant t inside the scan's interval at which every
-// observed value could have been the current value of its component. The
-// check is interval-based and sound — it never rejects a linearizable
-// history; its precision relies on written values being distinct per
-// component (test workloads encode writer ID + sequence number into each
-// value).
+// reads, and the array can grow — Grow appends zero-valued components — so
+// resizes are part of the checked history, not out-of-band events. For
+// sequential (non-overlapping) histories, CheckSequential replays the
+// model exactly. For concurrent histories, Check verifies the atomic-cut
+// property the implementation promises: for every scan there must exist
+// an instant t inside the scan's interval at which every observed value
+// could have been the current value of its component. It checks each scan
+// on its own and never relates two scans to each other, so it is weaker
+// than linearizability: it accepts a later scan that reads an older value
+// than an earlier scan did. The check is interval-based and sound — it
+// never rejects a linearizable history; its precision relies on written
+// values being distinct per component (test workloads encode writer ID +
+// sequence number into each value).
 //
 // The Checker is fed each operation's begin and end as they happen and
 // holds only a window: the operations still in flight, the scans waiting
@@ -48,18 +48,11 @@ const (
 	// Scan is a partial scan that observed Vals[i] on component Comps[i].
 	Scan
 	// Grow appended Delta fresh zero-valued components, leaving Size
-	// components. For the checker a Grow is a pseudo-write of the zero
-	// value to each component in [Size-Delta, Size): that is exactly what
-	// the operation does at its linearization point, and it is what makes
-	// a zero observed on a shrunk-and-regrown component admissible again
-	// after real writes to the component's previous life completed.
+	// components. For the checker a Grow only raises the component limit:
+	// a grown component has no earlier write, so the zero it starts with is
+	// the initial value every component has until its first write
+	// definitely completes.
 	Grow
-	// Shrink removed the Delta highest-numbered components, leaving Size.
-	// It writes nothing: operations pinned before it may still observe the
-	// removed components' old values (they linearize before the Shrink),
-	// and operations after it are rejected by the implementation before
-	// reaching the history.
-	Shrink
 )
 
 // Op is one completed operation in a recorded history. Start and End are
@@ -82,9 +75,9 @@ type Op[V comparable] struct {
 	// double collect. Checked by CheckProvenance.
 	AdoptedFrom uint64
 
-	// Delta, on Grow/Shrink ops, is the resize amount (components added or
-	// removed); Size is the component count the resize reported, i.e. the
-	// count immediately after its linearization point.
+	// Delta, on Grow ops, is the number of components added; Size is the
+	// component count the Grow reported, i.e. the count immediately after
+	// its linearization point.
 	Delta int
 	Size  int
 }
@@ -124,18 +117,6 @@ func (m *Model[V]) Grow(k int) (int, error) {
 		return 0, fmt.Errorf("spec: bad resize: grow by %d components", k)
 	}
 	m.vals = append(m.vals, make([]V, k)...)
-	return len(m.vals), nil
-}
-
-// Shrink performs a sequential Shrink of the k highest-numbered components;
-// at least one must survive. Mirrors snapshot.Object.Shrink.
-func (m *Model[V]) Shrink(k int) (int, error) {
-	if k <= 0 || k >= len(m.vals) {
-		return 0, fmt.Errorf("spec: bad resize: shrink by %d of %d components", k, len(m.vals))
-	}
-	vals := make([]V, len(m.vals)-k)
-	copy(vals, m.vals[:len(m.vals)-k])
-	m.vals = vals
 	return len(m.vals), nil
 }
 
@@ -203,14 +184,6 @@ func CheckSequential[V comparable](n int, ops []Op[V]) error {
 			if op.Size != 0 && op.Size != size {
 				return fmt.Errorf("spec: sequential grow %d reported %d components, model has %d", i, op.Size, size)
 			}
-		case Shrink:
-			size, err := m.Shrink(op.Delta)
-			if err != nil {
-				return fmt.Errorf("spec: sequential shrink %d: %w", i, err)
-			}
-			if op.Size != 0 && op.Size != size {
-				return fmt.Errorf("spec: sequential shrink %d reported %d components, model has %d", i, op.Size, size)
-			}
 		}
 	}
 	return nil
@@ -233,14 +206,11 @@ type write[V comparable] struct {
 // before t. The zero value of V is additionally plausible until the first
 // write on the component has definitely completed.
 //
-// The component universe is dynamic: n is the initial count, and recorded
-// Grow ops raise the checker's id limit to the largest universe any resize
-// reported. A Grow contributes a pseudo-write of the zero value to each
-// component it created (that is its effect at its linearization point), so
-// a zero observed after a shrink-and-regrow is admissible exactly when some
-// instant places the scan after the Grow and before any later real write.
-// Shrinks never lower the limit — a scan pinned to a pre-Shrink epoch may
-// legitimately still observe since-removed components.
+// The component universe grows: n is the initial count, and recorded Grow
+// ops raise the checker's id limit to the largest universe any Grow
+// reported. A Grow writes nothing the check needs: a component it creates
+// has no earlier write, so the zero observed on it is the initial value,
+// admissible until the component's first write definitely completes.
 //
 // Check replays the history's begin and end events, in timestamp order,
 // through a Checker: the online check and the batch one are the same code.

@@ -50,18 +50,17 @@ const (
 	// reads a nil slot head and skips the walk — the shape that measures
 	// the uncontended update fast path.
 	UpdateHeavy Shape = "update-heavy"
-	// Churn runs uniform-style traffic over a breathing universe: worker 0
-	// interleaves alternating Grow/Shrink ops (every ResizeEvery-th op) that
-	// oscillate the component count between n and n+flex, flex =
-	// max(1, n/4), while every worker's component picks spread over base and
-	// flex zone in proportion to their sizes. Operations naming a
-	// momentarily-shrunk component are rejected by the object
-	// (ErrBadComponent) — consumers of resizing shapes must tolerate that.
+	// Churn runs uniform-style traffic over a growing universe: worker 0
+	// issues one Grow of flex = max(1, n/4) components as its growAt-th op,
+	// taking the component count from n to n+flex, while every worker's
+	// component picks spread over base and flex zone in proportion to their
+	// sizes. Operations naming a flex component before the Grow lands are
+	// rejected by the object (ErrBadComponent) — consumers of resizing
+	// shapes must tolerate that.
 	Churn Shape = "churn"
-	// FlashCrowd is Churn with the traffic rushing the moving frontier:
-	// 80% of operations pick only from the flex zone, the
-	// hotspot-migration shape where scans and updates pile onto components
-	// that keep appearing and disappearing under them.
+	// FlashCrowd is Churn with the traffic rushing the frontier: 80% of
+	// operations pick only from the flex zone, so scans and updates pile
+	// onto components that appear under them.
 	FlashCrowd Shape = "flash-crowd"
 )
 
@@ -70,15 +69,20 @@ func Shapes() []Shape {
 	return []Shape{Uniform, Zipfian, Partitioned, BatchHeavy, ScanHeavy, UpdateHeavy, Churn, FlashCrowd}
 }
 
-// Resizes reports whether the shape emits Grow/Shrink operations over a
-// moving component universe.
+// Resizes reports whether the shape emits a Grow over a moving component
+// universe.
 func (s Shape) Resizes() bool { return s == Churn || s == FlashCrowd }
 
 // Flex returns the resize amplitude of a resizing shape over an n-component
-// base universe: Grow and Shrink ops move the count between n and n+Flex(n).
+// base universe: its Grow takes the count from n to n+Flex(n).
 func Flex(n int) int {
 	return max(1, n/4)
 }
+
+// growAt is the position, counted from 1, of worker 0's Grow in a resizing
+// shape's stream: late enough that traffic runs before the install, early
+// enough that every stream crosses it.
+const growAt = 4
 
 // zipfSkew is the rank exponent of the Zipfian shape: rand.NewZipf draws
 // rank k with probability proportional to (1+k)^-zipfSkew (larger = hotter
@@ -100,11 +104,6 @@ type Config struct {
 	// ScanFrac is the fraction of operations that are scans, in [0,1];
 	// any negative value selects the shape default.
 	ScanFrac float64 `json:"scan_frac"`
-	// ResizeEvery, on resizing shapes, makes every ResizeEvery-th op of
-	// worker 0 (the sole churner) a Grow or Shrink, alternating, so resizes
-	// never race each other and always succeed (0 = the shape default of 4).
-	// Non-resizing shapes must leave it 0.
-	ResizeEvery int `json:"resize_every,omitempty"`
 	// Seed determines every stream: identical configs yield identical
 	// per-worker operation sequences.
 	Seed int64 `json:"seed"`
@@ -176,16 +175,6 @@ func (c Config) Validate() (Config, error) {
 	if c.ScanFrac > 1 {
 		return c, fmt.Errorf("workload: scan fraction %v out of range [0,1]", c.ScanFrac)
 	}
-	if c.ResizeEvery < 0 {
-		return c, fmt.Errorf("workload: resize interval must be non-negative, got %d", c.ResizeEvery)
-	}
-	if c.Shape.Resizes() {
-		if c.ResizeEvery == 0 {
-			c.ResizeEvery = 4
-		}
-	} else if c.ResizeEvery != 0 {
-		return c, fmt.Errorf("workload: shape %s does not resize, but resize interval %d was set", c.Shape, c.ResizeEvery)
-	}
 	pool := c.Components
 	if c.Shape == Partitioned {
 		pool = c.Components / c.Workers
@@ -209,8 +198,6 @@ const (
 	OpScan
 	// OpGrow appends Delta fresh components (resizing shapes only).
 	OpGrow
-	// OpShrink removes the Delta highest components (resizing shapes only).
-	OpShrink
 )
 
 // Op is one generated operation. Comps and Vals alias the stream's
@@ -221,7 +208,7 @@ type Op struct {
 	Kind  Kind
 	Comps []int
 	Vals  []int64
-	// Delta is the resize amount of OpGrow/OpShrink ops (0 otherwise).
+	// Delta is the resize amount of OpGrow ops (0 otherwise).
 	Delta int
 }
 
@@ -324,26 +311,18 @@ type Stream struct {
 	comps    []int // reused Op.Comps buffer
 	vals     []int64
 	seq      int
-	opIdx    int  // ops emitted so far (drives the churner's resize cadence)
-	grown    bool // churner parity: true = flex zone present, next resize shrinks
+	opIdx    int // churner: ops emitted so far, counted up to growAt
 }
 
 // Next returns the stream's next operation. The returned slices are
 // reused; see Op.
 func (s *Stream) Next() Op {
-	if s.cfg.Shape.Resizes() && s.worker == 0 {
-		// Worker 0 is the sole churner: resizes never race each other, so
-		// the alternating Grow/Shrink always succeeds and the component
-		// count deterministically oscillates between n and n+flex.
+	if s.cfg.Shape.Resizes() && s.worker == 0 && s.opIdx < growAt {
+		// Worker 0 is the sole churner, so its one Grow never races
+		// another resize and always succeeds.
 		s.opIdx++
-		if s.opIdx%s.cfg.ResizeEvery == 0 {
-			delta := Flex(s.cfg.Components)
-			if s.grown {
-				s.grown = false
-				return Op{Kind: OpShrink, Delta: delta}
-			}
-			s.grown = true
-			return Op{Kind: OpGrow, Delta: delta}
+		if s.opIdx == growAt {
+			return Op{Kind: OpGrow, Delta: Flex(s.cfg.Components)}
 		}
 	}
 	// Degenerate mixes draw no mix decision: a pure-scan (frac >= 1) or
@@ -385,13 +364,13 @@ func (s *Stream) pick(k int) []int {
 
 // pickCrowd draws k distinct components for the resizing shapes: each op
 // commits to one zone — the stable base universe [0, n) or the flex zone
-// [n, n+flex) that the churner keeps creating and destroying — and picks
-// uniformly within it. Churn selects zones in proportion to their sizes
-// (uniform over the grown universe in expectation); FlashCrowd sends 80%
-// of traffic to the flex zone. Flex-zone ops are clamped to the zone's
-// width, and they deliberately do NOT track the churner's current parity:
-// an op naming a momentarily-absent component is the shape's point, and
-// the object rejects it with ErrBadComponent.
+// [n, n+flex) that the churner's Grow creates — and picks uniformly within
+// it. Churn selects zones in proportion to their sizes (uniform over the
+// grown universe in expectation); FlashCrowd sends 80% of traffic to the
+// flex zone. Flex-zone ops are clamped to the zone's width, and they
+// deliberately do NOT track whether the Grow has landed: an op naming a
+// not-yet-grown component is part of the shape, and the object rejects it
+// with ErrBadComponent.
 func (s *Stream) pickCrowd(k int) []int {
 	bias := float64(len(s.flexPool)) / float64(len(s.pool)+len(s.flexPool))
 	if s.cfg.Shape == FlashCrowd {

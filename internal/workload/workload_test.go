@@ -62,7 +62,7 @@ func TestOpsAreWellFormed(t *testing.T) {
 			scans, updates, resizes := 0, 0, 0
 			for w := 0; w < cfg.Workers; w++ {
 				for _, op := range g.Ops(w, 200) {
-					if op.Kind == OpGrow || op.Kind == OpShrink {
+					if op.Kind == OpGrow {
 						resizes++
 						if w != 0 {
 							t.Fatalf("worker %d emitted a resize; only worker 0 churns", w)
@@ -117,10 +117,9 @@ func TestOpsAreWellFormed(t *testing.T) {
 					shape, cfg.ScanFrac, scans, updates, wantScans, wantUpdates)
 			}
 			if cfg.Shape.Resizes() {
-				// Worker 0 emitted 200 ops at the default cadence of 4:
-				// exactly 50 resizes, alternating grow-first.
-				if resizes != 200/cfg.ResizeEvery {
-					t.Fatalf("shape %s generated %d resizes, want %d", shape, resizes, 200/cfg.ResizeEvery)
+				// Worker 0 grows once, whatever the stream's length.
+				if resizes != 1 {
+					t.Fatalf("shape %s generated %d resizes, want 1", shape, resizes)
 				}
 			} else if resizes != 0 {
 				t.Fatalf("shape %s generated %d resizes, want none", shape, resizes)
@@ -217,9 +216,6 @@ func TestValidateRejects(t *testing.T) {
 		// narrow for a scan width of 4.
 		{Shape: Partitioned, Components: 8, Workers: 4, ScanWidth: 4, ScanFrac: -1},
 		{Shape: Partitioned, Components: 3, Workers: 4, ScanFrac: -1},
-		// Resize cadence on a fixed-universe shape, and a negative cadence.
-		{Shape: Uniform, Components: 8, Workers: 1, ResizeEvery: 4, ScanFrac: -1},
-		{Shape: Churn, Components: 8, Workers: 1, ResizeEvery: -1, ScanFrac: -1},
 	}
 	for i, cfg := range bad {
 		cfg.Seed = 1
@@ -246,31 +242,25 @@ func TestValueEncoding(t *testing.T) {
 	}
 }
 
-// TestChurnerAlternatesResizes: worker 0 of a resizing shape emits a
-// resize every ResizeEvery-th op, grow first and strictly alternating, so
-// the component count oscillates between n and n+flex and every resize
-// succeeds (no other worker resizes).
-func TestChurnerAlternatesResizes(t *testing.T) {
-	g, err := New(Config{Shape: Churn, Components: 16, Workers: 2, ResizeEvery: 3, ScanFrac: -1, Seed: 5})
+// TestChurnerGrowsOnce: worker 0 of a resizing shape emits exactly one
+// resize, a Grow of Flex(n) as its growAt-th op, so the component count
+// goes from n to n+flex once and the Grow succeeds (no other worker
+// resizes).
+func TestChurnerGrowsOnce(t *testing.T) {
+	g, err := New(Config{Shape: Churn, Components: 16, Workers: 2, ScanFrac: -1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantGrow := true
 	for i, op := range g.Ops(0, 60) {
-		isResize := op.Kind == OpGrow || op.Kind == OpShrink
-		if wantIt := (i+1)%3 == 0; isResize != wantIt {
-			t.Fatalf("op %d: resize = %v, want %v", i, isResize, wantIt)
+		if isGrow := op.Kind == OpGrow; isGrow != (i+1 == growAt) {
+			t.Fatalf("op %d: grow = %v, want %v", i, isGrow, i+1 == growAt)
 		}
-		if !isResize {
-			continue
+		if op.Kind == OpGrow && op.Delta != Flex(16) {
+			t.Fatalf("grow delta %d, want %d", op.Delta, Flex(16))
 		}
-		if wantGrow != (op.Kind == OpGrow) {
-			t.Fatalf("op %d: kind %v breaks the grow/shrink alternation", i, op.Kind)
-		}
-		wantGrow = !wantGrow
 	}
 	for _, op := range g.Ops(1, 60) {
-		if op.Kind == OpGrow || op.Kind == OpShrink {
+		if op.Kind == OpGrow {
 			t.Fatal("worker 1 emitted a resize")
 		}
 	}
@@ -355,8 +345,8 @@ func TestGoldenStreamFingerprints(t *testing.T) {
 		BatchHeavy:  {0x130e5e45bccfdaa6, 0x8b10e93c0e513604},
 		ScanHeavy:   {0x2676b2146634de34, 0x17684d97bbba395c},
 		UpdateHeavy: {0x92cd4e0ac2b540ed, 0xe5ff9f79f6dbebf4},
-		Churn:       {0x97aae7a22208d0fe, 0xa60dbc84ce578530},
-		FlashCrowd:  {0xa4be0c3840cca0ad, 0x8c59d467c0cdd8dc},
+		Churn:       {0x3a1b42892191dad8, 0xa60dbc84ce578530},
+		FlashCrowd:  {0x949f92accbe5cf04, 0x8c59d467c0cdd8dc},
 	}
 	for _, shape := range Shapes() {
 		g, err := New(baseConfig(shape))
