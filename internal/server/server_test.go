@@ -274,8 +274,11 @@ func serve(h http.Handler, method, path, body string) *httptest.ResponseRecorder
 }
 
 // mixedTraffic sends ops requests, half updates of distinct values and
-// half scans, through h from workers goroutines to an 8-component object.
-func mixedTraffic(t *testing.T, h http.Handler, workers, ops int) {
+// half scans of two components, through h from workers goroutines to an
+// 8-component object. Partitioned traffic confines worker w to components
+// 2w and 2w+1, so at most 4 workers share nothing; otherwise every worker
+// ranges over all 8.
+func mixedTraffic(t *testing.T, h http.Handler, workers, ops int, partitioned bool) {
 	t.Helper()
 	var wg sync.WaitGroup
 	for w := range workers {
@@ -283,9 +286,13 @@ func mixedTraffic(t *testing.T, h http.Handler, workers, ops int) {
 		go func() {
 			defer wg.Done()
 			for k := range ops / workers {
-				path, body := "/scan", fmt.Sprintf(`{"ids":[%d,%d]}`, k%8, (k+3)%8)
+				a, b, u := k%8, (k+3)%8, (w+k)%8
+				if partitioned {
+					a, b, u = 2*w, 2*w+1, 2*w+k/2%2
+				}
+				path, body := "/scan", fmt.Sprintf(`{"ids":[%d,%d]}`, a, b)
 				if k%2 == 0 {
-					path, body = "/update", fmt.Sprintf(`{"ids":[%d],"vals":[%d]}`, (w+k)%8, w*10_000_000+k+1)
+					path, body = "/update", fmt.Sprintf(`{"ids":[%d],"vals":[%d]}`, u, w*10_000_000+k+1)
 				}
 				if rec := serve(h, http.MethodPost, path, body); rec.Code != http.StatusOK {
 					t.Errorf("%s %s: %d %s", path, body, rec.Code, rec.Body)
@@ -295,6 +302,27 @@ func mixedTraffic(t *testing.T, h http.Handler, workers, ops int) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPartitionedTrafficStaysLocal is the paper's locality claim through
+// the serving stack: goroutines on disjoint component pairs send updates
+// and scans through the handler, and no operation walks past, retries on
+// or helps another's announcement, while the whole run still conforms.
+func TestPartitionedTrafficStaysLocal(t *testing.T) {
+	obj := snapshot.NewLockFree[int64](8)
+	srv := New(obj, snapshot.ImplLockFree, Config{})
+	const ops = 4000
+	mixedTraffic(t, srv.Handler(), 4, ops, true)
+	if st := obj.Stats(); st.RecordsVisited != 0 || st.ScanRetries != 0 || st.HelpsPosted != 0 {
+		t.Fatalf("partitioned traffic interfered: %+v", st)
+	}
+	cr, err := srv.Conformance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cr.OK || cr.CheckedOps != ops {
+		t.Fatalf("conformance %+v, want %d checked ops", cr, ops)
+	}
 }
 
 // window reads how much the conformance checker holds: its retained
@@ -319,7 +347,7 @@ func TestConformanceWindowStaysBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 			srv := New(obj, snapshot.ImplLockFree, Config{})
-			mixedTraffic(t, srv.Handler(), workers, ops)
+			mixedTraffic(t, srv.Handler(), workers, ops, false)
 			cr, err := srv.Conformance()
 			if err != nil {
 				t.Fatal(err)
@@ -354,9 +382,9 @@ func TestStatsCostIsFlat(t *testing.T) {
 			}
 		})
 	}
-	mixedTraffic(t, h, 1, 100)
+	mixedTraffic(t, h, 1, 100, false)
 	early := stats()
-	mixedTraffic(t, h, 1, 20_000-100)
+	mixedTraffic(t, h, 1, 20_000-100, false)
 	if late := stats(); late != early {
 		t.Fatalf("/stats allocates %.1f after 100 ops and %.1f after 20,000", early, late)
 	}
@@ -393,7 +421,7 @@ func TestStaleScanWouldBeConvicted(t *testing.T) {
 			obj := &staleObject{Object: inner}
 			srv := New(obj, snapshot.ImplLockFree, Config{})
 			h := srv.Handler()
-			mixedTraffic(t, h, 1, after)
+			mixedTraffic(t, h, 1, after, false)
 
 			for _, req := range []struct{ path, body string }{
 				{"/update", `{"ids":[0],"vals":[-1]}`},

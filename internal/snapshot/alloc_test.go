@@ -24,15 +24,7 @@ const allocSlack = 0.1
 
 func assertAllocs(t *testing.T, name string, budget float64, f func() error) {
 	t.Helper()
-	var err error
-	got := testing.AllocsPerRun(2000, func() {
-		if e := f(); e != nil {
-			err = e
-		}
-	})
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
+	got, _ := snapshot.MallocsPerRun(t, f)
 	if got > budget+allocSlack {
 		t.Errorf("%s: %.3f allocs/op, budget %g", name, got, budget)
 	} else {
@@ -71,16 +63,14 @@ func TestAllocsPerOpLockFree(t *testing.T) {
 	// One allocation per scan: the result slice the caller keeps.
 	assertAllocs(t, "lockfree PartialScan width-8", 1, func() error { _, err := o.PartialScan(scanIDs); return err })
 	assertAllocs(t, "lockfree PartialScan width-16", 1, func() error { _, err := o.PartialScan(stackIDs); return err })
+	if raceEnabled {
+		t.Skip("pooled collects and update budgets: the race detector drops sync.Pool Puts at random")
+	}
 	assertAllocs(t, "lockfree PartialScan width-17", 1, func() error { _, err := o.PartialScan(pooledIDs); return err })
 	assertAllocs(t, "lockfree full Scan", 1, func() error { _, err := o.Scan(); return err })
 
-	// Update budgets are fractional, which testing.AllocsPerRun would
-	// truncate to zero, so they are measured with mallocsPerRun. An int64
-	// run holds 16 slots, so a width-w update starts a run every 16/w
-	// updates; a batch wider than a run takes a run of its own.
-	if raceEnabled {
-		t.Skip("update budgets: the race detector drops sync.Pool Puts at random")
-	}
+	// An int64 run holds 16 slots, so a width-w update starts a run every
+	// 16/w updates; a batch wider than a run takes a run of its own.
 	for _, tc := range []struct {
 		width  int
 		budget float64
@@ -89,8 +79,8 @@ func TestAllocsPerOpLockFree(t *testing.T) {
 		for i := range ids {
 			ids[i], vals[i] = 3*i, int64(i)
 		}
-		allocs, _ := mallocsPerRun(t, func() error { return o.Update(ids, vals) })
-		if allocs > tc.budget+mallocSlack {
+		allocs, _ := snapshot.MallocsPerRun(t, func() error { return o.Update(ids, vals) })
+		if allocs > tc.budget+snapshot.MallocSlack {
 			t.Errorf("lockfree Update width-%d: %.4f allocs/op, budget %.4f", tc.width, allocs, tc.budget)
 		} else {
 			t.Logf("lockfree Update width-%d: %.4f allocs/op (budget %.4f)", tc.width, allocs, tc.budget)
@@ -106,35 +96,6 @@ func TestAllocsPerOpRWMutex(t *testing.T) {
 	assertAllocs(t, "rwmutex PartialScan width-4", 1, func() error { _, err := o.PartialScan(scanIDs); return err })
 }
 
-// mallocSlack is the per-op slack mallocsPerRun budgets allow: 100 extra
-// allocations over its 10,000 runs, for pool refills after a GC.
-const mallocSlack = 0.01
-
-// mallocsPerRun returns the heap allocations and bytes f averages over
-// 10,000 runs after 64 warm-up runs. Like testing.AllocsPerRun it runs on
-// one P, so no other goroutine's allocations land inside the measured
-// window and every run meets the same per-P pool; unlike it, it does not
-// truncate the averages to integers.
-func mallocsPerRun(t *testing.T, f func() error) (allocs, bytes float64) {
-	t.Helper()
-	const runs = 10_000
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for i := 0; i < 64; i++ {
-		if err := f(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		if err := f(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
-}
-
 // TestUpdateBytes pins the size of a value slot: it holds only the value,
 // so a width-2 int64 update takes 16 bytes of a run and nothing else. A
 // field added beside the value (an op id, a version) doubles this.
@@ -145,7 +106,7 @@ func TestUpdateBytes(t *testing.T) {
 	const budget = 16
 	ids, vals := []int{3, 40}, []int64{1, 2}
 	o := snapshot.NewLockFree[int64](64)
-	_, got := mallocsPerRun(t, func() error { return o.Update(ids, vals) })
+	_, got := snapshot.MallocsPerRun(t, func() error { return o.Update(ids, vals) })
 	if got > budget+allocSlack {
 		t.Errorf("lockfree Update width-2: %.2f B/op, budget %d", got, budget)
 	} else {

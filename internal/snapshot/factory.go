@@ -6,8 +6,7 @@ import (
 )
 
 // This file is the package's single construction surface: one factory over
-// every implementation, replacing the per-call-site constructor switches
-// that used to live in internal/bench, the parity suite and cmd/snapbench.
+// every implementation, used by the parity suite, snapshotd and perfbench.
 // New is also the only constructor that returns an error instead of
 // panicking, which is what a serving layer needs.
 

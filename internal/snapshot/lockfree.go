@@ -191,11 +191,8 @@ type Stats struct {
 	// the slow-path announcement rate; the reuse tests use it to prove
 	// pooling is actually exercised.
 	RecordReuses uint64 `json:"record_reuses"`
-	// Epoch is the current universe's epoch number.
-	Epoch uint64 `json:"epoch"`
-	// EpochInstalls counts successfully installed universes.
-	EpochInstalls uint64 `json:"epoch_installs"`
-	// Grows counts successful Grow calls (= EpochInstalls).
+	// Grows counts successful Grow calls, each of which installs one
+	// universe, so it is also the current epoch number.
 	Grows uint64 `json:"grows"`
 }
 
@@ -209,8 +206,6 @@ func (o *LockFree[V]) Stats() Stats {
 		MaxHelpDepth:      o.maxDepth.Load(),
 		RecordsDeduped:    o.deduped.Load(),
 		RecordReuses:      o.recReuses.Load(),
-		Epoch:             u.epoch,
-		EpochInstalls:     o.grows.Load(),
 		Grows:             o.grows.Load(),
 	}
 	for _, s := range u.slots {

@@ -192,18 +192,22 @@ func TestParityAcrossWorkloadShapes(t *testing.T) {
 					}
 					if shape.Resizes() {
 						// The single churner's resizes are deterministic, so
-						// the epoch counters must account for exactly the
+						// the grow count must account for exactly the
 						// resizes the workload issued — no install may be
 						// lost or double-counted.
 						if got := st.Grows; got != uint64(counts.Resizes) {
 							t.Fatalf("%s: %d resizes issued but stats recorded %d installs: %+v",
 								shape, counts.Resizes, got, st)
 						}
-						if st.EpochInstalls != uint64(counts.Resizes) {
-							t.Fatalf("%s: epoch installs %d != resizes %d", shape, st.EpochInstalls, counts.Resizes)
-						}
-						if st.Epoch != uint64(counts.Resizes) {
-							t.Fatalf("%s: final epoch %d != resizes %d", shape, st.Epoch, counts.Resizes)
+					}
+					if shape == workload.UpdateHeavy {
+						// Pure updates: no scan ever announces, so every
+						// consultation reads a nil slot head and skips its
+						// walk — the quiescent fast path, reconciled exactly.
+						want := uint64(counts.Updates * gen.Config().UpdateWidth)
+						if st.RegistryWalks != 0 || st.WalksSkipped != want {
+							t.Fatalf("update-heavy: RegistryWalks = %d, WalksSkipped = %d, want 0 and %d (%d updates x width %d)",
+								st.RegistryWalks, st.WalksSkipped, want, counts.Updates, gen.Config().UpdateWidth)
 						}
 					}
 					if shape == workload.Partitioned {

@@ -203,12 +203,7 @@ func TestValidateIDsAllocationFree(t *testing.T) {
 	for i := range ids {
 		ids[i] = i * 31
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := validateIDs(2048, ids); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
+	if allocs, _ := MallocsPerRun(t, func() error { return validateIDs(2048, ids) }); allocs != 0 {
 		t.Fatalf("validateIDs allocated %v times per run on the bitmask path, want 0", allocs)
 	}
 }

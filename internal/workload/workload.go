@@ -4,8 +4,8 @@
 // the scan/update mix) and yields a deterministic per-worker stream of
 // operations, so the same scenario name means the same traffic whether it
 // is being model-checked for correctness (internal/snapshot's exploration
-// tests), stress-tested under -race, or measured for throughput
-// (internal/bench) — correctness search and performance measurement stop
+// tests), stress-tested under -race, or measured (perfbench's object
+// workloads) — correctness search and performance measurement stop
 // drifting apart the moment they share the generator.
 //
 // Every stream draws from its own math/rand/v2 PCG source seeded with the
@@ -329,8 +329,7 @@ func (s *Stream) Next() Op {
 	// pure-update (frac <= 0) stream spends its randomness only on component
 	// picks. Mixed streams consume exactly one Float64 per op. Any change to
 	// the draws changes every seeded stream, which TestGoldenStreamFingerprints
-	// pins; the committed BENCH_*.json baselines were measured under the
-	// earlier math/rand streams, equally distributed but not identical.
+	// pins.
 	if s.cfg.ScanFrac >= 1 || (s.cfg.ScanFrac > 0 && s.rng.Float64() < s.cfg.ScanFrac) {
 		return Op{Kind: OpScan, Comps: s.pick(s.cfg.ScanWidth)}
 	}

@@ -296,7 +296,8 @@ func TestFlashCrowdRushesTheFrontier(t *testing.T) {
 }
 
 // TestNextReusesBuffers: the hot path the benchmark loop sits on must not
-// allocate per operation.
+// allocate per operation. The count is not rounded, so an allocation on
+// every second call reads as 0.5 and fails.
 func TestNextReusesBuffers(t *testing.T) {
 	for _, shape := range []Shape{Uniform, Zipfian, Partitioned, UpdateHeavy, Churn, FlashCrowd} {
 		g, err := New(baseConfig(shape))
@@ -304,11 +305,25 @@ func TestNextReusesBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := g.Stream(0)
-		allocs := testing.AllocsPerRun(200, func() { s.Next() })
-		if allocs != 0 {
+		if allocs, _ := mallocsPerRun(10_000, func() { s.Next() }); allocs != 0 {
 			t.Fatalf("%s Stream.Next allocates %v per op, want 0", shape, allocs)
 		}
 	}
+}
+
+// mallocsPerRun returns the heap allocations and bytes f averages over
+// runs calls. Like testing.AllocsPerRun it runs on one P, so no other
+// goroutine allocates inside the window; unlike it, it does not truncate
+// the averages to integers.
+func mallocsPerRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // fingerprint hashes the first n ops of worker w's stream with FNV-64a:
@@ -401,23 +416,19 @@ func streamConfig(shape Shape) Config {
 // 64 components, at most 8 allocations and 1 KiB for every shape. A
 // source whose seeding allocates or fills a large state table breaks it.
 func TestStreamSetupAllocsAndBytes(t *testing.T) {
-	const runs, allocBudget, byteBudget = 1000, 8, 1024
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const allocBudget, byteBudget = 8, 1024
 	for _, shape := range Shapes() {
 		g, err := New(streamConfig(shape))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var sink *Stream
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
+		i := 0
+		allocs, bytes := mallocsPerRun(1000, func() {
 			sink = g.Stream(i % 2)
-		}
-		runtime.ReadMemStats(&after)
+			i++
+		})
 		runtime.KeepAlive(sink)
-		allocs := float64(after.Mallocs-before.Mallocs) / runs
-		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
 		if allocs > allocBudget || bytes > byteBudget {
 			t.Errorf("%s Stream: %.1f allocs, %.0f B; budget %d allocs, %d B", shape, allocs, bytes, allocBudget, byteBudget)
 		} else {
