@@ -257,6 +257,40 @@ func TestParityAcrossWorkloadShapes(t *testing.T) {
 	}
 }
 
+// TestUpdateHeavyTakesQuiescentPath runs the update-heavy shape alone on
+// the lock-free object and checks its fingerprint: every streamed op is an
+// update, and since no scan ever announces, every consultation reads a nil
+// slot head and skips its walk — the quiescent fast path, with no walk and
+// no skip lost or double-counted, and nothing left in the registry.
+func TestUpdateHeavyTakesQuiescentPath(t *testing.T) {
+	opsPerWorker := 300
+	if testing.Short() {
+		opsPerWorker = 60
+	}
+	cfg := parityCfg(workload.UpdateHeavy)
+	gen, err := workload.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := newParityObject(t, snapshot.ImplLockFree, cfg.Components)
+	_, counts := runParityWorkload(t, obj, gen, opsPerWorker)
+	if t.Failed() {
+		return
+	}
+	if counts.Scans != 0 || counts.Updates != cfg.Workers*opsPerWorker {
+		t.Fatalf("update-heavy ran %d scans and %d updates, want 0 and %d", counts.Scans, counts.Updates, cfg.Workers*opsPerWorker)
+	}
+	st := obj.(snapshot.StatsReader).Stats()
+	want := uint64(counts.Updates * gen.Config().UpdateWidth)
+	if st.RegistryWalks != 0 || st.WalksSkipped != want {
+		t.Fatalf("RegistryWalks = %d, WalksSkipped = %d, want 0 and %d (%d updates x width %d)",
+			st.RegistryWalks, st.WalksSkipped, want, counts.Updates, gen.Config().UpdateWidth)
+	}
+	if st.LiveAnnouncements != 0 || st.HelpsPosted != 0 || st.RecordsVisited != 0 {
+		t.Fatalf("pure update traffic touched the registry: %+v", st)
+	}
+}
+
 // TestParitySequentialSemantics is the deterministic arm: the same op
 // stream applied round-robin, one op at a time, to every implementation of
 // the factory matrix and the sequential model, which must all stay in
