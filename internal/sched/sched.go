@@ -91,21 +91,11 @@ const (
 	PreUnlink Point = "pre-unlink"
 
 	// PreVisit fires inside an updater's walk of a registry slot, once per
-	// linked enrollment, after the enrollment is loaded but before the
-	// staleness checks (done flag, generation tag, pin) that decide whether
-	// its record is visited. arg = the slot's component id. Scripts park a
-	// walker here, retire and recycle the enrollment's record under it, and
-	// then prove the resumed walker rejects the stale enrollment instead of
-	// helping the record's new incarnation through the wrong slot.
+	// linked enrollment, after the enrollment is loaded but before the done
+	// check that decides whether its record is visited or unlinked. arg =
+	// the slot's component id. Scripts park a walker here to hold it
+	// inside a slot while other operations announce or retire.
 	PreVisit Point = "pre-visit"
-
-	// PreReuse fires when a scan announcement is about to recycle a pooled
-	// record — after the record left the pool, before its generation is
-	// bumped and its fields are reset, i.e. while stale enrollments from the
-	// record's previous life still carry its current generation. arg = the
-	// new record's help-chain level. The reuse-race regressions park here to
-	// interleave stale walkers with the reset.
-	PreReuse Point = "pre-reuse"
 
 	// PreHelpScan fires when an updater decides to help an announced record,
 	// before its embedded scan starts. arg = the embedded scan's level

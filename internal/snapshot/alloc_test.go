@@ -9,10 +9,11 @@ import (
 )
 
 // Steady-state allocation budgets for the single-goroutine hot paths.
-// LockFree recycles scan records and collect buffers (pool.go), and every
-// write takes never-used slots from a 128 B run (registers.go), so an
-// uncontended scan performs one allocation — the result slice its caller
-// keeps — and an update only its share of a run: 1/16 per int64 slot. These
+// An uncontended scan announces no record, wide scans recycle their collect
+// buffers (pool.go), and every write takes never-used slots from a 128 B
+// run (registers.go), so an uncontended scan performs one allocation — the
+// result slice its caller keeps — and an update only its share of a run:
+// 1/16 per int64 slot. These
 // tests are the regression gate for that property — any new per-operation
 // allocation on the fast paths fails them, long before the benchmark trend
 // would show it.

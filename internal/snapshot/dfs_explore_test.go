@@ -416,125 +416,6 @@ func TestMutationFreshSurvivorsIsConvicted(t *testing.T) {
 		f.Schedule, mutated.Schedules, intact.Schedules, f.Err, len(f.Trace), f.Trace)
 }
 
-// reuseTwoWritersOneScanner is twoWritersOneScanner with a primed record
-// pool: a scripted prefix drives one scan through its announced slow path
-// so its retired record sits in the (deterministic) pool before the
-// explored actors start. Every explored schedule in which the scanner —
-// or a helping updater's embedded scan — announces then RECYCLES that
-// record, threading the generation-tag and pin protocol of pool.go
-// through the same preemption-bounded space the base scenario exhausts;
-// reused counts the schedules that actually exercised reuse.
-func reuseTwoWritersOneScanner(reused *atomic.Uint64) sched.Scenario {
-	return func(c *sched.Controller) sched.Oracle {
-		o := snapshot.NewLockFree[int64](2).Instrument(c)
-		rec := &spec.Recorder[int64]{}
-		var mu sync.Mutex
-		var opErrs []error
-		fail := func(err error) {
-			mu.Lock()
-			opErrs = append(opErrs, err)
-			mu.Unlock()
-		}
-		setupErr := func(format string, args ...any) sched.Oracle {
-			err := fmt.Errorf(format, args...)
-			return func(sched.Trace) error { return err }
-		}
-
-		// Scripted prefix (deterministic, not explored): obstruct a primer
-		// scan out of its fast path so it announces, completes, and retires
-		// its record into the pool.
-		c.Spawn("primer", func() {
-			start := rec.Now()
-			vals, info, err := o.PartialScanInfo([]int{0, 1})
-			if err != nil {
-				fail(fmt.Errorf("primer: %w", err))
-				return
-			}
-			rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
-				Comps: []int{0, 1}, Vals: vals, AdoptedFrom: info.HelperOp})
-		})
-		if _, ok := c.StepUntil("primer", sched.PostFirstCollect); !ok {
-			return setupErr("primer finished before its fast collect gap")
-		}
-		start := rec.Now()
-		setupOp, err := o.UpdateOp([]int{0}, []int64{workload.Value(3, 0)})
-		if err != nil {
-			return setupErr("setup update: %v", err)
-		}
-		rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
-			Comps: []int{0}, Vals: []int64{workload.Value(3, 0)}, UpdateID: setupOp})
-		c.RunToCompletion("primer")
-		if o.Stats().RecordReuses != 0 {
-			return setupErr("prefix itself reused a record; the pool priming degenerated")
-		}
-
-		// The explored actors — identical to twoWritersOneScanner.
-		update := func(name string, ids []int, vals []int64) {
-			c.Spawn(name, func() {
-				start := rec.Now()
-				id, err := o.UpdateOp(ids, vals)
-				if err != nil {
-					fail(fmt.Errorf("%s: %w", name, err))
-					return
-				}
-				rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
-					Comps: ids, Vals: vals, UpdateID: id})
-			})
-		}
-		update("w1", []int{0}, []int64{workload.Value(0, 0)})
-		update("w2", []int{0, 1}, []int64{workload.Value(1, 0), workload.Value(1, 1)})
-		c.Spawn("scanner", func() {
-			start := rec.Now()
-			vals, info, err := o.PartialScanInfo([]int{0, 1})
-			if err != nil {
-				fail(fmt.Errorf("scanner: %w", err))
-				return
-			}
-			rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
-				Comps: []int{0, 1}, Vals: vals, AdoptedFrom: info.HelperOp})
-		})
-		base := specOracle(2, o, rec, &mu, &opErrs)
-		return func(tr sched.Trace) error {
-			if err := base(tr); err != nil {
-				return err
-			}
-			reused.Add(o.Stats().RecordReuses)
-			return nil
-		}
-	}
-}
-
-// TestDFSExhaustsPooledReuseScenario exhausts the preemption-bounded
-// schedule space of the primed-pool 2-writer/1-scanner scenario: within
-// the bound there is no interleaving — including every one that recycles
-// the pooled record mid-help — on which the sequential-spec, provenance
-// or announcement-hygiene oracle fails. The reuse counter proves the
-// search actually drove schedules through the recycling path rather than
-// vacuously passing a pool nobody touched.
-func TestDFSExhaustsPooledReuseScenario(t *testing.T) {
-	bound := 2
-	if testing.Short() {
-		bound = 1
-	}
-	bound += deepExtra()
-	var reused atomic.Uint64
-	d := &sched.DFSExplorer{MaxPreemptions: bound, Timeout: dfsTimeout()}
-	rep := d.Explore(reuseTwoWritersOneScanner(&reused))
-	if rep.Failure != nil {
-		f := rep.Failure
-		t.Fatalf("schedule %d failed: %v\nshrunk trace (%d steps):\n%s",
-			f.Schedule, f.Err, len(f.Trace), f.Trace)
-	}
-	if !rep.Exhausted {
-		t.Fatalf("search did not exhaust the preemption-%d space: %+v", bound, rep)
-	}
-	if reused.Load() == 0 {
-		t.Fatalf("no explored schedule recycled the pooled record (%d schedules) — the scenario degenerated", rep.Schedules)
-	}
-	t.Logf("exhausted preemption-%d space: %d schedules, %d steps, %d schedules recycled the pooled record",
-		bound, rep.Schedules, rep.Steps, reused.Load())
-}
-
 // TestDFSWorkloadScenarioWithSleepSets model-checks a workload-generated
 // two-partition scenario under sleep-set pruning: the two workers touch
 // disjoint component ranges and share no oracle-visible state except the

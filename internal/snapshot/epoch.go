@@ -62,7 +62,6 @@ import (
 // mutated after construction; every component's pointers are shared by all
 // the epochs that have it.
 type universe[V any] struct {
-	epoch uint64
 	regs  []*reg[V]
 	slots []*slot[V]
 	all   []int // cached [0..n) for Scan
@@ -76,9 +75,9 @@ type reg[V any] struct {
 	ptr atomic.Pointer[V]
 }
 
-// newUniverse returns epoch 0 with n zero-valued components. Regs and
-// slots are carved out of two contiguous backing arrays, so the initial
-// epoch has the same memory layout a fixed-size object would.
+// newUniverse returns the initial universe, with n zero-valued components.
+// Regs and slots are carved out of two contiguous backing arrays, so the
+// initial epoch has the same memory layout a fixed-size object would.
 func newUniverse[V any](n int) *universe[V] {
 	u := &universe[V]{
 		regs:  make([]*reg[V], n),
@@ -103,7 +102,6 @@ func newUniverse[V any](n int) *universe[V] {
 func (u *universe[V]) grown(k int) *universe[V] {
 	n := len(u.regs)
 	succ := &universe[V]{
-		epoch: u.epoch + 1,
 		regs:  make([]*reg[V], n+k),
 		slots: make([]*slot[V], n+k),
 		all:   allIDs(n + k),

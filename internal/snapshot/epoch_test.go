@@ -22,8 +22,8 @@ import (
 // without installing an epoch.
 func TestEpochBasicSemantics(t *testing.T) {
 	o := NewLockFree[int64](2)
-	if n, e := o.Components(), o.Epoch(); n != 2 || e != 0 {
-		t.Fatalf("fresh object: n=%d epoch=%d, want 2/0", n, e)
+	if n, g := o.Components(), o.Stats().Grows; n != 2 || g != 0 {
+		t.Fatalf("fresh object: n=%d grows=%d, want 2/0", n, g)
 	}
 	if err := o.Update([]int{0, 1}, []int64{10, 20}); err != nil {
 		t.Fatal(err)
@@ -108,8 +108,8 @@ func TestGrowInstallRaceScripted(t *testing.T) {
 		t.Fatalf("grower retry park arg = %d (ok=%v), want successor size 7", arg, ok)
 	}
 	ctl.RunToCompletion("grower")
-	if grown != 7 || o.Components() != 7 || o.Epoch() != 2 {
-		t.Fatalf("after raced grow: returned %d, n=%d, epoch=%d; want 7/7/2", grown, o.Components(), o.Epoch())
+	if g := o.Stats().Grows; grown != 7 || o.Components() != 7 || g != 2 {
+		t.Fatalf("after raced grow: returned %d, n=%d, grows=%d; want 7/7/2", grown, o.Components(), g)
 	}
 	// Both universes preserved component 0.
 	if vals, err := o.PartialScan([]int{0}); err != nil || vals[0] != 1 {

@@ -15,15 +15,6 @@ type helpView[V any] struct {
 	depth int    // chain level of the clean double collect behind the view
 }
 
-// seenRecord is one entry of an updater walk's dedup list. The generation
-// rides along because records recycle: the same pointer re-announced under
-// a new generation inside one multi-slot walk is a fresh obligation to
-// help, not a repeat encounter.
-type seenRecord[V any] struct {
-	rec *scanRecord[V]
-	gen uint64
-}
-
 // helpIntersectingScans consults u's registry for every component the
 // update is about to write and, for each live record found, completes an
 // embedded scan of that record's set and posts the view. Records enrolled
@@ -53,7 +44,7 @@ type seenRecord[V any] struct {
 // collect does: an update that serves a handful of records allocates
 // nothing for it.
 func (o *LockFree[V]) helpIntersectingScans(u *universe[V], ids []int, op uint64) {
-	var seenBuf [4]seenRecord[V]
+	var seenBuf [4]*scanRecord[V]
 	seen := seenBuf[:0]
 	skipped := 0
 	for _, id := range ids {
@@ -76,17 +67,19 @@ func (o *LockFree[V]) helpIntersectingScans(u *universe[V], ids []int, op uint64
 }
 
 // help serves one live record a walk found: unless the update already
-// served this incarnation through an earlier slot (seen), or help is
-// already posted, it runs an embedded scan of the record's set and posts
-// the view under op. It returns seen extended by the record.
-func (o *LockFree[V]) help(rec *scanRecord[V], gen, op uint64, seen []seenRecord[V]) []seenRecord[V] {
+// served it through an earlier slot (seen), or help is already posted, it
+// runs an embedded scan of the record's set and posts the view under op.
+// It returns seen extended by the record. Comparing pointers is enough
+// because a record is never reused: the same pointer is the same
+// announcement.
+func (o *LockFree[V]) help(rec *scanRecord[V], op uint64, seen []*scanRecord[V]) []*scanRecord[V] {
 	for _, s := range seen {
-		if s.rec == rec && s.gen == gen {
+		if s == rec {
 			o.deduped.Add(1)
 			return seen
 		}
 	}
-	seen = append(seen, seenRecord[V]{rec: rec, gen: gen})
+	seen = append(seen, rec)
 	if rec.help.Load() != nil {
 		return seen
 	}
@@ -151,7 +144,7 @@ func (o *LockFree[V]) embeddedScan(target *scanRecord[V], op uint64) (view []V, 
 	if o.mut.helpBound > 0 && failures >= o.mut.helpBound {
 		return nil, 0, false // injected mutation: abandon the scanner
 	}
-	rec := o.acquireRecord(tu, target.ids, level)
+	rec := newRecord(tu, target.ids, level)
 	o.announce(rec)
 	defer o.retire(rec)
 	o.yield(sched.PostAnnounce, level)

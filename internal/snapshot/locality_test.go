@@ -113,7 +113,7 @@ func TestCrossPartitionUpdatesNeverVisitRegistry(t *testing.T) {
 // helps it exactly once: the walk's seen list dedups slots two and three.
 func TestMultiEnrollmentDedup(t *testing.T) {
 	o := NewLockFree[int64](4)
-	rec := o.acquireRecord(o.uni.Load(), []int{0, 1, 2}, 0)
+	rec := newRecord(o.uni.Load(), []int{0, 1, 2}, 0)
 	o.announce(rec)
 
 	op, err := o.UpdateOp([]int{0, 1, 2}, []int64{10, 11, 12})
@@ -144,7 +144,7 @@ func TestMultiEnrollmentDedup(t *testing.T) {
 func TestRecordRetiredInOneSlotReadViaAnother(t *testing.T) {
 	ctl := sched.NewController()
 	o := NewLockFree[int64](4).Instrument(ctl)
-	rec := o.acquireRecord(o.uni.Load(), []int{0, 1}, 0)
+	rec := newRecord(o.uni.Load(), []int{0, 1}, 0)
 	o.announce(rec)
 
 	ctl.Spawn("updater", func() {
@@ -152,7 +152,7 @@ func TestRecordRetiredInOneSlotReadViaAnother(t *testing.T) {
 			t.Errorf("Update: %v", err)
 		}
 	})
-	// Parked on rec's enrollment in slot 1, before the staleness checks:
+	// Parked on rec's enrollment in slot 1, before the done check:
 	// the head load happened while rec was live, so the walk was not
 	// elided.
 	if arg, ok := ctl.StepUntil("updater", sched.PreVisit); !ok || arg != 1 {

@@ -36,11 +36,7 @@ type LockFree[V any] struct {
 
 	runs sync.Pool // each P's run of never-used value slots (takeCells)
 
-	// bufs and records recycle the hot paths' working state (collect
-	// buffers, scan records) so steady-state operations stay allocation-
-	// free; see pool.go for the reuse protocol.
-	bufs    sync.Pool
-	records recordPool[V]
+	bufs sync.Pool // collect buffers for scans wider than stackCollect (pool.go)
 
 	mut mutations[V] // test-only protocol breakages; all off in production
 
@@ -48,7 +44,6 @@ type LockFree[V any] struct {
 	helpsPosted  atomic.Uint64
 	helpsAdopted atomic.Uint64
 	maxDepth     atomic.Int64
-	recReuses    atomic.Uint64
 	live         atomic.Int64  // records announced and not yet retired
 	deduped      atomic.Uint64 // walk encounters skipped as already seen
 
@@ -61,18 +56,16 @@ type LockFree[V any] struct {
 // objects leave every field zero. helpBound > 0 makes an embedded scan
 // give up without posting help after that many failed double collects
 // (the lock-free-only helping that preceded wait-freedom).
-// unsafeEagerRelease pools a retired scan record despite helper pins.
 // freshSurvivors makes Grow give every existing component a new register
-// and slot instead of aliasing them (see Grow). staleHeadEmpty makes an update treat a slot whose head enrollment is
-// stale as empty, missing any live enrollment linked behind it. A non-nil
-// reuseCells makes every update write into that fixed ring's first slots
-// (see takeCells).
+// and slot instead of aliasing them (see Grow). staleHeadEmpty makes an
+// update treat a slot whose head enrollment is stale as empty, missing any
+// live enrollment linked behind it. A non-nil reuseCells makes every
+// update write into that fixed ring's first slots (see takeCells).
 type mutations[V any] struct {
-	helpBound          int
-	unsafeEagerRelease bool
-	freshSurvivors     bool
-	staleHeadEmpty     bool
-	reuseCells         []V
+	helpBound      int
+	freshSurvivors bool
+	staleHeadEmpty bool
+	reuseCells     []V
 }
 
 // NewLockFree returns a wait-free partial snapshot object with n components,
@@ -81,20 +74,16 @@ func NewLockFree[V any](n int) *LockFree[V] {
 	if n <= 0 {
 		panic("snapshot: number of components must be positive")
 	}
-	o := &LockFree[V]{records: &sharedRecordPool[V]{}}
+	o := &LockFree[V]{}
 	o.uni.Store(newUniverse[V](n))
 	return o
 }
 
 // Instrument installs a schedule-injection scheduler (see internal/sched)
-// and returns o for chaining. It also swaps the record pool for a
-// deterministic LIFO freelist, so pool hits — and the PreReuse yield
-// points they trigger — are a pure function of the explored schedule
-// rather than of sync.Pool's per-P caches. Call before the object is
-// shared; it is not safe to race with operations.
+// and returns o for chaining. Call before the object is shared; it is not
+// safe to race with operations.
 func (o *LockFree[V]) Instrument(s sched.Scheduler) *LockFree[V] {
 	o.sched = s
-	o.records = &scriptedRecordPool[V]{}
 	return o
 }
 
@@ -106,10 +95,6 @@ func (o *LockFree[V]) yield(p sched.Point, arg int) {
 
 // Components returns the component count of the currently installed epoch.
 func (o *LockFree[V]) Components() int { return len(o.uni.Load().regs) }
-
-// Epoch returns the current universe's epoch number (0 at construction,
-// +1 per installed Grow). Test and observability helper.
-func (o *LockFree[V]) Epoch() uint64 { return o.uni.Load().epoch }
 
 // Update writes vals[i] into component ids[i], as a sequence of per-
 // component atomic stores (see the package comment for batch semantics).
@@ -186,13 +171,11 @@ type Stats struct {
 	// already been seen via an earlier slot of the same walk
 	// (multi-enrollment dedup).
 	RecordsDeduped uint64 `json:"records_deduped"`
-	// RecordReuses counts scan-record announcements served from the record
-	// pool rather than by a fresh allocation. In steady state this tracks
-	// the slow-path announcement rate; the reuse tests use it to prove
-	// pooling is actually exercised.
+	// RecordReuses always reads 0: scan records are never reused, but the
+	// repository benchmark (perfbench) reads the key.
 	RecordReuses uint64 `json:"record_reuses"`
 	// Grows counts successful Grow calls, each of which installs one
-	// universe, so it is also the current epoch number.
+	// universe.
 	Grows uint64 `json:"grows"`
 }
 
@@ -205,7 +188,6 @@ func (o *LockFree[V]) Stats() Stats {
 		LiveAnnouncements: o.live.Load(),
 		MaxHelpDepth:      o.maxDepth.Load(),
 		RecordsDeduped:    o.deduped.Load(),
-		RecordReuses:      o.recReuses.Load(),
 		Grows:             o.grows.Load(),
 	}
 	for _, s := range u.slots {

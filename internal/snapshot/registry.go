@@ -36,39 +36,33 @@ import (
 // heads (sweepStale), and the next walker or enroller of a slot unlinks
 // retired enrollments it passes. A record can therefore be gone from one
 // slot while still linked in another; walkers skip done records, so a
-// reader that reaches a record through a stale slot never helps it. Unlink CASes can lose to each other
-// or briefly resurrect an already-unlinked retired enrollment; both are
-// harmless because only retired enrollments are ever unlinked and retired
-// records are never visited.
+// reader that reaches a record through a stale slot never helps it. Unlink
+// CASes can lose to each other or briefly resurrect an already-unlinked
+// retired enrollment; both are harmless because only retired enrollments
+// are ever unlinked and retired records are never visited.
 //
-// Records are pooled (pool.go), so "retired" has a second face: an
-// enrollment can outlive not just its record's scan but its record's
-// incarnation. Each enrollment therefore captures the record generation it
-// was created for, and a walker treats a generation mismatch exactly like
-// a done flag — unlink and move on. Before actually visiting, a walker
-// also pins the record (takes a reference), which keeps it out of the pool
-// for the duration of the visit; the pin can fail only if the record
-// retired since the staleness check, in which case the enrollment is
-// unlinkable after all. Enrollment nodes themselves are never pooled:
-// walkers read next pointers of nodes that are already unlinked, and
-// recycling one could splice a walk into a different incarnation of the
-// list.
+// Records are never reused (see scanRecord), so a retired record stays
+// retired and the done flag is the whole staleness test. Nor are
+// enrollment nodes: walkers read the next pointers of nodes already
+// unlinked. The price is retention: a stale enrollment still linked in some
+// slot keeps its retired record alive, and through rec.uni a superseded
+// universe's pointer slices (24 B per component), until a walk, an
+// enrollment or a retirement sweep unlinks it. Those unlinks are what
+// bound it: every slot drains back to empty once its scans retire and an
+// update or sweep passes over it, which TestAnnouncementRegistryHygiene
+// and the unlink tests pin.
 
 // enrollment links one scan record into one registry slot. A record
 // enrolled in k slots owns k enrollment nodes, each with its own next
-// pointer. gen pins down which incarnation of the record the enrollment
-// belongs to.
+// pointer.
 type enrollment[V any] struct {
 	rec  *scanRecord[V]
-	gen  uint64
 	next atomic.Pointer[enrollment[V]]
 }
 
 // stale reports whether e's record no longer needs this enrollment: its
-// scan completed, or the record has moved on to a later incarnation.
-func (e *enrollment[V]) stale() bool {
-	return e.rec.done.Load() || e.rec.gen.Load() != e.gen
-}
+// scan completed.
+func (e *enrollment[V]) stale() bool { return e.rec.done.Load() }
 
 // slot is one component's announcement stack plus its locality gauges,
 // padded so that slots of different components — head pointer and counters
@@ -87,9 +81,8 @@ type slot[V any] struct {
 // an updater's consultation of that component starts to find rec.
 func (o *LockFree[V]) announce(rec *scanRecord[V]) {
 	o.live.Add(1)
-	gen := rec.gen.Load() // stable: the enrolling owner holds a reference
 	for _, c := range rec.ids {
-		e := &enrollment[V]{rec: rec, gen: gen}
+		e := &enrollment[V]{rec: rec}
 		s := rec.uni.slots[c]
 		for {
 			head := s.head.Load()
@@ -107,28 +100,13 @@ func (o *LockFree[V]) announce(rec *scanRecord[V]) {
 	}
 }
 
-// retire marks rec completed, sweeps its stale enrollments off its slots'
-// heads and drops the owner's reference; deeper enrollments are unlinked
-// lazily by later walks and announces, and the record itself returns to
-// the pool once the last pinned helper lets go. The sweep runs before any
-// pooling path so rec.ids and rec.uni are still this incarnation's.
+// retire marks rec completed and sweeps its stale enrollments off its
+// slots' heads; deeper enrollments are unlinked lazily by later walks and
+// announces.
 func (o *LockFree[V]) retire(rec *scanRecord[V]) {
 	rec.done.Store(true)
 	o.live.Add(-1)
 	o.sweepStale(rec)
-	if o.mut.unsafeEagerRelease {
-		// Test-only mutation seam: return the record to the pool the moment
-		// the owner retires it, ignoring helper pins — the use-after-reuse
-		// bug the reference count exists to prevent. While the seam is
-		// active, retire is the ONLY pooling site (releaseRef checks the
-		// flag): a lingering helper's release after the record has been
-		// recycled would otherwise drop the new owner's count to zero and
-		// pool the same live record twice.
-		rec.refs.Store(0)
-		o.records.put(rec)
-		return
-	}
-	o.releaseRef(rec)
 }
 
 // sweepStale pops consecutive stale enrollments off the head of every slot
@@ -155,30 +133,17 @@ func (o *LockFree[V]) sweepStale(rec *scanRecord[V]) {
 
 // walkSlot visits every live record enrolled in component c's slot s,
 // starting from head (the non-nil head the caller's consultation loaded),
-// newest enrollment first, unlinking stale enrollments (retired records and
-// leftover paths to recycled ones) encountered on the way. Each visited
-// record is pinned while the updater helps it (see help), so it cannot
-// return to the pool — and therefore cannot be recycled into a different
-// scan — under the helper. The newest-first order serves the deepest
-// records of any help chain before the records that wait on them. seen is
-// the update's dedup list across slots; walkSlot returns it extended.
-func (o *LockFree[V]) walkSlot(s *slot[V], c int, cur *enrollment[V], op uint64, seen []seenRecord[V]) []seenRecord[V] {
+// newest enrollment first, unlinking the retired records' enrollments it
+// passes. The newest-first order serves the deepest records of any help
+// chain before the records that wait on them. seen is the update's dedup
+// list across slots; walkSlot returns it extended.
+func (o *LockFree[V]) walkSlot(s *slot[V], c int, cur *enrollment[V], op uint64, seen []*scanRecord[V]) []*scanRecord[V] {
 	s.walks.Add(1)
 	var prev *enrollment[V]
 	for cur != nil {
 		o.yield(sched.PreVisit, c)
 		next := cur.next.Load()
-		// Three-step liveness check: a quick stale glance, then a pin, then
-		// a recheck under the pin (the record may have retired — or retired
-		// AND recycled — between the glance and the pin; the pin only
-		// proves the count never reached zero, not that the incarnation is
-		// still the enrollment's).
-		live := !cur.stale() && cur.rec.pin()
-		if live && cur.stale() {
-			o.releaseRef(cur.rec)
-			live = false
-		}
-		if !live {
+		if cur.stale() {
 			o.yield(sched.PreUnlink, c)
 			if prev != nil {
 				prev.next.CompareAndSwap(cur, next)
@@ -189,8 +154,7 @@ func (o *LockFree[V]) walkSlot(s *slot[V], c int, cur *enrollment[V], op uint64,
 			continue
 		}
 		s.visited.Add(1)
-		seen = o.help(cur.rec, cur.gen, op, seen)
-		o.releaseRef(cur.rec)
+		seen = o.help(cur.rec, op, seen)
 		prev = cur
 		cur = next
 	}

@@ -18,25 +18,30 @@ import (
 // construction. A record is enrolled in the registry slot of every
 // component in ids and carries no links of its own (see enrollment).
 //
-// Records are pooled and recycled (see pool.go): gen counts the record's
-// incarnations so stale registry enrollments are detectable, and refs
-// counts the owner plus every walker currently visiting, so the record
-// returns to the pool only once nobody can still read it. Obtain records
-// with acquireRecord, never with new — a zero-refs record is unpinnable
-// and invisible to helpers.
+// A record is immutable once built, except for its help and done atomics,
+// and it is never reused: every announcement allocates a fresh one with
+// newRecord, and the garbage collector frees it once no enrollment, walker
+// or help chain can reach it. A stale path to a record therefore always
+// leads to that same record, now retired, which is what lets walkers
+// judge an enrollment by its record's done flag alone.
 type scanRecord[V any] struct {
 	ids   []int // announced components, in the scanner's order
 	level int   // help-chain depth of this record
 	// uni is the universe the announcing operation pinned. Enrollment
 	// addresses slots through it, and helpers collect — and chain their own
 	// records — through it, so a whole help chain runs against one epoch's
-	// shape. Cleared when the record is pooled, so a free record does not
-	// pin a retired universe for the garbage collector.
+	// shape.
 	uni  *universe[V]
 	help atomic.Pointer[helpView[V]]
 	done atomic.Bool
-	gen  atomic.Uint64 // incarnation count; enrollments capture it
-	refs atomic.Int64  // owner + pinned walkers; 0 = poolable
+}
+
+// newRecord returns a live record announcing ids at the given help level,
+// pinned to universe u. The record keeps ids as given, so the caller must
+// pass a slice nobody will write again: a scanner copies its caller's ids,
+// an embedded scan passes its target's ids, which never change.
+func newRecord[V any](u *universe[V], ids []int, level int) *scanRecord[V] {
+	return &scanRecord[V]{ids: ids, level: level, uni: u}
 }
 
 // ScanInfo describes how a partial scan completed.
@@ -87,7 +92,10 @@ func (o *LockFree[V]) collectPinned(u *universe[V], ids []int) (_ []V, info Scan
 	}
 	o.scanRetries.Add(1)
 	info.Retries++
-	rec := o.acquireRecord(u, ids, 0)
+	// The record outlives this call in any enrollment a walk has not yet
+	// unlinked, and callers may reuse ids (the server pools its id slices),
+	// so the record takes its own copy.
+	rec := newRecord(u, append([]int(nil), ids...), 0)
 	o.announce(rec)
 	defer o.retire(rec)
 	o.yield(sched.PostAnnounce, 0)

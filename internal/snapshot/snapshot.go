@@ -99,7 +99,8 @@ func validateIDs(n int, ids []int) error {
 	}
 	if n <= 64 {
 		// One machine word covers the whole object: linear scan, no array to
-		// zero. This is the tier every default-sized benchmark cell hits.
+		// zero. This is the tier every perfbench workload hits (64
+		// components).
 		var seen uint64
 		for _, id := range ids {
 			if id < 0 || id >= n {

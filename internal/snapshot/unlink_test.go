@@ -23,7 +23,7 @@ func TestUnlinkRaceTwoWalkersSameEnrollment(t *testing.T) {
 	ctl := sched.NewController()
 	o := NewLockFree[int64](2).Instrument(ctl)
 
-	rec := o.acquireRecord(o.uni.Load(), []int{0}, 0)
+	rec := newRecord(o.uni.Load(), []int{0}, 0)
 	o.announce(rec)
 
 	// The owner's retirement sweep parks before popping rec's now-stale
@@ -94,22 +94,19 @@ func TestUnlinkRaceAgainstEnroller(t *testing.T) {
 	// Two records stack up in slot 0: a (retired first) lingers mid-chain
 	// because b's live enrollment sits above it when a's retirement sweep
 	// runs — head-only popping stops at a live head.
-	a := o.acquireRecord(o.uni.Load(), []int{0}, 0)
+	a := newRecord(o.uni.Load(), []int{0}, 0)
 	o.announce(a)
-	b := o.acquireRecord(o.uni.Load(), []int{0}, 0)
+	b := newRecord(o.uni.Load(), []int{0}, 0)
 	o.announce(b)
 	o.retire(a)
 	if n := o.slotLen(0); n != 2 {
 		t.Fatalf("slotLen(0) = %d after retiring under a live head, want 2 (a lingers mid-chain)", n)
 	}
 
-	// a is back in the pool, so this acquire recycles it: a's enrollment is
-	// now stale by generation, not by done flag, and the cleanups below
-	// exercise the generation-mismatch unlink path.
-	fresh := o.acquireRecord(o.uni.Load(), []int{0}, 0)
-	if fresh != a {
-		t.Fatalf("expected the retired record to be recycled for the fresh announcement")
-	}
+	// The record the enroller announces below is a fresh one; a's lingering
+	// enrollment stays stale by a's done flag for good, since a retired
+	// record is never reused.
+	fresh := newRecord(o.uni.Load(), []int{0}, 0)
 
 	// b's retirement sweep parks before popping b's own now-stale head
 	// enrollment; b is already logically retired.
@@ -126,8 +123,8 @@ func TestUnlinkRaceAgainstEnroller(t *testing.T) {
 	}
 
 	// The updater's walk (its head load finds b's stale enrollment)
-	// unlinks b's stale head AND a's stale-by-generation enrollment out from
-	// under both parked CASes (uncontrolled goroutine: runs straight
+	// unlinks b's stale head AND a's lingering enrollment out from under
+	// both parked CASes (uncontrolled goroutine: runs straight
 	// through).
 	if err := o.Update([]int{0}, []int64{7}); err != nil {
 		t.Fatal(err)

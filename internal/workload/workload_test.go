@@ -129,8 +129,8 @@ func TestOpsAreWellFormed(t *testing.T) {
 }
 
 // TestPartitionedStreamsAreDisjoint: worker w's ops stay inside its own
-// component range — the structural property the locality tests and the
-// partitioned benchmark cells rely on.
+// component range — the structural property the locality tests and
+// perfbench's object-partitioned workload rely on.
 func TestPartitionedStreamsAreDisjoint(t *testing.T) {
 	g, err := New(Config{Shape: Partitioned, Components: 16, Workers: 4, ScanFrac: -1, Seed: 7})
 	if err != nil {
