@@ -42,19 +42,6 @@ const (
 	// script (or the Explorer) controls it from its very first instruction.
 	PointStart Point = "start"
 
-	// PreEpochPin fires before an operation loads — pins — the current
-	// universe pointer, i.e. before the epoch the whole operation will run
-	// against is decided. arg = 0. Scripts park an operation here, install a
-	// new epoch under it, and prove the resumed operation runs consistently
-	// against whichever universe it then pins.
-	PreEpochPin Point = "pre-epoch-pin"
-
-	// PreEpochInstall fires inside Grow, after the successor universe
-	// is built and before the CAS that publishes it. arg = the successor's
-	// component count. Scripts use it to race an install against in-flight
-	// walks, enrollments and other installs.
-	PreEpochInstall Point = "pre-epoch-install"
-
 	// PostFirstCollect fires between the two collects of a double collect —
 	// the window in which a concurrent write tears the scan. arg = help-chain
 	// level (0 for a scanner's own collects, k >= 1 inside the embedded scan

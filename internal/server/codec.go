@@ -10,10 +10,10 @@ import (
 	"sync"
 )
 
-// The request path's JSON codec. Update, scan and resize bodies are read
+// The request path's JSON codec. Update and scan bodies are read
 // into a pooled buffer and parsed into pooled slices; replies are appended
 // into a pooled buffer. The wire format is the one encoding/json gives the
-// exported wire types (UpdateReq, ScanReq, ResizeReq and their replies),
+// exported wire types (UpdateReq, ScanReq and their replies),
 // byte for byte: codec_test.go pins both directions against encoding/json.
 //
 // The parser only accepts the plain form of each body: exact lower-case
@@ -45,14 +45,12 @@ const (
 	fVals
 	fOps
 	fAll
-	fDelta
 )
 
 // The fields each endpoint's body may carry.
 const (
 	updateFields = fIDs | fVals | fOps
 	scanFields   = fIDs | fAll
-	resizeFields = fDelta
 )
 
 // span is the half-open range [lo, hi) of request.ints or request.vals
@@ -66,15 +64,14 @@ type opSpan struct{ ids, vals span }
 // decoded from and its reply is encoded into; it lives from the handler's
 // entry to its reply and then goes back to the pool.
 type request struct {
-	body  []byte
-	ints  []int   // every decoded id, in body order
-	vals  []int64 // every decoded value, in body order
-	ids   span    // top-level "ids"
-	val   span    // top-level "vals"
-	ops   []opSpan
-	all   bool
-	delta int
-	out   []byte
+	body []byte
+	ints []int   // every decoded id, in body order
+	vals []int64 // every decoded value, in body order
+	ids  span    // top-level "ids"
+	val  span    // top-level "vals"
+	ops  []opSpan
+	all  bool
+	out  []byte
 }
 
 var requestPool = sync.Pool{New: func() any {
@@ -98,7 +95,7 @@ func putRequest(q *request) {
 
 func (q *request) reset() {
 	q.body, q.ints, q.vals, q.ops, q.out = q.body[:0], q.ints[:0], q.vals[:0], q.ops[:0], q.out[:0]
-	q.ids, q.val, q.all, q.delta = span{}, span{}, false, 0
+	q.ids, q.val, q.all = span{}, span{}, false
 }
 
 func (q *request) idList(s span) []int    { return q.ints[s.lo:s.hi] }
@@ -166,7 +163,7 @@ func (q *request) decodeStd(allowed field) error {
 			}
 			q.ops = append(q.ops, opSpan{q.appendInts(op.IDs), q.appendVals(op.Vals)})
 		}
-	case scanFields:
+	default:
 		var req ScanReq
 		if err := strictDecode(q.body, &req); err != nil {
 			return err
@@ -175,12 +172,6 @@ func (q *request) decodeStd(allowed field) error {
 			return errTooLong
 		}
 		q.ids, q.all = q.appendInts(req.IDs), req.All
-	default:
-		var req ResizeReq
-		if err := strictDecode(q.body, &req); err != nil {
-			return err
-		}
-		q.delta = req.Delta
 	}
 	return nil
 }
@@ -265,11 +256,6 @@ func (p *parser) object(q *request, allowed field, ids, vals *span) bool {
 			ok = p.ops(q)
 		case fAll:
 			q.all, ok = p.bool()
-		case fDelta:
-			var v int64
-			v, ok = p.int()
-			q.delta = int(v)
-			ok = ok && int64(q.delta) == v
 		}
 		if !ok {
 			return false
@@ -309,8 +295,6 @@ func (p *parser) key() field {
 		return fOps
 	case "all":
 		return fAll
-	case "delta":
-		return fDelta
 	}
 	return 0
 }
@@ -448,8 +432,7 @@ func appendScanResp(b []byte, ids []int, vals []int64) []byte {
 	return append(b, "}\n"...)
 }
 
-// appendCount appends a one-member object, {"<name>":n}: UpdateResp and
-// ResizeResp.
+// appendCount appends a one-member object, {"<name>":n}: UpdateResp.
 func appendCount(b []byte, name string, n int) []byte {
 	b = append(b, `{"`...)
 	b = append(b, name...)

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"net/http"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"partialsnapshot/internal/snapshot"
 	"partialsnapshot/internal/workload"
 )
 
@@ -168,15 +170,31 @@ func FuzzDecodeScan(f *testing.F) {
 	})
 }
 
+// FuzzDecodeResize: n is fixed, so no body resizes the object. Whatever is
+// POSTed to /grow, where resize bodies ({"delta":k}, among the seeds) once
+// went, is answered 404 unread, and a full scan still covers n components.
 func FuzzDecodeResize(f *testing.F) {
 	for _, s := range commonSeeds {
 		f.Add([]byte(s))
 	}
+	const n = 4
+	obj, err := snapshot.New[int64](snapshot.ImplLockFree, n)
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := New(obj, snapshot.ImplLockFree, Config{}).Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
-		q, err := decodeWith(body, resizeFields)
-		var ref ResizeReq
-		refErr := reference(body, &ref)
-		agree(t, body, err, refErr, ResizeReq{Delta: q.delta}, ref, 0)
+		if w := serve(h, http.MethodPost, "/grow", string(body)); w.Code != http.StatusNotFound {
+			t.Fatalf("%q: POST /grow answered %d, want 404", body, w.Code)
+		}
+		w := serve(h, http.MethodPost, "/scan", `{"all":true}`)
+		var resp ScanResp
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusOK {
+			t.Fatalf("full scan: %d %s (%v)", w.Code, w.Body, err)
+		}
+		if len(resp.IDs) != n {
+			t.Fatalf("%q: after POST /grow a full scan covers %d components, want %d", body, len(resp.IDs), n)
+		}
 	})
 }
 
@@ -234,7 +252,6 @@ func TestReplyBytesMatchEncodingJSON(t *testing.T) {
 		{"scan nil", oldScanResp{}, appendScanResp(nil, nil, nil)},
 		{"update", UpdateResp{Applied: 3}, appendCount(nil, "applied", 3)},
 		{"update zero", UpdateResp{}, appendCount(nil, "applied", 0)},
-		{"resize", ResizeResp{Components: 10}, appendCount(nil, "components", 10)},
 	}
 	for i, m := range msgs {
 		cases = append(cases, struct {

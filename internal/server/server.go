@@ -9,21 +9,19 @@
 //
 //	POST /update      {"ids":[...],"vals":[...]} or {"ops":[{...},{...}]}
 //	POST /scan        {"ids":[...]} or {"all":true}
-//	POST /grow        {"delta":k}
 //	GET  /stats       server + object counters
 //	GET  /conformance the conformance verdict over the whole run so far
 //	GET  /healthz     liveness
 //
 // Errors carry a machine-readable code from the snapshot package's wire
-// taxonomy: bad ids are HTTP 400 {"code":"bad_component"}, infeasible
-// resizes (a grow past maxComponents included) HTTP 409
-// {"code":"bad_resize"}, malformed requests HTTP 400
-// {"code":"bad_request"} (413 for a body over 1 MiB); anything else is a
-// 500 {"code":"internal"}.
+// taxonomy: bad ids are HTTP 400 {"code":"bad_component"}, malformed
+// requests HTTP 400 {"code":"bad_request"} (413 for a body over 1 MiB);
+// anything else is a 500 {"code":"internal"}. The object's component
+// count is fixed when it is built; no endpoint resizes it.
 //
 // Requests pass straight through to the object: the server keeps no state
 // per component, so a request costs only what the object charges for the
-// components it names. Update, scan and resize bodies go through a small
+// components it names. Update and scan bodies go through a small
 // hand-written codec (codec.go) that reads each body into a pooled buffer,
 // parses it into pooled slices and appends the reply into a pooled buffer,
 // with the wire format encoding/json gives the exported wire types.
@@ -58,39 +56,25 @@ import (
 // (perfbench) compiles against New's signature.
 type Config struct{}
 
-// maxComponents caps the object's size: POST /grow past it is a 409
-// bad_resize. A component costs about 160 B — a 128 B announcement slot,
-// an 8 B register, the two 8 B pointers to them and an 8 B id-list entry —
-// so the cap bounds that state at about 10 MiB; without it one grow
-// request can ask the runtime for any amount. A written component can also
-// pin up to 128 B of stale values: its register keeps alive the whole run
-// its value slot came from, for at most another 8 MiB.
-const maxComponents = 1 << 16
-
 // Server serves one snapshot object over HTTP.
 type Server struct {
 	obj  snapshot.Object[int64]
 	impl snapshot.Impl
 	conf *conformance
 
-	growMu sync.Mutex // orders each grow's cap check with its install
-
 	requests    atomic.Uint64
 	badRequests atomic.Uint64
 	rejected    atomic.Uint64
-	resizeBusy  atomic.Uint64
 	internal    atomic.Uint64
 	updates     atomic.Uint64
 	updateOps   atomic.Uint64
 	scans       atomic.Uint64
-	resizes     atomic.Uint64
 }
 
 // New builds a server over obj. impl is the snapshot.Impl name obj was
 // built with, reported by /stats.
 func New(obj snapshot.Object[int64], impl snapshot.Impl, _ Config) *Server {
-	n := obj.Components()
-	return &Server{obj: obj, impl: impl, conf: &conformance{initial: n, chk: spec.NewChecker[int64](n)}}
+	return &Server{obj: obj, impl: impl, conf: &conformance{chk: spec.NewChecker[int64](obj.Components())}}
 }
 
 // Handler returns the server's mux.
@@ -98,7 +82,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/update", s.handleUpdate)
 	mux.HandleFunc("/scan", s.handleScan)
-	mux.HandleFunc("/grow", s.handleGrow)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/conformance", s.handleConformance)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -149,19 +132,8 @@ type ScanResp struct {
 	Vals []int64 `json:"vals"`
 }
 
-// ResizeReq is POST /grow's body.
-type ResizeReq struct {
-	Delta int `json:"delta"`
-}
-
-// ResizeResp reports the component count after the resize.
-type ResizeResp struct {
-	Components int `json:"components"`
-}
-
 // ErrorResp is every non-2xx body: a human-readable error plus the stable
-// machine code (snapshot.CodeBadComponent, snapshot.CodeBadResize,
-// "bad_request", "internal").
+// machine code (snapshot.CodeBadComponent, "bad_request", "internal").
 type ErrorResp struct {
 	Error string `json:"error"`
 	Code  string `json:"code"`
@@ -176,10 +148,8 @@ type StatsResp struct {
 	UpdateReqs  uint64 `json:"update_reqs"`
 	UpdateOps   uint64 `json:"update_ops"`
 	Scans       uint64 `json:"scans"`
-	Resizes     uint64 `json:"resizes"`
 	BadRequests uint64 `json:"bad_requests"`
 	Rejected    uint64 `json:"rejected"`
-	ResizeBusy  uint64 `json:"resize_busy"`
 	Internal    uint64 `json:"internal_errors"`
 
 	// CacheHits and CacheMisses always read 0: the server has no cache,
@@ -296,39 +266,6 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	send(w, http.StatusOK, q.out)
 }
 
-func (s *Server) handleGrow(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	q, ok := s.decode(w, r, resizeFields)
-	if !ok {
-		return
-	}
-	defer putRequest(q)
-	t := s.conf.begin()
-	n, err := s.grow(q.delta)
-	if err != nil {
-		s.conf.abort(t)
-		s.failApplied(w, q, err, 0)
-		return
-	}
-	s.conf.end(t, spec.Op[int64]{Kind: spec.Grow, Delta: q.delta, Size: n})
-	s.resizes.Add(1)
-	q.out = appendCount(q.out, "components", n)
-	send(w, http.StatusOK, q.out)
-}
-
-// grow grows the object by k components unless that would take it past
-// maxComponents. Grows are serialised so the size checked is the size
-// grown.
-func (s *Server) grow(k int) (int, error) {
-	s.growMu.Lock()
-	defer s.growMu.Unlock()
-	if n := s.obj.Components(); k > maxComponents-n {
-		return 0, fmt.Errorf("%w: grow %d components by %d passes the %d-component cap",
-			snapshot.ErrBadResize, n, k, maxComponents)
-	}
-	return s.obj.Grow(k)
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	if r.Method != http.MethodGet {
@@ -342,10 +279,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		UpdateReqs:  s.updates.Load(),
 		UpdateOps:   s.updateOps.Load(),
 		Scans:       s.scans.Load(),
-		Resizes:     s.resizes.Load(),
 		BadRequests: s.badRequests.Load(),
 		Rejected:    s.rejected.Load(),
-		ResizeBusy:  s.resizeBusy.Load(),
 		Internal:    s.internal.Load(),
 	}
 	resp.RecordedOps = s.conf.status().Recorded
@@ -378,7 +313,7 @@ func (s *Server) Conformance() (ConformanceResp, error) {
 	if !settled {
 		return ConformanceResp{}, errors.New("conformance: operations still in flight")
 	}
-	return ConformanceResp{CheckedOps: st.Checked, PendingOps: st.Pending, Components: s.conf.initial, OK: true}, nil
+	return ConformanceResp{CheckedOps: st.Checked, PendingOps: st.Pending, Components: s.obj.Components(), OK: true}, nil
 }
 
 // ---- plumbing ----
@@ -424,9 +359,6 @@ func (s *Server) failApplied(w http.ResponseWriter, q *request, err error, appli
 	case snapshot.CodeBadComponent:
 		s.rejected.Add(1)
 		s.failBody(w, q, http.StatusBadRequest, snapshot.CodeBadComponent, err, applied)
-	case snapshot.CodeBadResize:
-		s.resizeBusy.Add(1)
-		s.failBody(w, q, http.StatusConflict, snapshot.CodeBadResize, err, applied)
 	default:
 		s.internal.Add(1)
 		s.failBody(w, q, http.StatusInternalServerError, "internal", err, applied)
@@ -466,8 +398,6 @@ func replyJSON(w http.ResponseWriter, status int, body any) {
 // mutex orders the logical clock: Start and End are drawn under it, so the
 // checker receives begins in start order and ends in end order.
 type conformance struct {
-	initial int
-
 	mu    sync.Mutex
 	clock int64
 	chk   *spec.Checker[int64]

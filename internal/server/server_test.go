@@ -14,7 +14,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"partialsnapshot/internal/snapshot"
 )
@@ -81,7 +80,7 @@ func wantStatus(t *testing.T, resp *http.Response, body []byte, status int, code
 }
 
 // TestHandlerRoundTrip drives the happy path over every endpoint: update,
-// partial scan, full scan, batch update, grow, stats.
+// partial scan, full scan, batch update, stats.
 func TestHandlerRoundTrip(t *testing.T) {
 	_, ts := newTestServer(t, snapshot.ImplLockFree, 8)
 
@@ -122,26 +121,16 @@ func TestHandlerRoundTrip(t *testing.T) {
 		t.Fatalf("full scan read %v", sc.Vals)
 	}
 
-	resp, body = post(t, ts, "/grow", ResizeReq{Delta: 2})
-	wantStatus(t, resp, body, http.StatusOK, "")
-	var rr ResizeResp
-	if err := json.Unmarshal(body, &rr); err != nil {
-		t.Fatal(err)
-	}
-	if rr.Components != 10 {
-		t.Fatalf("grow to %d, want 10", rr.Components)
-	}
-
 	resp, body = get(t, ts, "/stats")
 	wantStatus(t, resp, body, http.StatusOK, "")
 	var st StatsResp
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Impl != "lockfree" || st.Components != 10 {
+	if st.Impl != "lockfree" || st.Components != 8 {
 		t.Fatalf("stats identity wrong: %+v", st)
 	}
-	if st.UpdateOps != 4 || st.Scans != 2 || st.Resizes != 1 {
+	if st.UpdateOps != 4 || st.Scans != 2 {
 		t.Fatalf("stats counters wrong: %+v", st)
 	}
 	if st.ObjectStats == nil {
@@ -151,7 +140,7 @@ func TestHandlerRoundTrip(t *testing.T) {
 
 // TestHandlerErrorTaxonomy pins the wire mapping: malformed JSON and
 // unknown fields are 400 bad_request, out-of-range ids 400 bad_component,
-// infeasible resizes 409 bad_resize, wrong methods 405.
+// wrong methods 405, and POST /grow 404: no route resizes the object.
 func TestHandlerErrorTaxonomy(t *testing.T) {
 	_, ts := newTestServer(t, snapshot.ImplLockFree, 8)
 
@@ -179,9 +168,9 @@ func TestHandlerErrorTaxonomy(t *testing.T) {
 	resp2, body = post(t, ts, "/scan", ScanReq{})
 	wantStatus(t, resp2, body, http.StatusBadRequest, "bad_request")
 
-	// A grow by nothing: a resize conflict, 409.
-	resp2, body = post(t, ts, "/grow", ResizeReq{Delta: 0})
-	wantStatus(t, resp2, body, http.StatusConflict, snapshot.CodeBadResize)
+	// The component count is fixed: there is no resize route.
+	resp2, body = post(t, ts, "/grow", map[string]int{"delta": 1})
+	wantStatus(t, resp2, body, http.StatusNotFound, "")
 
 	resp3, err := http.Get(ts.URL + "/update")
 	if err != nil {
@@ -454,38 +443,6 @@ func TestStaleScanWouldBeConvicted(t *testing.T) {
 				t.Logf("convicted as designed: %v", err)
 			}
 		})
-	}
-}
-
-// TestGrowPastCapIsRejected sends grows that would take the object past
-// maxComponents, one of them large enough to overflow any allocation: each
-// is a 409 bad_resize that leaves the object as it was and the oracle
-// unwedged, so /conformance still answers promptly with a passing verdict.
-// A grow to exactly the cap is served.
-func TestGrowPastCapIsRejected(t *testing.T) {
-	_, ts := newTestServer(t, snapshot.ImplLockFree, 64)
-	for _, delta := range []int{1 << 62, maxComponents - 64 + 1} {
-		resp, body := post(t, ts, "/grow", ResizeReq{Delta: delta})
-		wantStatus(t, resp, body, http.StatusConflict, snapshot.CodeBadResize)
-	}
-	resp, body := post(t, ts, "/grow", ResizeReq{Delta: maxComponents - 64})
-	wantStatus(t, resp, body, http.StatusOK, "")
-	resp, body = post(t, ts, "/grow", ResizeReq{Delta: 1})
-	wantStatus(t, resp, body, http.StatusConflict, snapshot.CodeBadResize)
-
-	client := &http.Client{Timeout: time.Second}
-	cresp, err := client.Get(ts.URL + "/conformance")
-	if err != nil {
-		t.Fatalf("GET /conformance after rejected grows: %v", err)
-	}
-	defer cresp.Body.Close()
-	var cr ConformanceResp
-	if err := json.NewDecoder(cresp.Body).Decode(&cr); err != nil {
-		t.Fatal(err)
-	}
-	if cresp.StatusCode != http.StatusOK || !cr.OK || cr.PendingOps != 0 || cr.CheckedOps != 1 {
-		t.Fatalf("conformance after rejected grows: status %d, %+v; want 200, ok, 1 checked op",
-			cresp.StatusCode, cr)
 	}
 }
 

@@ -1,7 +1,6 @@
 package snapshot_test
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -63,11 +62,6 @@ func exploreCells() []exploreCell {
 		{shape: workload.Partitioned, components: 4, workers: 2, scanWidth: 2, updateWidth: 1, opsPerWorker: 5},
 		{shape: workload.BatchHeavy, components: 4, workers: 3, scanWidth: 2, updateWidth: 3, opsPerWorker: 5},
 		{shape: workload.ScanHeavy, components: 4, workers: 3, scanWidth: 3, updateWidth: 1, opsPerWorker: 5},
-		// Resizing shapes: 8 ops per worker so the churner (worker 0) issues
-		// its one Grow at its 4th op and every explored schedule runs
-		// traffic on both sides of the epoch install.
-		{shape: workload.Churn, components: 4, workers: 3, scanWidth: 2, updateWidth: 2, opsPerWorker: 8},
-		{shape: workload.FlashCrowd, components: 4, workers: 3, scanWidth: 2, updateWidth: 2, opsPerWorker: 8},
 	}
 }
 
@@ -141,11 +135,6 @@ func (ec exploreCell) scenario(seed int64, run *exploreRun) sched.Scenario {
 		rec := &spec.Recorder[int64]{}
 		var mu sync.Mutex
 		var opErrs []error
-		// On resizing shapes an update or scan may name a component the
-		// churner's Grow has not installed yet; the typed rejection
-		// linearizes at its pin, before that Grow, and is dropped from the
-		// history, not recorded.
-		tolerateRejects := gen.Config().Shape.Resizes()
 		for w := 0; w < ec.workers; w++ {
 			ops := gen.Ops(w, ec.opsPerWorker)
 			name := fmt.Sprintf("w%d", w)
@@ -156,9 +145,6 @@ func (ec exploreCell) scenario(seed int64, run *exploreRun) sched.Scenario {
 						start := rec.Now()
 						id, err := o.UpdateOp(op.Comps, op.Vals)
 						if err != nil {
-							if tolerateRejects && errors.Is(err, snapshot.ErrBadComponent) {
-								continue
-							}
 							mu.Lock()
 							opErrs = append(opErrs, fmt.Errorf("%s: UpdateOp%v: %w", name, op.Comps, err))
 							mu.Unlock()
@@ -170,9 +156,6 @@ func (ec exploreCell) scenario(seed int64, run *exploreRun) sched.Scenario {
 						start := rec.Now()
 						vals, info, err := o.PartialScanInfo(op.Comps)
 						if err != nil {
-							if tolerateRejects && errors.Is(err, snapshot.ErrBadComponent) {
-								continue
-							}
 							mu.Lock()
 							opErrs = append(opErrs, fmt.Errorf("%s: PartialScanInfo%v: %w", name, op.Comps, err))
 							mu.Unlock()
@@ -180,17 +163,6 @@ func (ec exploreCell) scenario(seed int64, run *exploreRun) sched.Scenario {
 						}
 						rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
 							Comps: op.Comps, Vals: vals, AdoptedFrom: info.HelperOp})
-					case workload.OpGrow:
-						start := rec.Now()
-						size, err := o.Grow(op.Delta)
-						if err != nil {
-							mu.Lock()
-							opErrs = append(opErrs, fmt.Errorf("%s: Grow(%d): %w", name, op.Delta, err))
-							mu.Unlock()
-							return
-						}
-						rec.Add(spec.Op[int64]{Kind: spec.Grow, Start: start, End: rec.Now(),
-							Delta: op.Delta, Size: size})
 					}
 				}
 			})

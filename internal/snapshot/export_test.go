@@ -5,13 +5,6 @@ import (
 	"testing"
 )
 
-// WithFreshSurvivors turns on o's freshSurvivors mutation seam (see Grow),
-// so the external model-checking tests can prove the searcher convicts it.
-func WithFreshSurvivors[V any](o *LockFree[V]) *LockFree[V] {
-	o.mut.freshSurvivors = true
-	return o
-}
-
 // MallocSlack is the per-op slack MallocsPerRun budgets allow: 100 extra
 // allocations over its 10,000 runs, for pool refills after a GC.
 const MallocSlack = 0.01

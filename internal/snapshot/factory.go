@@ -48,29 +48,19 @@ func New[V any](impl Impl, n int) (Object[V], error) {
 // claim is that it needs none.
 type StatsReader interface{ Stats() Stats }
 
-// Error codes: the stable wire-level taxonomy of the package's sentinel
-// errors, in one place so every transport maps them identically. The
-// serving layer translates CodeBadComponent to HTTP 400 (the client named
-// components the object does not have — a validation failure) and
-// CodeBadResize to HTTP 409 (the resize conflicts with the object's
-// current or minimum size — retryable after re-reading /stats).
-const (
-	// CodeBadComponent is ErrBadComponent's wire code.
-	CodeBadComponent = "bad_component"
-	// CodeBadResize is ErrBadResize's wire code.
-	CodeBadResize = "bad_resize"
-)
+// CodeBadComponent is ErrBadComponent's wire code: the stable wire-level
+// taxonomy of the package's sentinel errors, in one place so every
+// transport maps them identically. The serving layer translates it to
+// HTTP 400 (the client named components the object does not have — a
+// validation failure).
+const CodeBadComponent = "bad_component"
 
 // ErrorCode maps an error returned by any Object method to its stable wire
 // code, or "" for errors outside the package's taxonomy. It follows
 // errors.Is, so wrapped sentinels map like the sentinels themselves.
 func ErrorCode(err error) string {
-	switch {
-	case errors.Is(err, ErrBadComponent):
+	if errors.Is(err, ErrBadComponent) {
 		return CodeBadComponent
-	case errors.Is(err, ErrBadResize):
-		return CodeBadResize
-	default:
-		return ""
 	}
+	return ""
 }

@@ -54,8 +54,8 @@ func TestFactoryRejectsMisuse(t *testing.T) {
 	}
 }
 
-// TestErrorCode pins the wire taxonomy: the two sentinels map to their
-// codes (wrapped or not), everything else to "".
+// TestErrorCode pins the wire taxonomy: the sentinel maps to its code
+// (wrapped or not), everything else to "".
 func TestErrorCode(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -63,8 +63,6 @@ func TestErrorCode(t *testing.T) {
 	}{
 		{snapshot.ErrBadComponent, snapshot.CodeBadComponent},
 		{fmt.Errorf("update: %w", snapshot.ErrBadComponent), snapshot.CodeBadComponent},
-		{snapshot.ErrBadResize, snapshot.CodeBadResize},
-		{fmt.Errorf("grow by 0: %w", snapshot.ErrBadResize), snapshot.CodeBadResize},
 		{nil, ""},
 		{errors.New("disk on fire"), ""},
 	}
@@ -73,9 +71,9 @@ func TestErrorCode(t *testing.T) {
 			t.Fatalf("ErrorCode(%v) = %q, want %q", tc.err, got, tc.want)
 		}
 	}
-	// The codes are what the server maps to HTTP statuses; a rename is a
-	// wire-protocol break, so pin the literals too.
-	if snapshot.CodeBadComponent != "bad_component" || snapshot.CodeBadResize != "bad_resize" {
-		t.Fatalf("wire codes changed: %q, %q", snapshot.CodeBadComponent, snapshot.CodeBadResize)
+	// The code is what the server maps to an HTTP status; a rename is a
+	// wire-protocol break, so pin the literal too.
+	if snapshot.CodeBadComponent != "bad_component" {
+		t.Fatalf("wire code changed: %q", snapshot.CodeBadComponent)
 	}
 }

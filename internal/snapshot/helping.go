@@ -34,22 +34,16 @@ type helpView[V any] struct {
 // embeddedScan already tolerates). Skips are tallied in the op's counter
 // shard instead of the per-slot gauges.
 //
-// u is the updater's pinned universe. Every epoch aliases its
-// predecessors' slots (see epoch.go), so the consultation observes records
-// enrolled through any epoch that has the component; records found may
-// therefore carry a rec.uni older than u, and the embedded scan runs
-// through THAT universe — the epoch the scanner's collects read.
-//
 // The dedup list starts in a small stack array, as doubleCollect's first
 // collect does: an update that serves a handful of records allocates
 // nothing for it.
-func (o *LockFree[V]) helpIntersectingScans(u *universe[V], ids []int, op uint64) {
+func (o *LockFree[V]) helpIntersectingScans(ids []int, op uint64) {
 	var seenBuf [4]*scanRecord[V]
 	seen := seenBuf[:0]
 	skipped := 0
 	for _, id := range ids {
 		o.yield(sched.PreSlotWalk, id)
-		s := u.slots[id]
+		s := &o.slots[id]
 		head := s.head.Load()
 		if head == nil || (o.mut.staleHeadEmpty && head.stale()) {
 			skipped++
@@ -121,22 +115,11 @@ func (o *LockFree[V]) help(rec *scanRecord[V], op uint64, seen []*scanRecord[V])
 // re-creates the old lock-free-only behaviour of giving up after a fixed
 // number of failed collects, which the model-checking tests use to prove
 // the searcher catches the resulting protocol violation.
-//
-// The whole embedded scan — collects and its own announcement — runs
-// through target.uni, the epoch the target's scanner pinned, not through
-// the helper's own pinned epoch: the view must be consistent in the
-// scanner's universe, and the chained record must be findable by exactly
-// the updates that can obstruct collects of that universe. A posted view
-// may be collected through an epoch older than the current one by the
-// time it is adopted — a Grow can install while the help was being
-// produced — which is harmless because every later epoch aliases the
-// record's registers: the view is a view of the current object too.
 func (o *LockFree[V]) embeddedScan(target *scanRecord[V], op uint64) (view []V, depth int, ok bool) {
-	tu := target.uni
 	level := target.level + 1
 	failures := 0
 	// Fast path: try one unannounced double collect first.
-	if vals, ok := o.doubleCollect(tu, target.ids, level); ok {
+	if vals, ok := o.doubleCollect(target.ids, level); ok {
 		return vals, level, true
 	}
 	o.scanRetries.Add(1)
@@ -144,7 +127,7 @@ func (o *LockFree[V]) embeddedScan(target *scanRecord[V], op uint64) (view []V, 
 	if o.mut.helpBound > 0 && failures >= o.mut.helpBound {
 		return nil, 0, false // injected mutation: abandon the scanner
 	}
-	rec := newRecord(tu, target.ids, level)
+	rec := newRecord[V](target.ids, level)
 	o.announce(rec)
 	defer o.retire(rec)
 	o.yield(sched.PostAnnounce, level)
@@ -152,7 +135,7 @@ func (o *LockFree[V]) embeddedScan(target *scanRecord[V], op uint64) (view []V, 
 		if target.done.Load() || target.help.Load() != nil {
 			return nil, 0, false
 		}
-		if vals, ok := o.doubleCollect(tu, rec.ids, level); ok {
+		if vals, ok := o.doubleCollect(rec.ids, level); ok {
 			return vals, level, true
 		}
 		o.scanRetries.Add(1)

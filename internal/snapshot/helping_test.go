@@ -86,7 +86,7 @@ func TestHelpAdoptionScripted(t *testing.T) {
 // disjoint one, and the posted view carries the helper's op id.
 func TestUpdaterHelpsOnlyIntersectingScans(t *testing.T) {
 	o := NewLockFree[int64](8)
-	rec := newRecord(o.uni.Load(), []int{0, 1}, 0)
+	rec := newRecord[int64]([]int{0, 1}, 0)
 	o.announce(rec)
 
 	if err := o.Update([]int{5, 6}, []int64{1, 2}); err != nil {
@@ -317,7 +317,7 @@ func TestAnnouncementRegistryHygiene(t *testing.T) {
 	o := NewLockFree[int64](8)
 	recs := make([]*scanRecord[int64], 3)
 	for i := range recs {
-		recs[i] = newRecord(o.uni.Load(), []int{0, 1}, 0)
+		recs[i] = newRecord[int64]([]int{0, 1}, 0)
 		o.announce(recs[i])
 	}
 	// Each record is enrolled once per named component.

@@ -10,21 +10,26 @@ import (
 // LockFree is the paper's wait-free partial snapshot object. The name is
 // historical (the type began life with bounded, lock-free-only helping);
 // since helping became the unbounded recursive protocol of the paper, every
-// PartialScan completes in a bounded number of its own steps plus adopted
+// operation completes in a bounded number of its own steps plus adopted
 // help — see embeddedScan for the termination argument. Zero value is not
 // usable; call NewLockFree.
 //
-// The implementation is split by layer: epoch.go holds the epoch-versioned
-// universe (the growable shape behind Grow), registers.go the
-// value slots, their runs and the counter shards, registry.go the sharded
-// announcement registry (announce, retire and the slot walk), scan.go the
-// scanner side, helping.go the updater side.
+// The component count n is fixed at construction, as in the paper and in
+// the classic snapshot of Afek et al. The implementation is split by
+// layer: registers.go holds the registers, their value slots and runs and
+// the counter shards, registry.go the sharded announcement registry
+// (announce, retire and the slot walk), scan.go the scanner side,
+// helping.go the updater side.
 type LockFree[V any] struct {
-	// uni is the current universe — the single atomically-published pointer
-	// behind which the whole component shape (register cells, registry
-	// slots) lives. Operations pin it once (see pin) and never look again;
-	// Grow replaces it by CAS.
-	uni atomic.Pointer[universe[V]]
+	// The read-only header, fixed by NewLockFree: every operation loads
+	// these slice headers and nothing writes them again.
+	regs  []reg[V]  // one register per component, packed 8 B apart
+	slots []slot[V] // one announcement slot per component, 128 B apart
+	all   []int     // cached [0..n) for Scan
+	// The pad ends the header's cache line, so that the counter shards
+	// every update writes start on a later line than the slice headers
+	// every operation reads (TestHeaderLayout).
+	_ [56]byte
 
 	// shards holds the sharded counters: update op ids (nextOp) and
 	// consultations that found an empty slot (see helpIntersectingScans).
@@ -46,8 +51,6 @@ type LockFree[V any] struct {
 	maxDepth     atomic.Int64
 	live         atomic.Int64  // records announced and not yet retired
 	deduped      atomic.Uint64 // walk encounters skipped as already seen
-
-	grows atomic.Uint64 // installed universes: every install is a Grow
 }
 
 // mutations are the object's mutation seams. Each field, when set,
@@ -56,14 +59,12 @@ type LockFree[V any] struct {
 // objects leave every field zero. helpBound > 0 makes an embedded scan
 // give up without posting help after that many failed double collects
 // (the lock-free-only helping that preceded wait-freedom).
-// freshSurvivors makes Grow give every existing component a new register
-// and slot instead of aliasing them (see Grow). staleHeadEmpty makes an
-// update treat a slot whose head enrollment is stale as empty, missing any
-// live enrollment linked behind it. A non-nil reuseCells makes every
-// update write into that fixed ring's first slots (see takeCells).
+// staleHeadEmpty makes an update treat a slot whose head enrollment is
+// stale as empty, missing any live enrollment linked behind it. A non-nil
+// reuseCells makes every update write into that fixed ring's first slots
+// (see takeCells).
 type mutations[V any] struct {
 	helpBound      int
-	freshSurvivors bool
 	staleHeadEmpty bool
 	reuseCells     []V
 }
@@ -74,8 +75,15 @@ func NewLockFree[V any](n int) *LockFree[V] {
 	if n <= 0 {
 		panic("snapshot: number of components must be positive")
 	}
-	o := &LockFree[V]{}
-	o.uni.Store(newUniverse[V](n))
+	o := &LockFree[V]{
+		regs:  make([]reg[V], n),
+		slots: make([]slot[V], n),
+		all:   allIDs(n),
+	}
+	initial := new(V)
+	for i := range o.regs {
+		o.regs[i].ptr.Store(initial)
+	}
 	return o
 }
 
@@ -93,8 +101,8 @@ func (o *LockFree[V]) yield(p sched.Point, arg int) {
 	}
 }
 
-// Components returns the component count of the currently installed epoch.
-func (o *LockFree[V]) Components() int { return len(o.uni.Load().regs) }
+// Components returns n, the object's fixed component count.
+func (o *LockFree[V]) Components() int { return len(o.regs) }
 
 // Update writes vals[i] into component ids[i], as a sequence of per-
 // component atomic stores (see the package comment for batch semantics).
@@ -113,20 +121,16 @@ func (o *LockFree[V]) Update(ids []int, vals []V) error {
 // takes never-used slots from a 128 B run, so the batch's stores publish
 // addresses no collect can already hold.
 func (o *LockFree[V]) UpdateOp(ids []int, vals []V) (uint64, error) {
-	// Pin once: validation, the helping walk and the stores all run against
-	// this one epoch's shape. A resize installed after this load linearizes
-	// after this update (see epoch.go).
-	u := o.pin()
-	if err := validateArgs(len(u.regs), ids, vals); err != nil {
+	if err := validateArgs(len(o.regs), ids, vals); err != nil {
 		return 0, err
 	}
-	op := o.nextOp(u, ids)
-	o.helpIntersectingScans(u, ids, op)
+	op := o.nextOp(ids)
+	o.helpIntersectingScans(ids, op)
 	cells := o.takeCells(len(ids))
 	for i, id := range ids {
 		cells[i] = vals[i]
 		o.yield(sched.PreCellStore, id)
-		u.regs[id].ptr.Store(&cells[i])
+		o.regs[id].ptr.Store(&cells[i])
 	}
 	return op, nil
 }
@@ -153,7 +157,7 @@ type Stats struct {
 	MaxHelpDepth int64 `json:"max_help_depth"`
 	// RegistryWalks counts updater consultations of registry slots that
 	// found a non-empty head and walked the slot, one per (update, named
-	// component) pair, summed across the current epoch's slots.
+	// component) pair, summed across the slots.
 	RegistryWalks uint64 `json:"registry_walks"`
 	// WalksSkipped counts consultations that found a nil head: one per
 	// (update, named component) pair whose slot held no enrollment at the
@@ -174,13 +178,9 @@ type Stats struct {
 	// RecordReuses always reads 0: scan records are never reused, but the
 	// repository benchmark (perfbench) reads the key.
 	RecordReuses uint64 `json:"record_reuses"`
-	// Grows counts successful Grow calls, each of which installs one
-	// universe.
-	Grows uint64 `json:"grows"`
 }
 
 func (o *LockFree[V]) Stats() Stats {
-	u := o.uni.Load()
 	st := Stats{
 		ScanRetries:       o.scanRetries.Load(),
 		HelpsPosted:       o.helpsPosted.Load(),
@@ -188,9 +188,9 @@ func (o *LockFree[V]) Stats() Stats {
 		LiveAnnouncements: o.live.Load(),
 		MaxHelpDepth:      o.maxDepth.Load(),
 		RecordsDeduped:    o.deduped.Load(),
-		Grows:             o.grows.Load(),
 	}
-	for _, s := range u.slots {
+	for i := range o.slots {
+		s := &o.slots[i]
 		st.RegistryWalks += s.walks.Load()
 		st.RecordsVisited += s.visited.Load()
 	}
@@ -200,28 +200,27 @@ func (o *LockFree[V]) Stats() Stats {
 	return st
 }
 
-// SlotStats reports the registry activity of component c's slot in the
-// current epoch: how many updater consultations found a non-nil head and
-// walked it, and how many live records those walks encountered. Locality tests sum these per component
-// range to prove that a partitioned workload performs zero cross-partition
-// registry visits.
+// SlotStats reports the registry activity of component c's slot: how many
+// updater consultations found a non-nil head and walked it, and how many
+// live records those walks encountered. Locality tests sum these per
+// component range to prove that a partitioned workload performs zero
+// cross-partition registry visits.
 func (o *LockFree[V]) SlotStats(c int) (walks, visited uint64) {
-	s := o.uni.Load().slots[c]
+	s := &o.slots[c]
 	return s.walks.Load(), s.visited.Load()
 }
 
-// registryLen counts enrollments currently linked across the current
-// epoch's slots, retired-but-not-yet-unlinked ones included; a record
-// enrolled in k slots counts k times (test helper).
+// registryLen counts enrollments currently linked across all slots,
+// retired-but-not-yet-unlinked ones included; a record enrolled in k slots
+// counts k times (test helper).
 func (o *LockFree[V]) registryLen() int {
 	n := 0
-	u := o.uni.Load()
-	for c := range u.slots {
-		n += slotLen(u.slots[c])
+	for c := range o.slots {
+		n += o.slotLen(c)
 	}
 	return n
 }
 
-// slotLen counts enrollments currently linked in component c's slot of the
-// current epoch (test helper).
-func (o *LockFree[V]) slotLen(c int) int { return slotLen(o.uni.Load().slots[c]) }
+// slotLen counts enrollments currently linked in component c's slot (test
+// helper).
+func (o *LockFree[V]) slotLen(c int) int { return slotLen(&o.slots[c]) }

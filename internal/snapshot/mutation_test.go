@@ -226,11 +226,10 @@ func TestMutationBoundedHelperIsCaught(t *testing.T) {
 // storing. The mutant (staleHeadEmpty) reads the stale head as an empty
 // slot whenever the sweep has not popped it yet — and stores through
 // component 2 anyway, obstructing the very scanner whose enrollment sat
-// one link behind the head. The trip wire is the same lost-help shape as
-// the unpinned-epoch scenario: the scanner's final view shows the walker's
-// store (so the walker consulted slot 2 while the record was demonstrably
-// fully announced and live), yet no help was ever posted and the scan
-// never adopted. On the intact object that outcome is unreachable.
+// one link behind the head. The trip wire is a lost help: the scanner's
+// final view shows the walker's store (so the walker consulted slot 2
+// while the record was demonstrably fully announced and live), yet no help
+// was ever posted and the scan never adopted. On the intact object that outcome is unreachable.
 func staleHeadEmptyScenario(mutate bool) sched.Scenario {
 	return func(c *sched.Controller) sched.Oracle {
 		o := NewLockFree[int64](3).Instrument(c)

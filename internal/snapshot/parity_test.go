@@ -1,7 +1,6 @@
 package snapshot_test
 
 import (
-	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -44,28 +43,20 @@ func parityCfg(shape workload.Shape) workload.Config {
 	return cfg
 }
 
-// parityCounts tallies one implementation's completed work under a shape:
-// scans, updates, resizes, and — on resizing shapes only — operations the
-// object rejected with ErrBadComponent because they named a component the
-// churner's Grow had not installed yet.
+// parityCounts tallies one implementation's completed work under a shape.
 type parityCounts struct {
-	Scans, Updates, Resizes, Rejects int
+	Scans, Updates int
 }
 
 // runParityWorkload drives every worker's stream concurrently against obj
 // (run with -race), recording the history, and returns it with the op
-// counts. On resizing shapes, ErrBadComponent from an update or scan is
-// tolerated traffic (the op linearizes at its pin, before the Grow that
-// adds its component, and is simply not recorded); resize failures are
-// always fatal because the single-churner discipline makes every resize
-// well-formed.
+// counts. Every op names valid components, so any error is fatal.
 func runParityWorkload(t *testing.T, obj snapshot.Object[int64], gen *workload.Generator, opsPerWorker int) ([]spec.Op[int64], parityCounts) {
 	t.Helper()
 	rec := &spec.Recorder[int64]{}
 	// Provenance (update op ids, adopted help) comes from the concrete
 	// LockFree type; the RWMutex reference degrades to the plain calls.
 	lf, hasInfo := obj.(*snapshot.LockFree[int64])
-	tolerateRejects := gen.Config().Shape.Resizes()
 	var wg sync.WaitGroup
 	var counts parityCounts
 	var mu sync.Mutex
@@ -86,10 +77,6 @@ func runParityWorkload(t *testing.T, obj snapshot.Object[int64], gen *workload.G
 						err = obj.Update(op.Comps, op.Vals)
 					}
 					if err != nil {
-						if tolerateRejects && errors.Is(err, snapshot.ErrBadComponent) {
-							local.Rejects++
-							continue
-						}
 						t.Errorf("worker %d: Update%v: %v", w, op.Comps, err)
 						return
 					}
@@ -107,33 +94,17 @@ func runParityWorkload(t *testing.T, obj snapshot.Object[int64], gen *workload.G
 						vals, err = obj.PartialScan(op.Comps)
 					}
 					if err != nil {
-						if tolerateRejects && errors.Is(err, snapshot.ErrBadComponent) {
-							local.Rejects++
-							continue
-						}
 						t.Errorf("worker %d: PartialScan%v: %v", w, op.Comps, err)
 						return
 					}
 					local.Scans++
 					rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
 						Comps: op.Comps, Vals: vals, AdoptedFrom: info.HelperOp})
-				case workload.OpGrow:
-					start := rec.Now()
-					size, err := obj.Grow(op.Delta)
-					if err != nil {
-						t.Errorf("worker %d: Grow(%d): %v", w, op.Delta, err)
-						return
-					}
-					local.Resizes++
-					rec.Add(spec.Op[int64]{Kind: spec.Grow, Start: start, End: rec.Now(),
-						Delta: op.Delta, Size: size})
 				}
 			}
 			mu.Lock()
 			counts.Scans += local.Scans
 			counts.Updates += local.Updates
-			counts.Resizes += local.Resizes
-			counts.Rejects += local.Rejects
 			mu.Unlock()
 		}(w)
 	}
@@ -190,16 +161,6 @@ func TestParityAcrossWorkloadShapes(t *testing.T) {
 					if st.RegistryWalks+st.WalksSkipped == 0 {
 						t.Fatalf("%s updaters never consulted the registry: %+v", shape, st)
 					}
-					if shape.Resizes() {
-						// The single churner's resizes are deterministic, so
-						// the grow count must account for exactly the
-						// resizes the workload issued — no install may be
-						// lost or double-counted.
-						if got := st.Grows; got != uint64(counts.Resizes) {
-							t.Fatalf("%s: %d resizes issued but stats recorded %d installs: %+v",
-								shape, counts.Resizes, got, st)
-						}
-					}
 					if shape == workload.UpdateHeavy {
 						// Pure updates: no scan ever announces, so every
 						// consultation reads a nil slot head and skips its
@@ -231,24 +192,10 @@ func TestParityAcrossWorkloadShapes(t *testing.T) {
 				return
 			}
 			// Same generator, same seed ⇒ every implementation must have
-			// executed the identical operation mix. On resizing shapes,
-			// which ops get rejected depends on how each run's resizes
-			// interleave with the workers, so only the deterministic parts
-			// are comparable: the resize count and the total attempts.
+			// executed the identical operation mix.
 			base := countsByImpl[parityImpls[0]]
 			for _, impl := range parityImpls[1:] {
-				c := countsByImpl[impl]
-				if shape.Resizes() {
-					if c.Resizes != base.Resizes {
-						t.Fatalf("resize counts diverged: %s %d, %s %d", parityImpls[0], base.Resizes, impl, c.Resizes)
-					}
-					baseTotal := base.Scans + base.Updates + base.Resizes + base.Rejects
-					total := c.Scans + c.Updates + c.Resizes + c.Rejects
-					if want := cfg.Workers * opsPerWorker; baseTotal != want || total != want {
-						t.Fatalf("attempt totals diverged from the stream length %d: %s %d, %s %d",
-							want, parityImpls[0], baseTotal, impl, total)
-					}
-				} else if c != base {
+				if c := countsByImpl[impl]; c != base {
 					t.Fatalf("op mix diverged between implementations: %s %v, %s %v",
 						parityImpls[0], base, impl, c)
 				}
@@ -314,27 +261,6 @@ func TestParitySequentialSemantics(t *testing.T) {
 			for w := range streams {
 				streams[w] = gen.Ops(w, 100)
 			}
-			// outOfRange mirrors the dynamic-universe contract against the
-			// model's current size: an op naming a component at or beyond it
-			// must be rejected with ErrBadComponent by EVERY implementation
-			// — rejection parity is part of the semantics.
-			outOfRange := func(comps []int) bool {
-				for _, c := range comps {
-					if c >= model.Components() {
-						return true
-					}
-				}
-				return false
-			}
-			wantReject := func(kind string, comps []int, errs map[snapshot.Impl]error) {
-				t.Helper()
-				for impl, err := range errs {
-					if !errors.Is(err, snapshot.ErrBadComponent) {
-						t.Fatalf("%s%v names a shrunk component (model size %d) but %s answered %v",
-							kind, comps, model.Components(), impl, err)
-					}
-				}
-			}
 			wantOK := func(kind string, comps []int, errs map[snapshot.Impl]error) {
 				t.Helper()
 				for impl, err := range errs {
@@ -352,10 +278,6 @@ func TestParitySequentialSemantics(t *testing.T) {
 						for impl, obj := range objs {
 							errs[impl] = obj.Update(op.Comps, op.Vals)
 						}
-						if outOfRange(op.Comps) {
-							wantReject("Update", op.Comps, errs)
-							continue
-						}
 						wantOK("Update", op.Comps, errs)
 						model.Apply(op.Comps, op.Vals)
 					case workload.OpScan:
@@ -363,31 +285,12 @@ func TestParitySequentialSemantics(t *testing.T) {
 						for impl, obj := range objs {
 							views[impl], errs[impl] = obj.PartialScan(op.Comps)
 						}
-						if outOfRange(op.Comps) {
-							wantReject("PartialScan", op.Comps, errs)
-							continue
-						}
 						wantOK("PartialScan", op.Comps, errs)
 						want := model.Read(op.Comps)
 						for impl, got := range views {
 							if !reflect.DeepEqual(got, want) {
 								t.Fatalf("sequential scan diverged on %v: %s %v, model %v",
 									op.Comps, impl, got, want)
-							}
-						}
-					case workload.OpGrow:
-						sizes := make(map[snapshot.Impl]int, len(objs))
-						for impl, obj := range objs {
-							sizes[impl], errs[impl] = obj.Grow(op.Delta)
-						}
-						nm, errM := model.Grow(op.Delta)
-						if errM != nil {
-							t.Fatalf("model Grow(%d): %v", op.Delta, errM)
-						}
-						wantOK("Grow", nil, errs)
-						for impl, size := range sizes {
-							if size != nm {
-								t.Fatalf("Grow(%d) sizes diverged: %s %d, model %d", op.Delta, impl, size, nm)
 							}
 						}
 					}

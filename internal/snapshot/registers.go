@@ -5,19 +5,20 @@ import (
 	"unsafe"
 )
 
-// This file is the register layer of LockFree: the value slots every
-// collect reads, the runs updates take them from, and the sharded counters
-// that hand out update op ids. Nothing here knows about announcements or
-// helping.
+// This file is the register layer of LockFree: the registers, the value
+// slots every collect reads, the runs updates take them from, and the
+// sharded counters that hand out update op ids. Nothing here knows about
+// announcements or helping.
 //
-// A register points at an immutable value slot. Every write takes
-// never-used slots from a 128 B run, so pointer identity distinguishes
-// writes: a double collect that loads the same *V twice knows the
-// component did not change in between. That identity is the paper's
-// per-register tag. Go's GC rules out ABA: a held pointer keeps its whole
-// run alive, and no slot is ever handed out twice, so no write can reuse
-// an address a collect still holds. The cost is that a register keeps up
-// to one run of stale values alive.
+// A register is one component's atomic pointer to an immutable value
+// slot; the object holds them in one flat array, eight to a cache line.
+// Every write takes never-used slots from a 128 B run, so pointer identity
+// distinguishes writes: a double collect that loads the same *V twice
+// knows the component did not change in between. That identity is the
+// paper's per-register tag. Go's GC rules out ABA: a held pointer keeps
+// its whole run alive, and no slot is ever handed out twice, so no write
+// can reuse an address a collect still holds. The cost is that a register
+// keeps up to one run of stale values alive.
 //
 // The one exception is a zero-size V: every slot of such a V may share one
 // address, so a double collect cannot see a write. That is harmless. V then
@@ -60,13 +61,19 @@ func (o *LockFree[V]) takeCells(k int) []V {
 	return cells
 }
 
+// reg is one component's register: the atomic pointer to its current
+// value slot that every operation reads and writes.
+type reg[V any] struct {
+	ptr atomic.Pointer[V]
+}
+
 // opShards is the number of counter shards. It must stay a power of two
 // matching the shift in nextOp.
 const opShards = 64
 
 // counterShard holds one shard of each of LockFree's sharded counters: the
 // op-id counter nextOp draws from and the walksSkipped tally. Both pick
-// their shard by one rule (universe.shard), so an update's op-id add and
+// their shard by one rule (shard), so an update's op-id add and
 // its walk-skip add land on one cache line. The
 // padding keeps each shard alone on its line and on the line the
 // adjacent-line prefetcher pairs with it, so shards never false-share.
@@ -81,21 +88,19 @@ type counterShard struct {
 // global counter would put one contended cache line on every update's hot
 // path — cross-partition interference the sharded registry exists to
 // remove. Contiguous component ranges map to contiguous shard ranges, so
-// operations pinned to disjoint ranges hit disjoint shards whenever the
+// operations confined to disjoint ranges hit disjoint shards whenever the
 // ranges are at least n/opShards wide (a modulo would instead alias ranges
-// n/opShards apart onto the same shards). Scaling uses this epoch's size,
-// so the shard is stable within an operation regardless of a concurrent
-// Grow.
-func (u *universe[V]) shard(ids []int) uint64 {
-	return uint64(ids[0]) * opShards / uint64(len(u.regs))
+// n/opShards apart onto the same shards).
+func (o *LockFree[V]) shard(ids []int) uint64 {
+	return uint64(ids[0]) * opShards / uint64(len(o.regs))
 }
 
 // nextOp returns a unique, nonzero op id for an update naming ids, drawn
 // from its counter shard. The shard index rides in the low bits, keeping
 // ids unique across shards and naming the shard the id came from, and
 // every id is >= opShards, so 0 still means "no update".
-func (o *LockFree[V]) nextOp(u *universe[V], ids []int) uint64 {
-	i := u.shard(ids)
+func (o *LockFree[V]) nextOp(ids []int) uint64 {
+	i := o.shard(ids)
 	return o.shards[i].ops.Add(1)<<6 | i
 }
 

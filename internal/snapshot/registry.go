@@ -45,12 +45,10 @@ import (
 // retired and the done flag is the whole staleness test. Nor are
 // enrollment nodes: walkers read the next pointers of nodes already
 // unlinked. The price is retention: a stale enrollment still linked in some
-// slot keeps its retired record alive, and through rec.uni a superseded
-// universe's pointer slices (24 B per component), until a walk, an
-// enrollment or a retirement sweep unlinks it. Those unlinks are what
-// bound it: every slot drains back to empty once its scans retire and an
-// update or sweep passes over it, which TestAnnouncementRegistryHygiene
-// and the unlink tests pin.
+// slot keeps its retired record alive until a walk, an enrollment or a
+// retirement sweep unlinks it. Those unlinks are what bound it: every slot
+// drains back to empty once its scans retire and an update or sweep passes
+// over it, which TestAnnouncementRegistryHygiene and the unlink tests pin.
 
 // enrollment links one scan record into one registry slot. A record
 // enrolled in k slots owns k enrollment nodes, each with its own next
@@ -75,15 +73,15 @@ type slot[V any] struct {
 	_       [104]byte
 }
 
-// announce links rec into the slot of every component it names — in the
-// epoch rec pinned (rec.uni), in the record's id order — opportunistically
-// unlinking retired enrollments at each slot head. Each head CAS is where
-// an updater's consultation of that component starts to find rec.
+// announce links rec into the slot of every component it names, in the
+// record's id order, opportunistically unlinking retired enrollments at
+// each slot head. Each head CAS is where an updater's consultation of that
+// component starts to find rec.
 func (o *LockFree[V]) announce(rec *scanRecord[V]) {
 	o.live.Add(1)
 	for _, c := range rec.ids {
 		e := &enrollment[V]{rec: rec}
-		s := rec.uni.slots[c]
+		s := &o.slots[c]
 		for {
 			head := s.head.Load()
 			if head != nil && head.stale() {
@@ -119,7 +117,7 @@ func (o *LockFree[V]) retire(rec *scanRecord[V]) {
 // drains it.
 func (o *LockFree[V]) sweepStale(rec *scanRecord[V]) {
 	for _, c := range rec.ids {
-		s := rec.uni.slots[c]
+		s := &o.slots[c]
 		for {
 			head := s.head.Load()
 			if head == nil || !head.stale() {

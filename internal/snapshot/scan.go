@@ -27,21 +27,16 @@ import (
 type scanRecord[V any] struct {
 	ids   []int // announced components, in the scanner's order
 	level int   // help-chain depth of this record
-	// uni is the universe the announcing operation pinned. Enrollment
-	// addresses slots through it, and helpers collect — and chain their own
-	// records — through it, so a whole help chain runs against one epoch's
-	// shape.
-	uni  *universe[V]
-	help atomic.Pointer[helpView[V]]
-	done atomic.Bool
+	help  atomic.Pointer[helpView[V]]
+	done  atomic.Bool
 }
 
-// newRecord returns a live record announcing ids at the given help level,
-// pinned to universe u. The record keeps ids as given, so the caller must
-// pass a slice nobody will write again: a scanner copies its caller's ids,
-// an embedded scan passes its target's ids, which never change.
-func newRecord[V any](u *universe[V], ids []int, level int) *scanRecord[V] {
-	return &scanRecord[V]{ids: ids, level: level, uni: u}
+// newRecord returns a live record announcing ids at the given help level.
+// The record keeps ids as given, so the caller must pass a slice nobody
+// will write again: a scanner copies its caller's ids, an embedded scan
+// passes its target's ids, which never change.
+func newRecord[V any](ids []int, level int) *scanRecord[V] {
+	return &scanRecord[V]{ids: ids, level: level}
 }
 
 // ScanInfo describes how a partial scan completed.
@@ -70,24 +65,15 @@ func (o *LockFree[V]) PartialScan(ids []int) ([]V, error) {
 }
 
 // PartialScanInfo is PartialScan, additionally reporting how the scan
-// completed.
-func (o *LockFree[V]) PartialScanInfo(ids []int) ([]V, ScanInfo, error) {
-	// Pin once: validation, every collect and any announcement run against
-	// this one epoch's shape. Every later epoch aliases the named registers,
-	// so the view needs no check against a resize (see epoch.go).
-	return o.collectPinned(o.pin(), ids)
-}
-
-// collectPinned is a partial scan running entirely against the
-// already-pinned universe u: validate, double collect, announce on
-// obstruction, adopt posted help.
-func (o *LockFree[V]) collectPinned(u *universe[V], ids []int) (_ []V, info ScanInfo, _ error) {
-	if err := validateIDs(len(u.regs), ids); err != nil {
+// completed: validate, double collect, announce on obstruction, adopt
+// posted help.
+func (o *LockFree[V]) PartialScanInfo(ids []int) (_ []V, info ScanInfo, _ error) {
+	if err := validateIDs(len(o.regs), ids); err != nil {
 		return nil, info, err
 	}
 	// Fast path: an uncontended scan needs no announcement, and its only
 	// allocation is the result slice the caller keeps.
-	if vals, ok := o.doubleCollect(u, ids, 0); ok {
+	if vals, ok := o.doubleCollect(ids, 0); ok {
 		return vals, info, nil
 	}
 	o.scanRetries.Add(1)
@@ -95,12 +81,12 @@ func (o *LockFree[V]) collectPinned(u *universe[V], ids []int) (_ []V, info Scan
 	// The record outlives this call in any enrollment a walk has not yet
 	// unlinked, and callers may reuse ids (the server pools its id slices),
 	// so the record takes its own copy.
-	rec := newRecord(u, append([]int(nil), ids...), 0)
+	rec := newRecord[V](append([]int(nil), ids...), 0)
 	o.announce(rec)
 	defer o.retire(rec)
 	o.yield(sched.PostAnnounce, 0)
 	for {
-		if vals, ok := o.doubleCollect(u, rec.ids, 0); ok {
+		if vals, ok := o.doubleCollect(rec.ids, 0); ok {
 			return vals, info, nil
 		}
 		o.scanRetries.Add(1)
@@ -124,7 +110,7 @@ func (o *LockFree[V]) collectPinned(u *universe[V], ids []int) (_ []V, info Scan
 // it cover every default scan width; the array is 128 bytes of stack.
 const stackCollect = 16
 
-// doubleCollect is one double collect of ids through universe u: load every
+// doubleCollect is one double collect of ids: load every
 // named cell, yield at PostFirstCollect (arg = level), then re-load each
 // cell and compare it in place with the first load. It returns the values
 // of the first collect's cells and true when no cell changed — the memory
@@ -133,14 +119,12 @@ const stackCollect = 16
 // every write takes never-used slots from a 128 B run (see registers.go),
 // and the held pointers keep the GC from recycling a run while the collect
 // can still compare against one of its slots.
-// Every epoch aliases its predecessors' cells, so a double collect through
-// an old epoch still observes writes made through newer ones.
 //
 // Up to stackCollect ids, the first collect goes into a fixed array indexed
 // directly, which the compiler keeps on the stack; wider sets borrow one
 // pooled buffer. Either way the second collect stores nothing.
-func (o *LockFree[V]) doubleCollect(u *universe[V], ids []int, level int) ([]V, bool) {
-	regs := u.regs
+func (o *LockFree[V]) doubleCollect(ids []int, level int) ([]V, bool) {
+	regs := o.regs
 	if len(ids) <= stackCollect {
 		var first [stackCollect]*V
 		for i, id := range ids {
@@ -179,10 +163,5 @@ func (o *LockFree[V]) doubleCollect(u *universe[V], ids []int, level int) ([]V, 
 	return vals, true
 }
 
-// Scan is PartialScan over every component of the epoch it pins, so a
-// concurrent Grow can neither tear the id set nor fail validation under it.
-func (o *LockFree[V]) Scan() ([]V, error) {
-	u := o.pin()
-	vals, _, err := o.collectPinned(u, u.all)
-	return vals, err
-}
+// Scan is PartialScan over every component.
+func (o *LockFree[V]) Scan() ([]V, error) { return o.PartialScan(o.all) }

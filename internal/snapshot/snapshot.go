@@ -50,22 +50,13 @@ import (
 )
 
 // ErrBadComponent is returned (wrapped, with detail) when a component-ID
-// set handed to Update or PartialScan is empty, contains an out-of-range
-// ID, contains duplicates, or does not match the number of values. "Out of
-// range" means out of range of the epoch the operation pinned: an id that
-// a concurrent Grow is adding may draw this error, and the rejection
-// linearizes at the pin, before that Grow. The universe never shrinks, so
-// an id that was valid once stays valid.
+// set handed to Update or PartialScan is empty, contains an ID outside
+// [0, n), contains duplicates, or does not match the number of values.
 var ErrBadComponent = errors.New("snapshot: bad component set")
-
-// ErrBadResize is returned (wrapped, with detail) when a Grow amount is
-// not positive or would overflow int.
-var ErrBadResize = errors.New("snapshot: bad resize")
 
 // Object is the partial snapshot API shared by all implementations.
 type Object[V any] interface {
-	// Components returns n, the number of components in the object
-	// (the current epoch's count, for resizable implementations).
+	// Components returns n, the object's fixed number of components.
 	Components() int
 	// Update atomically writes vals[i] to component ids[i] for each i.
 	// Each component write is individually linearizable; see the package
@@ -77,11 +68,6 @@ type Object[V any] interface {
 	PartialScan(ids []int) ([]V, error)
 	// Scan is PartialScan over every component.
 	Scan() ([]V, error)
-	// Grow appends k fresh components, each initialised to the zero value
-	// of V, and returns the new component count. Linearizable: operations
-	// ordered after it see — and may name — the new components. Grow is
-	// the only resize; the universe never shrinks.
-	Grow(k int) (int, error)
 }
 
 // maxBitmaskComponents bounds the stack-allocated duplicate bitmask in

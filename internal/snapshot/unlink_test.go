@@ -23,7 +23,7 @@ func TestUnlinkRaceTwoWalkersSameEnrollment(t *testing.T) {
 	ctl := sched.NewController()
 	o := NewLockFree[int64](2).Instrument(ctl)
 
-	rec := newRecord(o.uni.Load(), []int{0}, 0)
+	rec := newRecord[int64]([]int{0}, 0)
 	o.announce(rec)
 
 	// The owner's retirement sweep parks before popping rec's now-stale
@@ -94,9 +94,9 @@ func TestUnlinkRaceAgainstEnroller(t *testing.T) {
 	// Two records stack up in slot 0: a (retired first) lingers mid-chain
 	// because b's live enrollment sits above it when a's retirement sweep
 	// runs — head-only popping stops at a live head.
-	a := newRecord(o.uni.Load(), []int{0}, 0)
+	a := newRecord[int64]([]int{0}, 0)
 	o.announce(a)
-	b := newRecord(o.uni.Load(), []int{0}, 0)
+	b := newRecord[int64]([]int{0}, 0)
 	o.announce(b)
 	o.retire(a)
 	if n := o.slotLen(0); n != 2 {
@@ -106,7 +106,7 @@ func TestUnlinkRaceAgainstEnroller(t *testing.T) {
 	// The record the enroller announces below is a fresh one; a's lingering
 	// enrollment stays stale by a's done flag for good, since a retired
 	// record is never reused.
-	fresh := newRecord(o.uni.Load(), []int{0}, 0)
+	fresh := newRecord[int64]([]int{0}, 0)
 
 	// b's retirement sweep parks before popping b's own now-stale head
 	// enrollment; b is already logically retired.

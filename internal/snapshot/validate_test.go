@@ -122,61 +122,41 @@ func TestValidateIDsHeapFallbackThroughPublicAPI(t *testing.T) {
 	}
 }
 
-// TestValidateIDsBoundFollowsPinnedEpoch grows an object across the
+// TestValidateIDsAcrossBitmaskSeam builds an object on each side of the
 // stack-bitmask/heap-bitmask seam — maxBitmaskComponents-1, exactly
 // maxBitmaskComponents, then one past it — and checks at every size that
-// the validation bound is the PINNED epoch's component count, not the
-// construction-time one: the frontier id flips from rejected to accepted
-// at the Grow that legitimises it, and wide sets pick the right duplicate
-// detector on both sides of the seam.
-func TestValidateIDsBoundFollowsPinnedEpoch(t *testing.T) {
+// the validation bound is the object's component count and that wide sets
+// pick the right duplicate detector (stack bitmask at and below the seam,
+// heap bitmask above).
+func TestValidateIDsAcrossBitmaskSeam(t *testing.T) {
 	const seam = maxBitmaskComponents // 4096
-	o := NewLockFree[int64](seam - 1)
-
-	// A >32-wide set ending at the current frontier, regenerated per size
-	// so it always exercises the wide-set (non-quadratic) detectors.
-	wideTo := func(top int) []int {
-		ids := make([]int, 40)
-		for i := range ids {
-			ids[i] = top - i*((top+1)/41)
-		}
-		return ids
-	}
-
-	for step, n := range []int{seam - 1, seam, seam + 1} {
+	for _, n := range []int{seam - 1, seam, seam + 1} {
+		o := NewLockFree[int64](n)
 		if got := o.Components(); got != n {
-			t.Fatalf("step %d: Components() = %d, want %d", step, got, n)
+			t.Fatalf("Components() = %d, want %d", got, n)
 		}
-		// The frontier id n-1 is valid; n is this epoch's first bad id.
-		if _, err := o.PartialScan([]int{n - 1}); err != nil {
+		// The frontier id n-1 is valid; n is the first bad id.
+		if err := o.Update([]int{n - 1}, []int64{int64(n)}); err != nil {
 			t.Fatalf("n=%d: frontier id %d rejected: %v", n, n-1, err)
 		}
 		if _, err := o.PartialScan([]int{n}); !errors.Is(err, ErrBadComponent) {
-			t.Fatalf("n=%d: id %d accepted beyond the pinned bound: %v", n, n, err)
+			t.Fatalf("n=%d: id %d accepted beyond the bound: %v", n, n, err)
 		}
-		// Wide sets: valid at the frontier, duplicates caught on whichever
-		// detector this epoch's size selects (stack bitmask at and below
-		// the seam, heap bitmask above).
-		ids := wideTo(n - 1)
-		if err := validateIDs(n, ids); err != nil {
+		// A >32-wide set ending at the frontier, so it exercises the
+		// wide-set (non-quadratic) detectors.
+		ids := make([]int, 40)
+		for i := range ids {
+			ids[i] = n - 1 - i*(n/41)
+		}
+		if _, err := o.PartialScan(ids); err != nil {
 			t.Fatalf("n=%d: valid wide set rejected: %v", n, err)
 		}
 		dup := append([]int(nil), ids...)
 		dup[len(dup)-1] = dup[0]
-		if err := validateIDs(n, dup); !errors.Is(err, ErrBadComponent) {
+		if _, err := o.PartialScan(dup); !errors.Is(err, ErrBadComponent) {
 			t.Fatalf("n=%d: wide duplicate of id %d missed: %v", n, dup[0], err)
 		}
-		if step < 2 {
-			if size, err := o.Grow(1); err != nil || size != n+1 {
-				t.Fatalf("Grow(1) at n=%d = %d, %v; want %d, nil", n, size, err, n+1)
-			}
-			// The id that was just out of range is now writable.
-			if err := o.Update([]int{n}, []int64{int64(n)}); err != nil {
-				t.Fatalf("id %d rejected immediately after the Grow that added it: %v", n, err)
-			}
-		}
 	}
-
 }
 
 // TestValidateIDsFullWidthDuplicate16384 validates a full-width set at

@@ -12,36 +12,26 @@ import (
 // whole history at once. Its one known difference from Check is the
 // degenerate scan that names no component, which it rejects.
 func CheckBatch[V comparable](n int, ops []Op[V]) error {
-	limit := n
-	for _, op := range ops {
-		if op.Kind == Grow && op.Size > limit {
-			limit = op.Size
-		}
-	}
 	var zero V
-	perComp := make([][]write[V], limit)
+	perComp := make([][]write[V], n)
 	for _, op := range ops {
-		switch op.Kind {
-		case Update:
-			if len(op.Vals) != len(op.Comps) {
-				return fmt.Errorf("spec: malformed update op: %d values for %d components", len(op.Vals), len(op.Comps))
+		if op.Kind != Update {
+			continue
+		}
+		if len(op.Vals) != len(op.Comps) {
+			return fmt.Errorf("spec: malformed update op: %d values for %d components", len(op.Vals), len(op.Comps))
+		}
+		for i, c := range op.Comps {
+			if c < 0 || c >= n {
+				return fmt.Errorf("spec: update names component %d out of range [0,%d)", c, n)
 			}
-			for i, c := range op.Comps {
-				if c < 0 || c >= limit {
-					return fmt.Errorf("spec: update names component %d out of range [0,%d)", c, limit)
-				}
-				perComp[c] = append(perComp[c], write[V]{start: op.Start, end: op.End, val: op.Vals[i]})
-			}
-		case Grow:
-			if op.Delta <= 0 || op.Size-op.Delta < 0 || op.Size > limit {
-				return fmt.Errorf("spec: malformed grow op: delta %d size %d (limit %d)", op.Delta, op.Size, limit)
-			}
+			perComp[c] = append(perComp[c], write[V]{start: op.Start, end: op.End, val: op.Vals[i]})
 		}
 	}
 	// Sort each component's writes by start and precompute the suffix
 	// minimum of end times, so "earliest definite overwrite after w" is a
 	// binary search away.
-	sufMinEnd := make([][]int64, limit)
+	sufMinEnd := make([][]int64, n)
 	for c := range perComp {
 		ws := perComp[c]
 		sort.Slice(ws, func(i, j int) bool { return ws[i].start < ws[j].start })
@@ -63,8 +53,8 @@ func CheckBatch[V comparable](n int, ops []Op[V]) error {
 		// candidate write of the observed value), clipped to the scan.
 		cands := make([][]interval, len(op.Comps))
 		for i, c := range op.Comps {
-			if c < 0 || c >= limit {
-				return fmt.Errorf("spec: scan names component %d out of range [0,%d)", c, limit)
+			if c < 0 || c >= n {
+				return fmt.Errorf("spec: scan names component %d out of range [0,%d)", c, n)
 			}
 			v := op.Vals[i]
 			var ivs []interval

@@ -35,9 +35,8 @@ import (
 // After the first violation the Checker keeps the error and ignores
 // further events.
 type Checker[V comparable] struct {
-	limit   int // component ids below this are in range
-	maxComp int // largest component an update or scan named, -1 = none
-	comps   []component[V]
+	n     int // component ids in [0, n) are in range
+	comps []component[V]
 
 	window fifo[slot[V]] // begun ops not yet retired, in Begin order
 	scans  fifo[Ticket]  // ended scans not yet checked, in End order
@@ -97,10 +96,9 @@ type slot[V comparable] struct {
 // not pin its copy for the rest of the run.
 const maxKeptLen = 4096
 
-// NewChecker returns a Checker for an object that starts with n
-// components.
+// NewChecker returns a Checker for an object with n components.
 func NewChecker[V comparable](n int) *Checker[V] {
-	return &Checker[V]{limit: n, maxComp: -1}
+	return &Checker[V]{n: n}
 }
 
 // Begin records that an operation was invoked at logical time start.
@@ -140,12 +138,6 @@ func (c *Checker[V]) End(t Ticket, op Op[V]) {
 			}
 			c.write(comp, s.start, s.end, op.Vals[i])
 		}
-	case Grow:
-		if op.Delta <= 0 || op.Size-op.Delta < 0 {
-			c.fail(fmt.Errorf("spec: malformed grow op: delta %d size %d", op.Delta, op.Size))
-			return
-		}
-		c.limit = max(c.limit, op.Size)
 	case Scan:
 		if len(op.Vals) != len(op.Comps) {
 			c.fail(fmt.Errorf("spec: malformed scan op: %d values for %d components", len(op.Vals), len(op.Comps)))
@@ -186,15 +178,8 @@ func (c *Checker[V]) Abort(t Ticket) {
 	c.advance()
 }
 
-// Err returns the first violation found, or nil. Component ids are
-// range-checked against the largest universe any Grow has reported, as
-// Check does over a whole history.
-func (c *Checker[V]) Err() error {
-	if c.err == nil && c.maxComp >= c.limit {
-		return fmt.Errorf("spec: an op names component %d, out of range [0,%d)", c.maxComp, c.limit)
-	}
-	return c.err
-}
+// Err returns the first violation found, or nil.
+func (c *Checker[V]) Err() error { return c.err }
 
 // Status reports the Checker's progress. Once a violation has stopped the
 // check, every begun op counts as ended.
@@ -220,16 +205,15 @@ func (c *Checker[V]) slot(t Ticket) *slot[V] {
 }
 
 // name notes that an op named comp and grows the per-component state to
-// cover it; a negative id is a violation.
+// cover it; an id outside [0, n) is a violation.
 func (c *Checker[V]) name(comp int) bool {
-	if comp < 0 {
-		c.fail(fmt.Errorf("spec: an op names component %d, out of range", comp))
+	if comp < 0 || comp >= c.n {
+		c.fail(fmt.Errorf("spec: an op names component %d, out of range [0,%d)", comp, c.n))
 		return false
 	}
 	for len(c.comps) <= comp {
 		c.comps = append(c.comps, component[V]{minEnd: math.MaxInt64})
 	}
-	c.maxComp = max(c.maxComp, comp)
 	return true
 }
 

@@ -2,6 +2,7 @@ package spec_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"partialsnapshot/internal/spec"
@@ -50,8 +51,89 @@ func TestCheckerAbortIsNotHistory(t *testing.T) {
 	}
 }
 
+// TestCheckerRejectsOutOfRangeAtOnce: an id outside [0, n) is a violation
+// as soon as the op naming it ends, even while an earlier op is still in
+// flight.
+func TestCheckerRejectsOutOfRangeAtOnce(t *testing.T) {
+	c := spec.NewChecker[int64](2)
+	c.Begin(1) // never ends
+	s := c.Begin(2)
+	c.End(s, spec.Op[int64]{Kind: spec.Scan, End: 3, Comps: []int{2}, Vals: []int64{0}})
+	if c.Err() == nil {
+		t.Fatal("a scan of component 2 on a 2-component object was not rejected when it ended")
+	}
+}
+
+// Seed histories over wider objects, each also run on a size that puts
+// its ids out of range.
+var (
+	// wideSequential reads the initial zero of an unwritten component
+	// next to a written one; wideMisread then reads component 3's value
+	// on component 2.
+	wideSequential = []spec.Op[int64]{
+		{Kind: spec.Update, Start: 1, End: 2, Comps: []int{1}, Vals: []int64{10}},
+		{Kind: spec.Scan, Start: 3, End: 4, Comps: []int{1, 3}, Vals: []int64{10, 0}},
+		{Kind: spec.Update, Start: 5, End: 6, Comps: []int{3}, Vals: []int64{30}},
+		{Kind: spec.Scan, Start: 7, End: 8, Comps: []int{3}, Vals: []int64{30}},
+	}
+	wideMisread = append(slices.Clone(wideSequential),
+		spec.Op[int64]{Kind: spec.Scan, Start: 9, End: 10, Comps: []int{2}, Vals: []int64{30}})
+	// outOfRangeUpdate writes component 2 of a 2-component object.
+	outOfRangeUpdate = []spec.Op[int64]{
+		{Kind: spec.Update, Start: 1, End: 2, Comps: []int{2}, Vals: []int64{5}},
+	}
+	// unwrittenZero is outOfRangeScan on a 3-component object.
+	unwrittenZero = outOfRangeScan
+	// zeroBeforeFirstWrite: a scan observes component 2's zero while its
+	// first write is in flight; staleZero reads it after the write ended;
+	// unwrittenValue reads a value nobody wrote.
+	zeroBeforeFirstWrite = []spec.Op[int64]{
+		{Kind: spec.Update, Start: 1, End: 4, Comps: []int{2}, Vals: []int64{20}},
+		{Kind: spec.Scan, Start: 2, End: 3, Comps: []int{2}, Vals: []int64{0}},
+	}
+	staleZero = []spec.Op[int64]{
+		{Kind: spec.Update, Start: 1, End: 2, Comps: []int{2}, Vals: []int64{20}},
+		{Kind: spec.Scan, Start: 3, End: 4, Comps: []int{2}, Vals: []int64{0}},
+	}
+	unwrittenValue = []spec.Op[int64]{
+		{Kind: spec.Scan, Start: 1, End: 2, Comps: []int{2}, Vals: []int64{20}},
+	}
+	// overlapScan reads component 1 from before a write it overlaps, and
+	// component 2's zero.
+	overlapScan = []spec.Op[int64]{
+		{Kind: spec.Update, Start: 1, End: 2, Comps: []int{1}, Vals: []int64{10}},
+		{Kind: spec.Update, Start: 4, End: 5, Comps: []int{1}, Vals: []int64{11}},
+		{Kind: spec.Scan, Start: 3, End: 7, Comps: []int{1, 2}, Vals: []int64{10, 0}},
+	}
+	// writeThenWideScan writes component 2 and scans components 2 and 3:
+	// valid on 4 components, out of range on 2.
+	writeThenWideScan = []spec.Op[int64]{
+		{Kind: spec.Update, Start: 1, End: 3, Comps: []int{2}, Vals: []int64{5}},
+		{Kind: spec.Scan, Start: 4, End: 5, Comps: []int{2, 3}, Vals: []int64{5, 0}},
+	}
+)
+
+func TestCheckWideHistories(t *testing.T) {
+	for _, h := range []struct {
+		name  string
+		n     int
+		ops   []spec.Op[int64]
+		valid bool
+	}{
+		{"wideSequential", 4, wideSequential, true}, {"wideMisread", 4, wideMisread, false},
+		{"outOfRangeUpdate", 2, outOfRangeUpdate, false}, {"unwrittenZero", 3, unwrittenZero, true},
+		{"zeroBeforeFirstWrite", 3, zeroBeforeFirstWrite, true}, {"staleZero", 3, staleZero, false},
+		{"unwrittenValue", 3, unwrittenValue, false}, {"overlapScan", 3, overlapScan, true},
+		{"writeThenWideScan/4", 4, writeThenWideScan, true}, {"writeThenWideScan/2", 2, writeThenWideScan, false},
+	} {
+		if err := spec.Check(h.n, h.ops); (err == nil) != h.valid {
+			t.Errorf("%s on %d components: err = %v, want valid = %v", h.name, h.n, err, h.valid)
+		}
+	}
+}
+
 // FuzzOnlineCheck decodes small histories — up to 4 components and 12
-// updates, scans and grows, values repeating freely — and
+// updates and scans, values repeating freely — and
 // requires the online Checker (through Check) to reach the batch
 // reference's verdict.
 func FuzzOnlineCheck(f *testing.F) {
@@ -63,11 +145,11 @@ func FuzzOnlineCheck(f *testing.F) {
 		{1, concurrentRead(0)}, {1, concurrentRead(7)},
 		{1, staleRead}, {1, futureRead}, {1, overwrittenRead},
 		{2, tornScan}, {2, consistentScan}, {2, midUpdateTear},
-		{2, sequentialResizes}, {2, sequentialMisread}, {2, growWrongSize},
-		{2, growThenScan}, {2, growThenScan[1:]},
-		{2, grownZeroBeforeWrite}, {2, grownStaleZero}, {2, grownUnwritten},
-		{2, growOverlapsScan},
-		{2, namedBeforeGrowReturns}, {2, namedBeforeGrowReturns[1:]},
+		{2, outOfRangeScan},
+		{4, wideSequential}, {4, wideMisread}, {2, outOfRangeUpdate},
+		{3, unwrittenZero}, {3, zeroBeforeFirstWrite}, {3, staleZero},
+		{3, unwrittenValue}, {3, overlapScan},
+		{4, writeThenWideScan}, {2, writeThenWideScan},
 	} {
 		data := encodeHistory(h.n, h.ops)
 		if n, ops := decodeHistory(data); n != h.n || !reflect.DeepEqual(ops, h.ops) {
@@ -85,9 +167,8 @@ func FuzzOnlineCheck(f *testing.F) {
 }
 
 // decodeHistory reads a history from fuzz bytes: the initial component
-// count, then per op its kind, start and duration, and either a component
-// count and (component, value) pairs or a Grow's delta and size.
-// encodeHistory is its inverse for the seed histories.
+// count, then per op its kind (update or scan), start and duration, a
+// component count and (component, value) pairs. encodeHistory is its inverse for the seed histories.
 func decodeHistory(data []byte) (int, []spec.Op[int64]) {
 	next := func() int {
 		if len(data) == 0 {
@@ -100,17 +181,12 @@ func decodeHistory(data []byte) (int, []spec.Op[int64]) {
 	n := 1 + next()%4
 	var ops []spec.Op[int64]
 	for len(data) > 0 && len(ops) < 12 {
-		op := spec.Op[int64]{Kind: spec.Kind(next() % 3)}
+		op := spec.Op[int64]{Kind: spec.Kind(next() % 2)}
 		op.Start = int64(next() % 64)
 		op.End = op.Start + int64(next()%32)
-		switch op.Kind {
-		case spec.Update, spec.Scan:
-			for k := 1 + next()%4; k > 0; k-- {
-				op.Comps = append(op.Comps, next()%4)
-				op.Vals = append(op.Vals, int64(next()%32))
-			}
-		default:
-			op.Delta, op.Size = next()%8, next()%8
+		for k := 1 + next()%4; k > 0; k-- {
+			op.Comps = append(op.Comps, next()%4)
+			op.Vals = append(op.Vals, int64(next()%32))
 		}
 		ops = append(ops, op)
 	}
@@ -120,15 +196,9 @@ func decodeHistory(data []byte) (int, []spec.Op[int64]) {
 func encodeHistory(n int, ops []spec.Op[int64]) []byte {
 	data := []byte{byte(n - 1)}
 	for _, op := range ops {
-		data = append(data, byte(op.Kind), byte(op.Start), byte(op.End-op.Start))
-		switch op.Kind {
-		case spec.Update, spec.Scan:
-			data = append(data, byte(len(op.Comps)-1))
-			for i, c := range op.Comps {
-				data = append(data, byte(c), byte(op.Vals[i]))
-			}
-		default:
-			data = append(data, byte(op.Delta), byte(op.Size))
+		data = append(data, byte(op.Kind), byte(op.Start), byte(op.End-op.Start), byte(len(op.Comps)-1))
+		for i, c := range op.Comps {
+			data = append(data, byte(c), byte(op.Vals[i]))
 		}
 	}
 	return data

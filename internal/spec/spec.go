@@ -3,10 +3,8 @@
 // it, which runs online (Checker) or over a recorded history (Check, a
 // replay through the same Checker).
 //
-// The sequential model is an array of components: Update assigns, Scan
-// reads, and the array can grow — Grow appends zero-valued components — so
-// resizes are part of the checked history, not out-of-band events. For
-// sequential (non-overlapping) histories, CheckSequential replays the
+// The sequential model is a fixed array of n components: Update assigns
+// and Scan reads. For sequential (non-overlapping) histories, CheckSequential replays the
 // model exactly. For concurrent histories, Check verifies the atomic-cut
 // property the implementation promises: for every scan there must exist
 // an instant t inside the scan's interval at which every observed value
@@ -47,12 +45,6 @@ const (
 	Update Kind = iota
 	// Scan is a partial scan that observed Vals[i] on component Comps[i].
 	Scan
-	// Grow appended Delta fresh zero-valued components, leaving Size
-	// components. For the checker a Grow only raises the component limit:
-	// a grown component has no earlier write, so the zero it starts with is
-	// the initial value every component has until its first write
-	// definitely completes.
-	Grow
 )
 
 // Op is one completed operation in a recorded history. Start and End are
@@ -74,12 +66,6 @@ type Op[V comparable] struct {
 	// posted view the scan returned; 0 = the scan completed by its own
 	// double collect. Checked by CheckProvenance.
 	AdoptedFrom uint64
-
-	// Delta, on Grow ops, is the number of components added; Size is the
-	// component count the Grow reported, i.e. the count immediately after
-	// its linearization point.
-	Delta int
-	Size  int
 }
 
 // Model is the sequential partial snapshot: a plain array of components.
@@ -108,16 +94,6 @@ func (m *Model[V]) Read(comps []int) []V {
 		out[i] = m.vals[c]
 	}
 	return out
-}
-
-// Grow performs a sequential Grow: k fresh zero-valued components are
-// appended and the new count returned. Mirrors snapshot.Object.Grow.
-func (m *Model[V]) Grow(k int) (int, error) {
-	if k <= 0 {
-		return 0, fmt.Errorf("spec: bad resize: grow by %d components", k)
-	}
-	m.vals = append(m.vals, make([]V, k)...)
-	return len(m.vals), nil
 }
 
 // Recorder accumulates a concurrent history. Concurrent goroutines draw
@@ -176,14 +152,6 @@ func CheckSequential[V comparable](n int, ops []Op[V]) error {
 						i, op.Vals[j], op.Comps[j], want[j])
 				}
 			}
-		case Grow:
-			size, err := m.Grow(op.Delta)
-			if err != nil {
-				return fmt.Errorf("spec: sequential grow %d: %w", i, err)
-			}
-			if op.Size != 0 && op.Size != size {
-				return fmt.Errorf("spec: sequential grow %d reported %d components, model has %d", i, op.Size, size)
-			}
 		}
 	}
 	return nil
@@ -204,13 +172,8 @@ type write[V comparable] struct {
 // at t iff w.start <= t (the write may have taken effect) and no other
 // write on the same component definitely landed after w and completed
 // before t. The zero value of V is additionally plausible until the first
-// write on the component has definitely completed.
-//
-// The component universe grows: n is the initial count, and recorded Grow
-// ops raise the checker's id limit to the largest universe any Grow
-// reported. A Grow writes nothing the check needs: a component it creates
-// has no earlier write, so the zero observed on it is the initial value,
-// admissible until the component's first write definitely completes.
+// write on the component has definitely completed. An op naming a
+// component outside [0, n) is a violation.
 //
 // Check replays the history's begin and end events, in timestamp order,
 // through a Checker: the online check and the batch one are the same code.

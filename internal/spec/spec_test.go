@@ -23,8 +23,8 @@ func TestModelSequentialSemantics(t *testing.T) {
 	}
 }
 
-// The histories below, with resize_test.go's, are what the tests pin and
-// what FuzzOnlineCheck's seed corpus starts from.
+// The histories below are what the tests pin and what FuzzOnlineCheck's
+// seed corpus starts from.
 var (
 	sequentialGood = []spec.Op[int64]{
 		{Kind: spec.Update, Start: 1, End: 2, Comps: []int{0}, Vals: []int64{7}},
@@ -85,6 +85,10 @@ var (
 	midUpdateTear = []spec.Op[int64]{
 		{Kind: spec.Update, Start: 1, End: 10, Comps: []int{0, 1}, Vals: []int64{10, 20}},
 		{Kind: spec.Scan, Start: 4, End: 6, Comps: []int{0, 1}, Vals: []int64{10, 0}},
+	}
+	// outOfRangeScan scans component 2 of a 2-component object.
+	outOfRangeScan = []spec.Op[int64]{
+		{Kind: spec.Scan, Start: 1, End: 2, Comps: []int{2}, Vals: []int64{0}},
 	}
 )
 

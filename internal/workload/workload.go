@@ -50,39 +50,12 @@ const (
 	// reads a nil slot head and skips the walk — the shape that measures
 	// the uncontended update fast path.
 	UpdateHeavy Shape = "update-heavy"
-	// Churn runs uniform-style traffic over a growing universe: worker 0
-	// issues one Grow of flex = max(1, n/4) components as its growAt-th op,
-	// taking the component count from n to n+flex, while every worker's
-	// component picks spread over base and flex zone in proportion to their
-	// sizes. Operations naming a flex component before the Grow lands are
-	// rejected by the object (ErrBadComponent) — consumers of resizing
-	// shapes must tolerate that.
-	Churn Shape = "churn"
-	// FlashCrowd is Churn with the traffic rushing the frontier: 80% of
-	// operations pick only from the flex zone, so scans and updates pile
-	// onto components that appear under them.
-	FlashCrowd Shape = "flash-crowd"
 )
 
 // Shapes lists every named shape, in the order test matrices iterate them.
 func Shapes() []Shape {
-	return []Shape{Uniform, Zipfian, Partitioned, BatchHeavy, ScanHeavy, UpdateHeavy, Churn, FlashCrowd}
+	return []Shape{Uniform, Zipfian, Partitioned, BatchHeavy, ScanHeavy, UpdateHeavy}
 }
-
-// Resizes reports whether the shape emits a Grow over a moving component
-// universe.
-func (s Shape) Resizes() bool { return s == Churn || s == FlashCrowd }
-
-// Flex returns the resize amplitude of a resizing shape over an n-component
-// base universe: its Grow takes the count from n to n+Flex(n).
-func Flex(n int) int {
-	return max(1, n/4)
-}
-
-// growAt is the position, counted from 1, of worker 0's Grow in a resizing
-// shape's stream: late enough that traffic runs before the install, early
-// enough that every stream crosses it.
-const growAt = 4
 
 // zipfSkew is the rank exponent of the Zipfian shape: rand.NewZipf draws
 // rank k with probability proportional to (1+k)^-zipfSkew (larger = hotter
@@ -196,8 +169,6 @@ const (
 	OpUpdate Kind = iota
 	// OpScan partially scans Comps.
 	OpScan
-	// OpGrow appends Delta fresh components (resizing shapes only).
-	OpGrow
 )
 
 // Op is one generated operation. Comps and Vals alias the stream's
@@ -208,13 +179,11 @@ type Op struct {
 	Kind  Kind
 	Comps []int
 	Vals  []int64
-	// Delta is the resize amount of OpGrow ops (0 otherwise).
-	Delta int
 }
 
 // Clone returns an Op with freshly allocated slices, safe to retain.
 func (op Op) Clone() Op {
-	out := Op{Kind: op.Kind, Comps: append([]int(nil), op.Comps...), Delta: op.Delta}
+	out := Op{Kind: op.Kind, Comps: append([]int(nil), op.Comps...)}
 	if op.Vals != nil {
 		out.Vals = append([]int64(nil), op.Vals...)
 	}
@@ -279,13 +248,6 @@ func (g *Generator) Stream(worker int) *Stream {
 	if c.Shape == Zipfian {
 		s.zipf = rand.NewZipf(rng, zipfSkew, 1, uint64(n-1))
 	}
-	if c.Shape.Resizes() {
-		f := Flex(c.Components)
-		s.flexPool = make([]int, f)
-		for i := range s.flexPool {
-			s.flexPool[i] = c.Components + i
-		}
-	}
 	return s
 }
 
@@ -302,29 +264,19 @@ func (g *Generator) Ops(worker, n int) []Op {
 
 // Stream is one worker's deterministic operation sequence.
 type Stream struct {
-	cfg      Config
-	worker   int
-	rng      *rand.Rand
-	zipf     *rand.Zipf
-	pool     []int // permutation of the worker's component pool
-	flexPool []int // resizing shapes: permutation of the flex zone [n, n+flex)
-	comps    []int // reused Op.Comps buffer
-	vals     []int64
-	seq      int
-	opIdx    int // churner: ops emitted so far, counted up to growAt
+	cfg    Config
+	worker int
+	rng    *rand.Rand
+	zipf   *rand.Zipf
+	pool   []int // permutation of the worker's component pool
+	comps  []int // reused Op.Comps buffer
+	vals   []int64
+	seq    int
 }
 
 // Next returns the stream's next operation. The returned slices are
 // reused; see Op.
 func (s *Stream) Next() Op {
-	if s.cfg.Shape.Resizes() && s.worker == 0 && s.opIdx < growAt {
-		// Worker 0 is the sole churner, so its one Grow never races
-		// another resize and always succeeds.
-		s.opIdx++
-		if s.opIdx == growAt {
-			return Op{Kind: OpGrow, Delta: Flex(s.cfg.Components)}
-		}
-	}
 	// Degenerate mixes draw no mix decision: a pure-scan (frac >= 1) or
 	// pure-update (frac <= 0) stream spends its randomness only on component
 	// picks. Mixed streams consume exactly one Float64 per op. Any change to
@@ -345,9 +297,6 @@ func (s *Stream) Next() Op {
 // pick fills the comps buffer with k distinct components from the
 // worker's pool, per the shape's distribution.
 func (s *Stream) pick(k int) []int {
-	if s.flexPool != nil {
-		return s.pickCrowd(k)
-	}
 	if s.zipf != nil {
 		return s.pickZipf(k)
 	}
@@ -359,35 +308,6 @@ func (s *Stream) pick(k int) []int {
 		s.pool[i], s.pool[j] = s.pool[j], s.pool[i]
 	}
 	return append(s.comps[:0], s.pool[:k]...)
-}
-
-// pickCrowd draws k distinct components for the resizing shapes: each op
-// commits to one zone — the stable base universe [0, n) or the flex zone
-// [n, n+flex) that the churner's Grow creates — and picks uniformly within
-// it. Churn selects zones in proportion to their sizes (uniform over the
-// grown universe in expectation); FlashCrowd sends 80% of traffic to the
-// flex zone. Flex-zone ops are clamped to the zone's width, and they
-// deliberately do NOT track whether the Grow has landed: an op naming a
-// not-yet-grown component is part of the shape, and the object rejects it
-// with ErrBadComponent.
-func (s *Stream) pickCrowd(k int) []int {
-	bias := float64(len(s.flexPool)) / float64(len(s.pool)+len(s.flexPool))
-	if s.cfg.Shape == FlashCrowd {
-		bias = 0.8
-	}
-	pool := s.pool
-	if s.rng.Float64() < bias {
-		pool = s.flexPool
-		if k > len(pool) {
-			k = len(pool)
-		}
-	}
-	n := len(pool)
-	for i := 0; i < k; i++ {
-		j := i + s.rng.IntN(n-i)
-		pool[i], pool[j] = pool[j], pool[i]
-	}
-	return append(s.comps[:0], pool[:k]...)
 }
 
 // pickZipf draws k distinct components with Zipf-distributed ranks over

@@ -52,26 +52,9 @@ func TestOpsAreWellFormed(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := g.Config()
-			// Resizing shapes draw from the grown universe [0, n+flex) and
-			// clamp flex-zone ops to the zone's width.
-			limit, flex := cfg.Components, 0
-			if cfg.Shape.Resizes() {
-				flex = Flex(cfg.Components)
-				limit += flex
-			}
-			scans, updates, resizes := 0, 0, 0
+			scans, updates := 0, 0
 			for w := 0; w < cfg.Workers; w++ {
 				for _, op := range g.Ops(w, 200) {
-					if op.Kind == OpGrow {
-						resizes++
-						if w != 0 {
-							t.Fatalf("worker %d emitted a resize; only worker 0 churns", w)
-						}
-						if op.Delta != flex || len(op.Comps) != 0 || len(op.Vals) != 0 {
-							t.Fatalf("malformed resize op %+v, want delta %d and no components", op, flex)
-						}
-						continue
-					}
 					want := cfg.UpdateWidth
 					if op.Kind == OpScan {
 						want = cfg.ScanWidth
@@ -87,20 +70,13 @@ func TestOpsAreWellFormed(t *testing.T) {
 							}
 						}
 					}
-					inFlex := len(op.Comps) > 0 && op.Comps[0] >= cfg.Components
-					if inFlex && want > flex {
-						want = flex
-					}
 					if len(op.Comps) != want {
 						t.Fatalf("%v op width %d, want %d", op.Kind, len(op.Comps), want)
 					}
 					seen := map[int]bool{}
 					for _, c := range op.Comps {
-						if c < 0 || c >= limit {
-							t.Fatalf("component %d out of range [0,%d)", c, limit)
-						}
-						if inFlex != (c >= cfg.Components) {
-							t.Fatalf("op %v mixes base and flex zones", op.Comps)
+						if c < 0 || c >= cfg.Components {
+							t.Fatalf("component %d out of range [0,%d)", c, cfg.Components)
 						}
 						if seen[c] {
 							t.Fatalf("duplicate component %d in %v", c, op.Comps)
@@ -115,14 +91,6 @@ func TestOpsAreWellFormed(t *testing.T) {
 			if (scans > 0) != wantScans || (updates > 0) != wantUpdates {
 				t.Fatalf("shape %s (frac %v) generated %d scans / %d updates, want scans=%v updates=%v",
 					shape, cfg.ScanFrac, scans, updates, wantScans, wantUpdates)
-			}
-			if cfg.Shape.Resizes() {
-				// Worker 0 grows once, whatever the stream's length.
-				if resizes != 1 {
-					t.Fatalf("shape %s generated %d resizes, want 1", shape, resizes)
-				}
-			} else if resizes != 0 {
-				t.Fatalf("shape %s generated %d resizes, want none", shape, resizes)
 			}
 		})
 	}
@@ -242,64 +210,11 @@ func TestValueEncoding(t *testing.T) {
 	}
 }
 
-// TestChurnerGrowsOnce: worker 0 of a resizing shape emits exactly one
-// resize, a Grow of Flex(n) as its growAt-th op, so the component count
-// goes from n to n+flex once and the Grow succeeds (no other worker
-// resizes).
-func TestChurnerGrowsOnce(t *testing.T) {
-	g, err := New(Config{Shape: Churn, Components: 16, Workers: 2, ScanFrac: -1, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, op := range g.Ops(0, 60) {
-		if isGrow := op.Kind == OpGrow; isGrow != (i+1 == growAt) {
-			t.Fatalf("op %d: grow = %v, want %v", i, isGrow, i+1 == growAt)
-		}
-		if op.Kind == OpGrow && op.Delta != Flex(16) {
-			t.Fatalf("grow delta %d, want %d", op.Delta, Flex(16))
-		}
-	}
-	for _, op := range g.Ops(1, 60) {
-		if op.Kind == OpGrow {
-			t.Fatal("worker 1 emitted a resize")
-		}
-	}
-}
-
-// TestFlashCrowdRushesTheFrontier: most flash-crowd traffic lands in the
-// flex zone, while churn spreads in proportion to zone sizes.
-func TestFlashCrowdRushesTheFrontier(t *testing.T) {
-	frontierFrac := func(shape Shape) float64 {
-		g, err := New(Config{Shape: shape, Components: 16, Workers: 1, ScanFrac: -1, Seed: 9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		flexOps, total := 0, 0
-		for _, op := range g.Ops(0, 2000) {
-			if len(op.Comps) == 0 {
-				continue
-			}
-			total++
-			if op.Comps[0] >= 16 {
-				flexOps++
-			}
-		}
-		return float64(flexOps) / float64(total)
-	}
-	if frac := frontierFrac(FlashCrowd); frac < 0.7 {
-		t.Fatalf("flash-crowd sent %.0f%% of ops to the flex zone, want ~80%%", frac*100)
-	}
-	// Churn: flex/(n+flex) = 4/20 = 20%.
-	if frac := frontierFrac(Churn); frac < 0.1 || frac > 0.35 {
-		t.Fatalf("churn sent %.0f%% of ops to the flex zone, want ~20%%", frac*100)
-	}
-}
-
 // TestNextReusesBuffers: the hot path the benchmark loop sits on must not
 // allocate per operation. The count is not rounded, so an allocation on
 // every second call reads as 0.5 and fails.
 func TestNextReusesBuffers(t *testing.T) {
-	for _, shape := range []Shape{Uniform, Zipfian, Partitioned, UpdateHeavy, Churn, FlashCrowd} {
+	for _, shape := range []Shape{Uniform, Zipfian, Partitioned, UpdateHeavy} {
 		g, err := New(baseConfig(shape))
 		if err != nil {
 			t.Fatal(err)
@@ -327,7 +242,9 @@ func mallocsPerRun(runs int, f func()) (allocs, bytes float64) {
 }
 
 // fingerprint hashes the first n ops of worker w's stream with FNV-64a:
-// kind, delta, components and values of each op, little-endian.
+// kind, a zero word, components and values of each op, little-endian.
+// The zero word is where a resize amount used to be hashed; keeping it
+// keeps the golden values below unchanged.
 func fingerprint(g *Generator, w, n int) uint64 {
 	h := fnv.New64a()
 	var buf []byte
@@ -335,7 +252,7 @@ func fingerprint(g *Generator, w, n int) uint64 {
 	for i := 0; i < n; i++ {
 		op := s.Next()
 		buf = append(buf[:0], byte(op.Kind))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(op.Delta))
+		buf = binary.LittleEndian.AppendUint64(buf, 0)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(op.Comps)))
 		for _, c := range op.Comps {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(c))
@@ -360,8 +277,6 @@ func TestGoldenStreamFingerprints(t *testing.T) {
 		BatchHeavy:  {0x130e5e45bccfdaa6, 0x8b10e93c0e513604},
 		ScanHeavy:   {0x2676b2146634de34, 0x17684d97bbba395c},
 		UpdateHeavy: {0x92cd4e0ac2b540ed, 0xe5ff9f79f6dbebf4},
-		Churn:       {0x3a1b42892191dad8, 0xa60dbc84ce578530},
-		FlashCrowd:  {0x949f92accbe5cf04, 0x8c59d467c0cdd8dc},
 	}
 	for _, shape := range Shapes() {
 		g, err := New(baseConfig(shape))
