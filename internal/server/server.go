@@ -62,13 +62,13 @@ type Server struct {
 	impl snapshot.Impl
 	conf *conformance
 
-	requests    atomic.Uint64
-	badRequests atomic.Uint64
-	rejected    atomic.Uint64
-	internal    atomic.Uint64
-	updates     atomic.Uint64
-	updateOps   atomic.Uint64
-	scans       atomic.Uint64
+	requests       atomic.Uint64
+	badRequests    atomic.Uint64
+	rejected       atomic.Uint64
+	internal       atomic.Uint64
+	updates        atomic.Uint64
+	updatesApplied atomic.Uint64
+	scans          atomic.Uint64
 }
 
 // New builds a server over obj. impl is the snapshot.Impl name obj was
@@ -144,13 +144,13 @@ type StatsResp struct {
 	Impl       string `json:"impl"`
 	Components int    `json:"components"`
 
-	Requests    uint64 `json:"requests"`
-	UpdateReqs  uint64 `json:"update_reqs"`
-	UpdateOps   uint64 `json:"update_ops"`
-	Scans       uint64 `json:"scans"`
-	BadRequests uint64 `json:"bad_requests"`
-	Rejected    uint64 `json:"rejected"`
-	Internal    uint64 `json:"internal_errors"`
+	Requests       uint64 `json:"requests"`
+	UpdateReqs     uint64 `json:"update_reqs"`
+	UpdatesApplied uint64 `json:"update_ops"`
+	Scans          uint64 `json:"scans"`
+	BadRequests    uint64 `json:"bad_requests"`
+	Rejected       uint64 `json:"rejected"`
+	Internal       uint64 `json:"internal_errors"`
 
 	// CacheHits and CacheMisses always read 0: the server has no cache,
 	// but the repository benchmark (perfbench) reads both keys.
@@ -219,7 +219,7 @@ func (s *Server) applyUpdate(ids []int, vals []int64) error {
 		return err
 	}
 	s.conf.end(t, spec.Op[int64]{Kind: spec.Update, Comps: ids, Vals: vals})
-	s.updateOps.Add(1)
+	s.updatesApplied.Add(1)
 	return nil
 }
 
@@ -273,15 +273,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := StatsResp{
-		Impl:        string(s.impl),
-		Components:  s.obj.Components(),
-		Requests:    s.requests.Load(),
-		UpdateReqs:  s.updates.Load(),
-		UpdateOps:   s.updateOps.Load(),
-		Scans:       s.scans.Load(),
-		BadRequests: s.badRequests.Load(),
-		Rejected:    s.rejected.Load(),
-		Internal:    s.internal.Load(),
+		Impl:           string(s.impl),
+		Components:     s.obj.Components(),
+		Requests:       s.requests.Load(),
+		UpdateReqs:     s.updates.Load(),
+		UpdatesApplied: s.updatesApplied.Load(),
+		Scans:          s.scans.Load(),
+		BadRequests:    s.badRequests.Load(),
+		Rejected:       s.rejected.Load(),
+		Internal:       s.internal.Load(),
 	}
 	resp.RecordedOps = s.conf.status().Recorded
 	if sr, ok := s.obj.(snapshot.StatsReader); ok {

@@ -130,7 +130,7 @@ func TestHandlerRoundTrip(t *testing.T) {
 	if st.Impl != "lockfree" || st.Components != 8 {
 		t.Fatalf("stats identity wrong: %+v", st)
 	}
-	if st.UpdateOps != 4 || st.Scans != 2 {
+	if st.UpdatesApplied != 4 || st.Scans != 2 {
 		t.Fatalf("stats counters wrong: %+v", st)
 	}
 	if st.ObjectStats == nil {

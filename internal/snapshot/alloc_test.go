@@ -115,6 +115,34 @@ func TestUpdateBytes(t *testing.T) {
 	}
 }
 
+// newLockFreeSink keeps TestNewLockFreeBytes's objects on the heap.
+var newLockFreeSink *snapshot.LockFree[int64]
+
+// TestNewLockFreeBytes pins the setup path: NewLockFree[int64](64) makes
+// five allocations (the object, its register, slot and id arrays, and the
+// shared initial value), and the bytes they take are dominated by the
+// 128 B-per-component slot array. Anything else the object grows into its
+// own struct or allocates up front shows here first.
+func TestNewLockFreeBytes(t *testing.T) {
+	const runs, allocBudget, byteBudget = 1000, 5, 11_000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		newLockFreeSink = snapshot.NewLockFree[int64](64)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("NewLockFree[int64](64): %.2f allocs, %.0f B (budgets %d, %d)", allocs, bytes, allocBudget, byteBudget)
+	if allocs > allocBudget+snapshot.MallocSlack {
+		t.Errorf("NewLockFree[int64](64): %.2f allocs, budget %d", allocs, allocBudget)
+	}
+	if bytes > byteBudget {
+		t.Errorf("NewLockFree[int64](64): %.0f B, budget %d", bytes, byteBudget)
+	}
+}
+
 // TestCellRetentionBytes pins what runs cost in live heap. A register
 // keeps its whole run alive, so the live heap per component depends on
 // the write pattern. Written once each in order, 16 int64 components

@@ -2,6 +2,7 @@ package snapshot_test
 
 import (
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -121,4 +122,46 @@ func benchmarkUpdateOnly(b *testing.B, obj snapshot.Object[int64]) {
 
 func BenchmarkLockFreeUpdateWidth2(b *testing.B) {
 	benchmarkUpdateOnly(b, snapshot.NewLockFree[int64](benchComponents))
+}
+
+// BenchmarkDisjointUpdaters runs two goroutines that each update their own
+// single component, b.N times each, so ns/op is one update's time while
+// the other component is being written. The pairs share nothing the
+// protocol writes except where the layout makes them:
+//   - near: components 256 and 264 of 1,024, whose registers and slots
+//     sit on different lines;
+//   - far: components 256 and 768 of 1,024;
+//   - sameRegisterLine: components 33 and 34 of 64, whose registers share
+//     a cache line (registers are packed eight to a line).
+func BenchmarkDisjointUpdaters(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		n    int
+		pair [2]int
+	}{
+		{"near", 1024, [2]int{256, 264}},
+		{"far", 1024, [2]int{256, 768}},
+		{"sameRegisterLine", 64, [2]int{33, 34}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			o := snapshot.NewLockFree[int64](bc.n)
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for _, c := range bc.pair {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					ids, vals := []int{c}, []int64{0}
+					for i := 0; i < b.N; i++ {
+						vals[0] = int64(i)
+						if err := o.Update(ids, vals); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
+	}
 }

@@ -33,7 +33,7 @@ func dfsTimeout() time.Duration {
 }
 
 // specOracle is the standard model-checking oracle: operation errors,
-// spec.Check, spec.CheckProvenance and announcement hygiene, evaluated
+// spec.Check and announcement hygiene, evaluated
 // after every explored schedule. It accepts any implementation with a
 // Stats surface.
 func specOracle(components int, o snapshot.StatsReader, rec *spec.Recorder[int64],
@@ -44,12 +44,8 @@ func specOracle(components int, o snapshot.StatsReader, rec *spec.Recorder[int64
 		if len(*opErrs) > 0 {
 			return (*opErrs)[0]
 		}
-		ops := rec.Ops()
-		if err := spec.Check(components, ops); err != nil {
+		if err := spec.Check(components, rec.Ops()); err != nil {
 			return fmt.Errorf("schedule rejected by spec: %w", err)
-		}
-		if err := spec.CheckProvenance(ops); err != nil {
-			return fmt.Errorf("schedule rejected by provenance check: %w", err)
 		}
 		if st := o.Stats(); st.LiveAnnouncements != 0 {
 			return fmt.Errorf("schedule leaked %d live announcements", st.LiveAnnouncements)
@@ -76,26 +72,25 @@ func twoWritersOneScanner(c *sched.Controller) sched.Oracle {
 	update := func(name string, ids []int, vals []int64) {
 		c.Spawn(name, func() {
 			start := rec.Now()
-			id, err := o.UpdateOp(ids, vals)
-			if err != nil {
+			if err := o.Update(ids, vals); err != nil {
 				fail(fmt.Errorf("%s: %w", name, err))
 				return
 			}
 			rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
-				Comps: ids, Vals: vals, UpdateID: id})
+				Comps: ids, Vals: vals})
 		})
 	}
 	update("w1", []int{0}, []int64{workload.Value(0, 0)})
 	update("w2", []int{0, 1}, []int64{workload.Value(1, 0), workload.Value(1, 1)})
 	c.Spawn("scanner", func() {
 		start := rec.Now()
-		vals, info, err := o.PartialScanInfo([]int{0, 1})
+		vals, err := o.PartialScan([]int{0, 1})
 		if err != nil {
 			fail(fmt.Errorf("scanner: %w", err))
 			return
 		}
 		rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
-			Comps: []int{0, 1}, Vals: vals, AdoptedFrom: info.HelperOp})
+			Comps: []int{0, 1}, Vals: vals})
 	})
 	return specOracle(2, o, rec, &mu, &opErrs)
 }
@@ -103,7 +98,7 @@ func twoWritersOneScanner(c *sched.Controller) sched.Oracle {
 // TestDFSExhaustsTwoWritersOneScanner is the systematic counterpart of the
 // seeded matrix: it enumerates the ENTIRE preemption-2 schedule space of
 // the 2-writer/1-scanner scenario and requires every single schedule to
-// pass the sequential-spec and provenance oracles. Where the seeded
+// pass the sequential-spec and hygiene oracle. Where the seeded
 // Explorer samples, this exhausts: within the bound there is no
 // interleaving of this scenario the oracle has not accepted.
 func TestDFSExhaustsTwoWritersOneScanner(t *testing.T) {
@@ -159,26 +154,25 @@ func headTwoWritersOneScanner(skipped, walked *atomic.Uint64) sched.Scenario {
 		update := func(name string, ids []int, vals []int64) {
 			c.Spawn(name, func() {
 				start := rec.Now()
-				id, err := o.UpdateOp(ids, vals)
-				if err != nil {
+				if err := o.Update(ids, vals); err != nil {
 					fail(fmt.Errorf("%s: %w", name, err))
 					return
 				}
 				rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
-					Comps: ids, Vals: vals, UpdateID: id})
+					Comps: ids, Vals: vals})
 			})
 		}
 		update("w1", []int{0}, []int64{workload.Value(0, 0)})
 		update("w2", []int{0, 1}, []int64{workload.Value(1, 0), workload.Value(1, 1)})
 		c.Spawn("scanner", func() {
 			start := rec.Now()
-			vals, info, err := o.PartialScanInfo([]int{0, 1})
+			vals, err := o.PartialScan([]int{0, 1})
 			if err != nil {
 				fail(fmt.Errorf("scanner: %w", err))
 				return
 			}
 			rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
-				Comps: []int{0, 1}, Vals: vals, AdoptedFrom: info.HelperOp})
+				Comps: []int{0, 1}, Vals: vals})
 		})
 		base := specOracle(2, o, rec, &mu, &opErrs)
 		return func(tr sched.Trace) error {
@@ -198,7 +192,7 @@ func headTwoWritersOneScanner(skipped, walked *atomic.Uint64) sched.Scenario {
 // the slot-head consultation's outcome counters attached, and requires
 // every schedule — head loads racing the enroller's head CAS, skips on nil
 // heads, walks while enrolled, retire-side sweeps racing walkers — to pass
-// the sequential-spec and provenance oracles. The aggregate counters must
+// the sequential-spec and hygiene oracle. The aggregate counters must
 // show both sides of the head test were reached, so the claim "a nil-head
 // skip never loses a help obligation" is exhausted over a space that
 // actually contains skips AND walks.
@@ -269,18 +263,17 @@ func TestDFSWorkloadScenarioWithSleepSets(t *testing.T) {
 					switch op.Kind {
 					case workload.OpUpdate:
 						start := rec.Now()
-						id, err := o.UpdateOp(op.Comps, op.Vals)
-						if err != nil {
+						if err := o.Update(op.Comps, op.Vals); err != nil {
 							mu.Lock()
 							opErrs = append(opErrs, err)
 							mu.Unlock()
 							return
 						}
 						rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
-							Comps: op.Comps, Vals: op.Vals, UpdateID: id})
+							Comps: op.Comps, Vals: op.Vals})
 					case workload.OpScan:
 						start := rec.Now()
-						vals, info, err := o.PartialScanInfo(op.Comps)
+						vals, err := o.PartialScan(op.Comps)
 						if err != nil {
 							mu.Lock()
 							opErrs = append(opErrs, err)
@@ -288,7 +281,7 @@ func TestDFSWorkloadScenarioWithSleepSets(t *testing.T) {
 							return
 						}
 						rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
-							Comps: op.Comps, Vals: vals, AdoptedFrom: info.HelperOp})
+							Comps: op.Comps, Vals: vals})
 					}
 				}
 			})

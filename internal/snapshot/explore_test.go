@@ -114,8 +114,8 @@ type exploreRun struct {
 // scenario builds the sched.Scenario for this cell and seed: one
 // controlled goroutine per workload worker, each applying its generated op
 // stream to a fresh instrumented object while recording the history. The
-// oracle — evaluated after every explored schedule — replays spec.Check,
-// spec.CheckProvenance and the announcement-hygiene invariant. The run
+// oracle — evaluated after every explored schedule — replays spec.Check
+// and the announcement-hygiene invariant. The run
 // pointer, when non-nil, receives the latest invocation's artifacts.
 func (ec exploreCell) scenario(seed int64, run *exploreRun) sched.Scenario {
 	return func(c *sched.Controller) sched.Oracle {
@@ -143,26 +143,25 @@ func (ec exploreCell) scenario(seed int64, run *exploreRun) sched.Scenario {
 					switch op.Kind {
 					case workload.OpUpdate:
 						start := rec.Now()
-						id, err := o.UpdateOp(op.Comps, op.Vals)
-						if err != nil {
+						if err := o.Update(op.Comps, op.Vals); err != nil {
 							mu.Lock()
-							opErrs = append(opErrs, fmt.Errorf("%s: UpdateOp%v: %w", name, op.Comps, err))
+							opErrs = append(opErrs, fmt.Errorf("%s: Update%v: %w", name, op.Comps, err))
 							mu.Unlock()
 							return
 						}
 						rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
-							Comps: op.Comps, Vals: op.Vals, UpdateID: id})
+							Comps: op.Comps, Vals: op.Vals})
 					case workload.OpScan:
 						start := rec.Now()
-						vals, info, err := o.PartialScanInfo(op.Comps)
+						vals, err := o.PartialScan(op.Comps)
 						if err != nil {
 							mu.Lock()
-							opErrs = append(opErrs, fmt.Errorf("%s: PartialScanInfo%v: %w", name, op.Comps, err))
+							opErrs = append(opErrs, fmt.Errorf("%s: PartialScan%v: %w", name, op.Comps, err))
 							mu.Unlock()
 							return
 						}
 						rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
-							Comps: op.Comps, Vals: vals, AdoptedFrom: info.HelperOp})
+							Comps: op.Comps, Vals: vals})
 					}
 				}
 			})
@@ -222,7 +221,7 @@ func writeFailureTrace(t *testing.T, ec exploreCell, seed int64, tr sched.Trace)
 // TestRandomScheduleExploration explores adversarial interleavings of
 // every workload shape that the Go scheduler would essentially never
 // produce on its own, cross-checking every explored history against the
-// sequential specification and the helping provenance rules. A failure
+// sequential specification and the announcement-hygiene invariant. A failure
 // names the seed AND writes the recorded schedule to a trace file:
 //
 //	go test -run TestRandomScheduleExploration ./internal/snapshot \

@@ -7,12 +7,11 @@ import "partialsnapshot/internal/sched"
 // registry, and the recursive embedded scans that serve them.
 
 // helpView is a consistent view of a record's component set posted by a
-// helping updater, stamped with provenance: which update posted it and how
-// deep in the help chain the clean double collect that produced it ran.
+// helping updater, stamped with how deep in the help chain the clean
+// double collect that produced it ran.
 type helpView[V any] struct {
 	vals  []V
-	by    uint64 // op id of the Update that posted this view
-	depth int    // chain level of the clean double collect behind the view
+	depth int // chain level of the clean double collect behind the view
 }
 
 // helpIntersectingScans consults u's registry for every component the
@@ -25,48 +24,40 @@ type helpView[V any] struct {
 // end.
 //
 // A consultation is one load of the slot's head, inline: a nil head means
-// no scan is enrolled there, and the update tallies a skip and moves on
-// without a call or a write to the slot's cache line. Only a non-nil head
-// is walked. A scan enrolled in component c either linked its enrollment
+// no scan is enrolled there, and the update tallies a skip on that slot's
+// own skipped word and moves on without a call. Only a non-nil head is
+// walked. A scan enrolled in component c either linked its enrollment
 // before our head load (we walk c's slot and find it) or after (our
 // consultation of c precedes its enrollment, making this update one of the
 // finitely many pre-walk updates per component the termination argument in
-// embeddedScan already tolerates). Skips are tallied in the op's counter
-// shard instead of the per-slot gauges.
+// embeddedScan already tolerates). The skip tally lands on a line that
+// only operations naming c write, so the quiescent update path writes
+// nothing outside its own components.
 //
 // The dedup list starts in a small stack array, as doubleCollect's first
 // collect does: an update that serves a handful of records allocates
 // nothing for it.
-func (o *LockFree[V]) helpIntersectingScans(ids []int, op uint64) {
+func (o *LockFree[V]) helpIntersectingScans(ids []int) {
 	var seenBuf [4]*scanRecord[V]
 	seen := seenBuf[:0]
-	skipped := 0
 	for _, id := range ids {
 		o.yield(sched.PreSlotWalk, id)
 		s := &o.slots[id]
 		head := s.head.Load()
 		if head == nil || (o.mut.staleHeadEmpty && head.stale()) {
-			skipped++
+			s.skipped.Add(1)
 			continue
 		}
-		seen = o.walkSlot(s, id, head, op, seen)
-	}
-	if skipped != 0 {
-		// One sharded add per update, on the counter shard its op id came
-		// from (op's low bits name it), so it lands on the cache line the
-		// op-id add already wrote: the quiescent fast path writes no
-		// registry cache line at all, and no second counter line.
-		o.shards[op&(opShards-1)].walksSkipped.Add(uint64(skipped))
+		seen = o.walkSlot(s, id, head, seen)
 	}
 }
 
 // help serves one live record a walk found: unless the update already
 // served it through an earlier slot (seen), or help is already posted, it
-// runs an embedded scan of the record's set and posts the view under op.
-// It returns seen extended by the record. Comparing pointers is enough
-// because a record is never reused: the same pointer is the same
-// announcement.
-func (o *LockFree[V]) help(rec *scanRecord[V], op uint64, seen []*scanRecord[V]) []*scanRecord[V] {
+// runs an embedded scan of the record's set and posts the view. It returns
+// seen extended by the record. Comparing pointers is enough because a
+// record is never reused: the same pointer is the same announcement.
+func (o *LockFree[V]) help(rec *scanRecord[V], seen []*scanRecord[V]) []*scanRecord[V] {
 	for _, s := range seen {
 		if s == rec {
 			o.deduped.Add(1)
@@ -78,9 +69,9 @@ func (o *LockFree[V]) help(rec *scanRecord[V], op uint64, seen []*scanRecord[V])
 		return seen
 	}
 	o.yield(sched.PreHelpScan, rec.level+1)
-	if view, depth, ok := o.embeddedScan(rec, op); ok {
+	if view, depth, ok := o.embeddedScan(rec); ok {
 		o.yield(sched.PreHelpPost, rec.level)
-		if rec.help.CompareAndSwap(nil, &helpView[V]{vals: view, by: op, depth: depth}) {
+		if rec.help.CompareAndSwap(nil, &helpView[V]{vals: view, depth: depth}) {
 			o.helpsPosted.Add(1)
 			atomicMax(&o.maxDepth, int64(depth))
 		}
@@ -115,7 +106,7 @@ func (o *LockFree[V]) help(rec *scanRecord[V], op uint64, seen []*scanRecord[V])
 // re-creates the old lock-free-only behaviour of giving up after a fixed
 // number of failed collects, which the model-checking tests use to prove
 // the searcher catches the resulting protocol violation.
-func (o *LockFree[V]) embeddedScan(target *scanRecord[V], op uint64) (view []V, depth int, ok bool) {
+func (o *LockFree[V]) embeddedScan(target *scanRecord[V]) (view []V, depth int, ok bool) {
 	level := target.level + 1
 	failures := 0
 	// Fast path: try one unannounced double collect first.

@@ -12,8 +12,8 @@ import (
 // TestHelpAdoptionScripted drives the helping mechanism end-to-end under a
 // fully scripted schedule: a scanner is obstructed in both its fast-path and
 // announced double collects, the obstructing updater posts help before its
-// store, and the scanner adopts the helped view — with provenance tying the
-// view back to the exact update that posted it.
+// store, and the scanner adopts the helped view: the one view posted, at
+// depth 1, holding the state the helper collected before its store.
 func TestHelpAdoptionScripted(t *testing.T) {
 	ctl := sched.NewController()
 	o := NewLockFree[int64](4).Instrument(ctl)
@@ -47,8 +47,7 @@ func TestHelpAdoptionScripted(t *testing.T) {
 	}
 	// The obstructing update must now help before it stores: its embedded
 	// fast-path collect is clean (the scanner is parked), so help lands.
-	helperOp, err := o.UpdateOp([]int{0}, []int64{101})
-	if err != nil {
+	if err := o.Update([]int{0}, []int64{101}); err != nil {
 		t.Fatal(err)
 	}
 	// Scanner's second collect fails, finds the help, adopts it.
@@ -61,8 +60,8 @@ func TestHelpAdoptionScripted(t *testing.T) {
 	if vals[0] != 100 || vals[1] != 2 {
 		t.Fatalf("adopted view = %v, want [100 2]", vals)
 	}
-	if !info.Adopted || info.HelperOp != helperOp || info.Depth != 1 {
-		t.Fatalf("info = %+v, want adoption from op %d at depth 1", info, helperOp)
+	if !info.Adopted || info.Depth != 1 {
+		t.Fatalf("info = %+v, want adoption at depth 1", info)
 	}
 	st := o.Stats()
 	if st.HelpsPosted != 1 || st.HelpsAdopted != 1 || st.ScanRetries < 2 {
@@ -83,7 +82,7 @@ func TestHelpAdoptionScripted(t *testing.T) {
 
 // TestUpdaterHelpsOnlyIntersectingScans checks locality of helping: an
 // announced scan is helped by an overlapping update and ignored by a
-// disjoint one, and the posted view carries the helper's op id.
+// disjoint one, and the posted view is the helper's depth-1 collect.
 func TestUpdaterHelpsOnlyIntersectingScans(t *testing.T) {
 	o := NewLockFree[int64](8)
 	rec := newRecord[int64]([]int{0, 1}, 0)
@@ -95,8 +94,7 @@ func TestUpdaterHelpsOnlyIntersectingScans(t *testing.T) {
 	if rec.help.Load() != nil {
 		t.Fatal("disjoint update posted help")
 	}
-	op, err := o.UpdateOp([]int{1}, []int64{11})
-	if err != nil {
+	if err := o.Update([]int{1}, []int64{11}); err != nil {
 		t.Fatal(err)
 	}
 	h := rec.help.Load()
@@ -104,12 +102,16 @@ func TestUpdaterHelpsOnlyIntersectingScans(t *testing.T) {
 		t.Fatal("overlapping update did not post help")
 	}
 	// Help was collected before the cells were written, so it shows the
-	// pre-update state of components 0 and 1, stamped with the helper's id.
+	// pre-update state of components 0 and 1, by the helper's own clean
+	// embedded collect, one level below the record.
 	if h.vals[0] != 0 || h.vals[1] != 0 {
 		t.Fatalf("help view = %v, want pre-update [0 0]", h.vals)
 	}
-	if h.by != op || h.depth != 1 {
-		t.Fatalf("help provenance = by %d depth %d, want by %d depth 1", h.by, h.depth, op)
+	if h.depth != 1 {
+		t.Fatalf("help depth = %d, want 1", h.depth)
+	}
+	if st := o.Stats(); st.HelpsPosted != 1 {
+		t.Fatalf("HelpsPosted = %d, want 1 (the overlapping update's)", st.HelpsPosted)
 	}
 	o.retire(rec)
 	if st := o.Stats(); st.LiveAnnouncements != 0 {
@@ -161,8 +163,7 @@ func TestOneUpdaterHelpsMultipleScanners(t *testing.T) {
 
 	// One batch intersecting both announced sets helps both records, then
 	// obstructs both scanners with its stores.
-	batchOp, err := o.UpdateOp([]int{0, 2}, []int64{11, 31})
-	if err != nil {
+	if err := o.Update([]int{0, 2}, []int64{11, 31}); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"s0", "s1"} {
@@ -179,10 +180,11 @@ func TestOneUpdaterHelpsMultipleScanners(t *testing.T) {
 		t.Fatalf("s1 adopted %v, want [30 4]", views[1])
 	}
 	for i, info := range infos {
-		if !info.Adopted || info.HelperOp != batchOp {
-			t.Fatalf("s%d info = %+v, want adoption from batch op %d", i, info, batchOp)
+		if !info.Adopted || info.Depth != 1 {
+			t.Fatalf("s%d info = %+v, want adoption at depth 1", i, info)
 		}
 	}
+	// No help was posted before the batch, so both posted views are its.
 	st := o.Stats()
 	if st.HelpsPosted != 2 || st.HelpsAdopted != 2 {
 		t.Fatalf("stats = %+v, want 2 helps posted and adopted", st)
@@ -202,13 +204,10 @@ func TestHalfAppliedBatchObservable(t *testing.T) {
 	o := NewLockFree[int64](2).Instrument(ctl)
 	rec := &spec.Recorder[int64]{}
 
-	var batchOp uint64
 	uStart := rec.Now()
 	ctl.Spawn("updater", func() {
-		var err error
-		batchOp, err = o.UpdateOp([]int{0, 1}, []int64{7, 8})
-		if err != nil {
-			t.Errorf("UpdateOp: %v", err)
+		if err := o.Update([]int{0, 1}, []int64{7, 8}); err != nil {
+			t.Errorf("Update: %v", err)
 		}
 	})
 	// Park after component 0's store, before component 1's.
@@ -231,7 +230,7 @@ func TestHalfAppliedBatchObservable(t *testing.T) {
 
 	ctl.RunToCompletion("updater")
 	rec.Add(spec.Op[int64]{Kind: spec.Update, Start: uStart, End: rec.Now(),
-		Comps: []int{0, 1}, Vals: []int64{7, 8}, UpdateID: batchOp})
+		Comps: []int{0, 1}, Vals: []int64{7, 8}})
 	after, err := o.PartialScan([]int{0, 1})
 	if err != nil {
 		t.Fatal(err)

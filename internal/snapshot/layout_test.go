@@ -17,36 +17,27 @@ func linesOf(p unsafe.Pointer, size uintptr) lineSpan {
 func (s lineSpan) overlaps(t lineSpan) bool { return s.first <= t.last && t.first <= s.last }
 
 // TestHeaderLayout checks, on a live object's real addresses rather than
-// on field offsets, that the words updates write stay off the lines every
-// operation reads and off each other's lines:
-//   - no counter shard's written words share a line with any byte of the
-//     read-only header (the regs, slots and all slice headers);
-//   - no two counter shards' written words share a line;
-//   - no two slots' written words (head, walks, visited) share a line.
+// on field offsets, that the words operations write stay off the lines
+// every operation reads and off each other's lines:
+//   - no counter the contended paths write (scanRetries through deduped)
+//     shares a line with any byte of the read-only header (the regs, slots
+//     and all slice headers);
+//   - no two slots' written words (head, walks, skipped, visited) share a
+//     line, so operations on different components never write one line.
 //
-// The address matters, not just the offset: an object this large is
-// allocated with a malloc header in front of it, so &o is not 64 B
+// The address matters, not just the offset: the slot array is allocated
+// with a malloc header in front of it, so its first slot is not 64 B
 // aligned.
 func TestHeaderLayout(t *testing.T) {
 	o := NewLockFree[int64](64)
 	header := linesOf(unsafe.Pointer(&o.regs), unsafe.Offsetof(o.all)+unsafe.Sizeof(o.all)-unsafe.Offsetof(o.regs))
-	t.Logf("object at %#x (%d mod 64), header lines %d-%d", uintptr(unsafe.Pointer(o)), uintptr(unsafe.Pointer(o))%64,
-		header.first, header.last)
-
-	var shards []lineSpan
-	for i := range o.shards {
-		s := &o.shards[i]
-		span := linesOf(unsafe.Pointer(&s.ops), unsafe.Offsetof(s.walksSkipped)+unsafe.Sizeof(s.walksSkipped))
-		if span.overlaps(header) {
-			t.Fatalf("counter shard %d (lines %d-%d) shares a line with the header (lines %d-%d)",
-				i, span.first, span.last, header.first, header.last)
-		}
-		for j, prev := range shards {
-			if span.overlaps(prev) {
-				t.Fatalf("counter shards %d and %d share a line", j, i)
-			}
-		}
-		shards = append(shards, span)
+	counters := linesOf(unsafe.Pointer(&o.scanRetries), unsafe.Offsetof(o.deduped)+unsafe.Sizeof(o.deduped)-unsafe.Offsetof(o.scanRetries))
+	t.Logf("object at %#x (%d mod 64, %d B), header lines %d-%d, counter lines %d-%d; slots at %d mod 64",
+		uintptr(unsafe.Pointer(o)), uintptr(unsafe.Pointer(o))%64, unsafe.Sizeof(*o),
+		header.first, header.last, counters.first, counters.last, uintptr(unsafe.Pointer(&o.slots[0]))%64)
+	if counters.overlaps(header) {
+		t.Fatalf("the counters (lines %d-%d) share a line with the header (lines %d-%d)",
+			counters.first, counters.last, header.first, header.last)
 	}
 
 	var slots []lineSpan

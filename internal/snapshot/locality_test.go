@@ -86,8 +86,7 @@ func TestCrossPartitionUpdatesNeverVisitRegistry(t *testing.T) {
 
 	// An update that actually intersects the announcement finds it on its
 	// first walk of slot 9 and posts help; the scanner adopts.
-	op, err := o.UpdateOp([]int{9}, []int64{90})
-	if err != nil {
+	if err := o.Update([]int{9}, []int64{90}); err != nil {
 		t.Fatal(err)
 	}
 	if st := o.Stats(); st.RecordsVisited != 1 || st.HelpsPosted != 1 || st.RegistryWalks != 1 {
@@ -100,8 +99,8 @@ func TestCrossPartitionUpdatesNeverVisitRegistry(t *testing.T) {
 		t.Fatal("scanner finished without adopting")
 	}
 	ctl.RunToCompletion("scanner")
-	if !info.Adopted || info.HelperOp != op {
-		t.Fatalf("info = %+v, want adoption from op %d", info, op)
+	if !info.Adopted || info.Depth != 1 {
+		t.Fatalf("info = %+v, want adoption at depth 1", info)
 	}
 	if vals[0] != 1 || vals[1] != 0 {
 		t.Fatalf("adopted view = %v, want [1 0] (helper collected before its store)", vals)
@@ -116,8 +115,7 @@ func TestMultiEnrollmentDedup(t *testing.T) {
 	rec := newRecord[int64]([]int{0, 1, 2}, 0)
 	o.announce(rec)
 
-	op, err := o.UpdateOp([]int{0, 1, 2}, []int64{10, 11, 12})
-	if err != nil {
+	if err := o.Update([]int{0, 1, 2}, []int64{10, 11, 12}); err != nil {
 		t.Fatal(err)
 	}
 	st := o.Stats()
@@ -125,8 +123,8 @@ func TestMultiEnrollmentDedup(t *testing.T) {
 		t.Fatalf("visited=%d deduped=%d helps=%d, want 3/2/1", st.RecordsVisited, st.RecordsDeduped, st.HelpsPosted)
 	}
 	h := rec.help.Load()
-	if h == nil || h.by != op {
-		t.Fatalf("help = %+v, want a single view posted by op %d", h, op)
+	if h == nil || h.depth != 1 || h.vals[0] != 0 || h.vals[1] != 0 || h.vals[2] != 0 {
+		t.Fatalf("help = %+v, want the one pre-update view [0 0 0] at depth 1", h)
 	}
 	o.retire(rec)
 	if live := o.Stats().LiveAnnouncements; live != 0 {
@@ -217,12 +215,11 @@ func TestEnrollRaceMidAnnouncement(t *testing.T) {
 		t.Fatal("scanner finished before its first collect gap")
 	}
 	uStart := rec.Now()
-	op1, err := o.UpdateOp([]int{0}, []int64{1})
-	if err != nil {
+	if err := o.Update([]int{0}, []int64{1}); err != nil {
 		t.Fatal(err)
 	}
 	rec.Add(spec.Op[int64]{Kind: spec.Update, Start: uStart, End: rec.Now(),
-		Comps: []int{0}, Vals: []int64{1}, UpdateID: op1})
+		Comps: []int{0}, Vals: []int64{1}})
 	// The obstructed scanner starts announcing; park it half-enrolled.
 	if arg, ok := ctl.StepUntil("scanner", sched.PostEnroll); !ok || arg != 0 {
 		t.Fatalf("scanner park = arg %d (ok=%v), want post-enroll(0)", arg, ok)
@@ -234,12 +231,11 @@ func TestEnrollRaceMidAnnouncement(t *testing.T) {
 	// helping — it predates the record's enrollment in the only slot it
 	// consults.
 	uStart = rec.Now()
-	op2, err := o.UpdateOp([]int{1}, []int64{7})
-	if err != nil {
+	if err := o.Update([]int{1}, []int64{7}); err != nil {
 		t.Fatal(err)
 	}
 	rec.Add(spec.Op[int64]{Kind: spec.Update, Start: uStart, End: rec.Now(),
-		Comps: []int{1}, Vals: []int64{7}, UpdateID: op2})
+		Comps: []int{1}, Vals: []int64{7}})
 	if st := o.Stats(); st.HelpsPosted != 0 || st.RecordsVisited != 0 {
 		t.Fatalf("mid-enrollment update interacted with the record: %+v", st)
 	}
@@ -247,7 +243,7 @@ func TestEnrollRaceMidAnnouncement(t *testing.T) {
 	// announced double collect is clean and it returns its own view.
 	ctl.RunToCompletion("scanner")
 	rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: sStart, End: rec.Now(),
-		Comps: []int{0, 1}, Vals: vals, AdoptedFrom: info.HelperOp})
+		Comps: []int{0, 1}, Vals: vals})
 	if info.Adopted {
 		t.Fatalf("scanner adopted (%+v) despite a clean announced collect", info)
 	}
@@ -256,9 +252,6 @@ func TestEnrollRaceMidAnnouncement(t *testing.T) {
 	}
 	if err := spec.Check(4, rec.Ops()); err != nil {
 		t.Fatalf("history rejected by spec: %v", err)
-	}
-	if err := spec.CheckProvenance(rec.Ops()); err != nil {
-		t.Fatalf("history rejected by provenance check: %v", err)
 	}
 	if live := o.Stats().LiveAnnouncements; live != 0 {
 		t.Fatalf("LiveAnnouncements = %d after quiescence, want 0", live)
@@ -311,21 +304,17 @@ func TestSlotHeadLoadBoundaryAgainstEnroller(t *testing.T) {
 			}
 			// Obstruct the fast path so the scanner will announce.
 			uStart := rec.Now()
-			op1, err := o.UpdateOp([]int{0}, []int64{1})
-			if err != nil {
+			if err := o.Update([]int{0}, []int64{1}); err != nil {
 				t.Fatal(err)
 			}
 			rec.Add(spec.Op[int64]{Kind: spec.Update, Start: uStart, End: rec.Now(),
-				Comps: []int{0}, Vals: []int64{1}, UpdateID: op1})
+				Comps: []int{0}, Vals: []int64{1}})
 
 			// Park an updater right before it loads slot 1's head.
-			var op2 uint64
 			uStart = rec.Now()
 			ctl.Spawn("updater", func() {
-				var err error
-				op2, err = o.UpdateOp([]int{1}, []int64{7})
-				if err != nil {
-					t.Errorf("UpdateOp: %v", err)
+				if err := o.Update([]int{1}, []int64{7}); err != nil {
+					t.Errorf("Update: %v", err)
 				}
 			})
 			if arg, ok := ctl.StepUntil("updater", sched.PreSlotWalk); !ok || arg != 1 {
@@ -347,7 +336,7 @@ func TestSlotHeadLoadBoundaryAgainstEnroller(t *testing.T) {
 			// The updater resumes: one head load decides skip or walk.
 			ctl.RunToCompletion("updater")
 			rec.Add(spec.Op[int64]{Kind: spec.Update, Start: uStart, End: rec.Now(),
-				Comps: []int{1}, Vals: []int64{7}, UpdateID: op2})
+				Comps: []int{1}, Vals: []int64{7}})
 			st := o.Stats()
 			if w, _ := o.SlotStats(1); w != tc.walks || st.RegistryWalks != tc.walks {
 				t.Fatalf("slot 1 walks = %d, RegistryWalks = %d, want %d", w, st.RegistryWalks, tc.walks)
@@ -363,7 +352,7 @@ func TestSlotHeadLoadBoundaryAgainstEnroller(t *testing.T) {
 			// double collect is clean and it returns its own view.
 			ctl.RunToCompletion("scanner")
 			rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: sStart, End: rec.Now(),
-				Comps: []int{0, 1}, Vals: vals, AdoptedFrom: info.HelperOp})
+				Comps: []int{0, 1}, Vals: vals})
 			if info.Adopted {
 				t.Fatalf("scanner adopted (%+v) despite a clean announced collect", info)
 			}
@@ -372,9 +361,6 @@ func TestSlotHeadLoadBoundaryAgainstEnroller(t *testing.T) {
 			}
 			if err := spec.Check(4, rec.Ops()); err != nil {
 				t.Fatalf("history rejected by spec: %v", err)
-			}
-			if err := spec.CheckProvenance(rec.Ops()); err != nil {
-				t.Fatalf("history rejected by provenance check: %v", err)
 			}
 			if live := o.Stats().LiveAnnouncements; live != 0 {
 				t.Fatalf("LiveAnnouncements = %d after quiescence, want 0", live)

@@ -16,26 +16,21 @@ import (
 //
 // The component count n is fixed at construction, as in the paper and in
 // the classic snapshot of Afek et al. The implementation is split by
-// layer: registers.go holds the registers, their value slots and runs and
-// the counter shards, registry.go the sharded announcement registry
-// (announce, retire and the slot walk), scan.go the scanner side,
-// helping.go the updater side.
+// layer: registers.go holds the registers, their value slots and runs,
+// registry.go the sharded announcement registry (announce, retire and the
+// slot walk), scan.go the scanner side, helping.go the updater side.
+//
+// An update that finds no announced scan writes only its new value slots,
+// its components' registers and their registry slots' skip tallies,
+// nothing in the object itself. The counters below are written only on
+// the contended paths (retries, help, announcements), on lines apart from
+// the read-only header's (TestHeaderLayout).
 type LockFree[V any] struct {
 	// The read-only header, fixed by NewLockFree: every operation loads
 	// these slice headers and nothing writes them again.
 	regs  []reg[V]  // one register per component, packed 8 B apart
 	slots []slot[V] // one announcement slot per component, 128 B apart
 	all   []int     // cached [0..n) for Scan
-	// The pad ends the header's cache line, so that the counter shards
-	// every update writes start on a later line than the slice headers
-	// every operation reads (TestHeaderLayout).
-	_ [56]byte
-
-	// shards holds the sharded counters: update op ids (nextOp) and
-	// consultations that found an empty slot (see helpIntersectingScans).
-	// Sharding keeps the quiescent update path off any counter line an
-	// unrelated operation writes.
-	shards [opShards]counterShard
 
 	sched sched.Scheduler // nil outside schedule-injection tests
 
@@ -109,30 +104,21 @@ func (o *LockFree[V]) Components() int { return len(o.regs) }
 // Before touching any cell it consults the registry slots of exactly the
 // components it is about to write and helps every announced scan found
 // there to completion — helping is unbounded, which is what guarantees an
-// obstructed scanner always finds adoptable help.
-func (o *LockFree[V]) Update(ids []int, vals []V) error {
-	_, err := o.UpdateOp(ids, vals)
-	return err
-}
-
-// UpdateOp is Update, additionally returning the unique operation id this
-// update drew: the id it posts help views under, which provenance-aware
-// tests match against ScanInfo.HelperOp and spec.Op.UpdateID. Every write
-// takes never-used slots from a 128 B run, so the batch's stores publish
+// obstructed scanner always finds adoptable help. Every write takes
+// never-used slots from a 128 B run, so the batch's stores publish
 // addresses no collect can already hold.
-func (o *LockFree[V]) UpdateOp(ids []int, vals []V) (uint64, error) {
+func (o *LockFree[V]) Update(ids []int, vals []V) error {
 	if err := validateArgs(len(o.regs), ids, vals); err != nil {
-		return 0, err
+		return err
 	}
-	op := o.nextOp(ids)
-	o.helpIntersectingScans(ids, op)
+	o.helpIntersectingScans(ids)
 	cells := o.takeCells(len(ids))
 	for i, id := range ids {
 		cells[i] = vals[i]
 		o.yield(sched.PreCellStore, id)
 		o.regs[id].ptr.Store(&cells[i])
 	}
-	return op, nil
+	return nil
 }
 
 // Stats exposes internal progress counters, used by tests and benchmarks
@@ -161,10 +147,11 @@ type Stats struct {
 	RegistryWalks uint64 `json:"registry_walks"`
 	// WalksSkipped counts consultations that found a nil head: one per
 	// (update, named component) pair whose slot held no enrollment at the
-	// update's head load. In a quiescent (no-scanner) workload it equals
-	// update ops × update width while RegistryWalks stays zero.
-	// RegistryWalks + WalksSkipped is the total consultation count the
-	// walk-before-store argument is stated over.
+	// update's head load, tallied on that slot, summed across the slots.
+	// In a quiescent (no-scanner) workload it equals update ops × update
+	// width while RegistryWalks stays zero. RegistryWalks + WalksSkipped
+	// is the total consultation count the walk-before-store argument is
+	// stated over.
 	WalksSkipped uint64 `json:"walks_skipped"`
 	// RecordsVisited counts live records those walks encountered, one per
 	// (walk, enrollment) encounter. Under a workload partitioned over
@@ -192,10 +179,8 @@ func (o *LockFree[V]) Stats() Stats {
 	for i := range o.slots {
 		s := &o.slots[i]
 		st.RegistryWalks += s.walks.Load()
+		st.WalksSkipped += s.skipped.Load()
 		st.RecordsVisited += s.visited.Load()
-	}
-	for i := range o.shards {
-		st.WalksSkipped += o.shards[i].walksSkipped.Load()
 	}
 	return st
 }

@@ -60,13 +60,12 @@ func mutationScenario(bound int) sched.Scenario {
 		update := func(name string, val int64) {
 			c.Spawn(name, func() {
 				start := rec.Now()
-				id, err := o.UpdateOp([]int{0}, []int64{val})
-				if err != nil {
+				if err := o.Update([]int{0}, []int64{val}); err != nil {
 					fail(fmt.Errorf("%s: %w", name, err))
 					return
 				}
 				rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
-					Comps: []int{0}, Vals: []int64{val}, UpdateID: id})
+					Comps: []int{0}, Vals: []int64{val}})
 			})
 		}
 
@@ -88,7 +87,7 @@ func mutationScenario(bound int) sched.Scenario {
 			}
 			scanVals, info = vals, si
 			rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
-				Comps: []int{0, 1}, Vals: vals, AdoptedFrom: si.HelperOp})
+				Comps: []int{0, 1}, Vals: vals})
 		})
 		if _, ok := c.StepUntil("scanner", sched.PostFirstCollect); !ok {
 			return setupErr("scanner finished before its fast collect gap")
@@ -96,12 +95,11 @@ func mutationScenario(bound int) sched.Scenario {
 		// The fast-path obstruction runs uncontrolled on the setup
 		// goroutine: it walks the (still announcement-free) slot and stores.
 		start := rec.Now()
-		setupOp, err := o.UpdateOp([]int{0}, []int64{1})
-		if err != nil {
+		if err := o.Update([]int{0}, []int64{1}); err != nil {
 			return setupErr("setup update: %v", err)
 		}
 		rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
-			Comps: []int{0}, Vals: []int64{1}, UpdateID: setupOp})
+			Comps: []int{0}, Vals: []int64{1}})
 		if _, ok := c.StepUntil("scanner", sched.PostAnnounce); !ok {
 			return setupErr("scanner finished without announcing")
 		}
@@ -119,12 +117,8 @@ func mutationScenario(bound int) sched.Scenario {
 			if len(opErrs) > 0 {
 				return opErrs[0]
 			}
-			ops := rec.Ops()
-			if err := spec.Check(2, ops); err != nil {
+			if err := spec.Check(2, rec.Ops()); err != nil {
 				return fmt.Errorf("schedule rejected by spec: %w", err)
-			}
-			if err := spec.CheckProvenance(ops); err != nil {
-				return fmt.Errorf("schedule rejected by provenance check: %w", err)
 			}
 			// The wait-freedom obligation. Find the helper's store step...
 			helperStore := -1
@@ -246,17 +240,14 @@ func staleHeadEmptyScenario(mutate bool) sched.Scenario {
 			err := fmt.Errorf(format, args...)
 			return func(sched.Trace) error { return err }
 		}
-		record := func(kind spec.Kind, start int64, comps []int, vals []int64, id uint64) {
-			rec.Add(spec.Op[int64]{Kind: kind, Start: start, End: rec.Now(),
-				Comps: comps, Vals: vals, UpdateID: id})
-		}
 		update := func(ids []int, vals []int64) error {
 			start := rec.Now()
-			id, err := o.UpdateOp(ids, vals)
-			if err == nil {
-				record(spec.Update, start, ids, vals, id)
+			if err := o.Update(ids, vals); err != nil {
+				return err
 			}
-			return err
+			rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
+				Comps: ids, Vals: vals})
+			return nil
 		}
 		scan := func(name string, ids []int, out *[]int64, info *ScanInfo) {
 			c.Spawn(name, func() {
@@ -268,7 +259,7 @@ func staleHeadEmptyScenario(mutate bool) sched.Scenario {
 				}
 				*out, *info = vals, si
 				rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
-					Comps: ids, Vals: vals, AdoptedFrom: si.HelperOp})
+					Comps: ids, Vals: vals})
 			})
 		}
 
@@ -320,12 +311,8 @@ func staleHeadEmptyScenario(mutate bool) sched.Scenario {
 			if len(opErrs) > 0 {
 				return opErrs[0]
 			}
-			ops := rec.Ops()
-			if err := spec.Check(3, ops); err != nil {
+			if err := spec.Check(3, rec.Ops()); err != nil {
 				return fmt.Errorf("schedule rejected by spec: %w", err)
-			}
-			if err := spec.CheckProvenance(ops); err != nil {
-				return fmt.Errorf("schedule rejected by provenance check: %w", err)
 			}
 			if scanVals == nil {
 				return nil // schedule ended before the scan completed
@@ -420,32 +407,30 @@ func reuseCellsScenario(mutate bool) sched.Scenario {
 		}
 
 		start := rec.Now()
-		seedOp, err := o.UpdateOp([]int{0, 1}, []int64{1, 2})
-		if err != nil {
+		if err := o.Update([]int{0, 1}, []int64{1, 2}); err != nil {
 			return func(sched.Trace) error { return fmt.Errorf("seed update: %w", err) }
 		}
 		rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
-			Comps: []int{0, 1}, Vals: []int64{1, 2}, UpdateID: seedOp})
+			Comps: []int{0, 1}, Vals: []int64{1, 2}})
 
 		c.Spawn("scanner", func() {
 			start := rec.Now()
-			vals, si, err := o.PartialScanInfo([]int{0})
+			vals, err := o.PartialScan([]int{0})
 			if err != nil {
 				fail(fmt.Errorf("scanner: %w", err))
 				return
 			}
 			rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
-				Comps: []int{0}, Vals: vals, AdoptedFrom: si.HelperOp})
+				Comps: []int{0}, Vals: vals})
 		})
 		c.Spawn("writer", func() {
 			start := rec.Now()
-			id, err := o.UpdateOp([]int{1}, []int64{7})
-			if err != nil {
+			if err := o.Update([]int{1}, []int64{7}); err != nil {
 				fail(fmt.Errorf("writer: %w", err))
 				return
 			}
 			rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
-				Comps: []int{1}, Vals: []int64{7}, UpdateID: id})
+				Comps: []int{1}, Vals: []int64{7}})
 		})
 
 		return func(sched.Trace) error {
@@ -454,11 +439,10 @@ func reuseCellsScenario(mutate bool) sched.Scenario {
 			if len(opErrs) > 0 {
 				return opErrs[0]
 			}
-			ops := rec.Ops()
-			if err := spec.Check(2, ops); err != nil {
+			if err := spec.Check(2, rec.Ops()); err != nil {
 				return fmt.Errorf("schedule rejected by spec: %w", err)
 			}
-			return spec.CheckProvenance(ops)
+			return nil
 		}
 	}
 }

@@ -54,9 +54,6 @@ type parityCounts struct {
 func runParityWorkload(t *testing.T, obj snapshot.Object[int64], gen *workload.Generator, opsPerWorker int) ([]spec.Op[int64], parityCounts) {
 	t.Helper()
 	rec := &spec.Recorder[int64]{}
-	// Provenance (update op ids, adopted help) comes from the concrete
-	// LockFree type; the RWMutex reference degrades to the plain calls.
-	lf, hasInfo := obj.(*snapshot.LockFree[int64])
 	var wg sync.WaitGroup
 	var counts parityCounts
 	var mu sync.Mutex
@@ -69,37 +66,23 @@ func runParityWorkload(t *testing.T, obj snapshot.Object[int64], gen *workload.G
 				switch op.Kind {
 				case workload.OpUpdate:
 					start := rec.Now()
-					var id uint64
-					var err error
-					if hasInfo {
-						id, err = lf.UpdateOp(op.Comps, op.Vals)
-					} else {
-						err = obj.Update(op.Comps, op.Vals)
-					}
-					if err != nil {
+					if err := obj.Update(op.Comps, op.Vals); err != nil {
 						t.Errorf("worker %d: Update%v: %v", w, op.Comps, err)
 						return
 					}
 					local.Updates++
 					rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
-						Comps: op.Comps, Vals: op.Vals, UpdateID: id})
+						Comps: op.Comps, Vals: op.Vals})
 				case workload.OpScan:
 					start := rec.Now()
-					var vals []int64
-					var info snapshot.ScanInfo
-					var err error
-					if hasInfo {
-						vals, info, err = lf.PartialScanInfo(op.Comps)
-					} else {
-						vals, err = obj.PartialScan(op.Comps)
-					}
+					vals, err := obj.PartialScan(op.Comps)
 					if err != nil {
 						t.Errorf("worker %d: PartialScan%v: %v", w, op.Comps, err)
 						return
 					}
 					local.Scans++
 					rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
-						Comps: op.Comps, Vals: vals, AdoptedFrom: info.HelperOp})
+						Comps: op.Comps, Vals: vals})
 				}
 			}
 			mu.Lock()
@@ -114,7 +97,7 @@ func runParityWorkload(t *testing.T, obj snapshot.Object[int64], gen *workload.G
 
 // TestParityAcrossWorkloadShapes is the concurrent arm: for every shape,
 // both implementations absorb the same traffic under -race, every history
-// passes the same spec + provenance oracle, every implementation completes
+// passes the same spec oracle, every implementation completes
 // the same operation mix, and the lock-free Stats invariants hold per
 // shape — hygiene everywhere and structural non-interference when the
 // shape is partitioned.
@@ -141,9 +124,6 @@ func TestParityAcrossWorkloadShapes(t *testing.T) {
 					countsByImpl[impl] = counts
 					if err := spec.Check(cfg.Components, ops); err != nil {
 						t.Fatalf("%s/%s history of %d ops rejected by spec: %v", shape, impl, len(ops), err)
-					}
-					if err := spec.CheckProvenance(ops); err != nil {
-						t.Fatalf("%s/%s history rejected by provenance check: %v", shape, impl, err)
 					}
 					so, ok := obj.(snapshot.StatsReader)
 					if !ok {

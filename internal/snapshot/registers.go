@@ -6,9 +6,8 @@ import (
 )
 
 // This file is the register layer of LockFree: the registers, the value
-// slots every collect reads, the runs updates take them from, and the
-// sharded counters that hand out update op ids. Nothing here knows about
-// announcements or helping.
+// slots every collect reads and the runs updates take them from. Nothing
+// here knows about announcements or helping.
 //
 // A register is one component's atomic pointer to an immutable value
 // slot; the object holds them in one flat array, eight to a cache line.
@@ -65,43 +64,6 @@ func (o *LockFree[V]) takeCells(k int) []V {
 // value slot that every operation reads and writes.
 type reg[V any] struct {
 	ptr atomic.Pointer[V]
-}
-
-// opShards is the number of counter shards. It must stay a power of two
-// matching the shift in nextOp.
-const opShards = 64
-
-// counterShard holds one shard of each of LockFree's sharded counters: the
-// op-id counter nextOp draws from and the walksSkipped tally. Both pick
-// their shard by one rule (shard), so an update's op-id add and
-// its walk-skip add land on one cache line. The
-// padding keeps each shard alone on its line and on the line the
-// adjacent-line prefetcher pairs with it, so shards never false-share.
-type counterShard struct {
-	ops          atomic.Uint64
-	walksSkipped atomic.Uint64
-	_            [112]byte
-}
-
-// shard returns the index of the counter shard of an operation naming
-// ids, chosen by scaling its first component into [0, opShards). A single
-// global counter would put one contended cache line on every update's hot
-// path — cross-partition interference the sharded registry exists to
-// remove. Contiguous component ranges map to contiguous shard ranges, so
-// operations confined to disjoint ranges hit disjoint shards whenever the
-// ranges are at least n/opShards wide (a modulo would instead alias ranges
-// n/opShards apart onto the same shards).
-func (o *LockFree[V]) shard(ids []int) uint64 {
-	return uint64(ids[0]) * opShards / uint64(len(o.regs))
-}
-
-// nextOp returns a unique, nonzero op id for an update naming ids, drawn
-// from its counter shard. The shard index rides in the low bits, keeping
-// ids unique across shards and naming the shard the id came from, and
-// every id is >= opShards, so 0 still means "no update".
-func (o *LockFree[V]) nextOp(ids []int) uint64 {
-	i := o.shard(ids)
-	return o.shards[i].ops.Add(1)<<6 | i
 }
 
 func atomicMax(g *atomic.Int64, v int64) {

@@ -28,8 +28,8 @@ import (
 // (helpIntersectingScans keeps the per-walk seen list).
 //
 // An updater's consultation of a slot is one load of its head: nil means
-// no scan is enrolled there, and the update moves on without touching the
-// slot's counters (see helpIntersectingScans).
+// no scan is enrolled there, and the update tallies a skip on the slot and
+// moves on (see helpIntersectingScans).
 //
 // Retirement is logical (rec.done) and unlinking is lazy and per-slot: the
 // retiring owner sweeps consecutive stale enrollments off its own slots'
@@ -69,8 +69,9 @@ func (e *enrollment[V]) stale() bool { return e.rec.done.Load() }
 type slot[V any] struct {
 	head    atomic.Pointer[enrollment[V]]
 	walks   atomic.Uint64 // consultations that found a non-nil head
+	skipped atomic.Uint64 // consultations that found a nil head
 	visited atomic.Uint64 // live records those walks encountered
-	_       [104]byte
+	_       [96]byte
 }
 
 // announce links rec into the slot of every component it names, in the
@@ -135,7 +136,7 @@ func (o *LockFree[V]) sweepStale(rec *scanRecord[V]) {
 // passes. The newest-first order serves the deepest records of any help
 // chain before the records that wait on them. seen is the update's dedup
 // list across slots; walkSlot returns it extended.
-func (o *LockFree[V]) walkSlot(s *slot[V], c int, cur *enrollment[V], op uint64, seen []*scanRecord[V]) []*scanRecord[V] {
+func (o *LockFree[V]) walkSlot(s *slot[V], c int, cur *enrollment[V], seen []*scanRecord[V]) []*scanRecord[V] {
 	s.walks.Add(1)
 	var prev *enrollment[V]
 	for cur != nil {
@@ -152,7 +153,7 @@ func (o *LockFree[V]) walkSlot(s *slot[V], c int, cur *enrollment[V], op uint64,
 			continue
 		}
 		s.visited.Add(1)
-		seen = o.help(cur.rec, op, seen)
+		seen = o.help(cur.rec, seen)
 		prev = cur
 		cur = next
 	}

@@ -44,9 +44,6 @@ type ScanInfo struct {
 	// Adopted is true when the scan returned a view posted by a helping
 	// updater rather than one of its own double collects.
 	Adopted bool
-	// HelperOp is the op id of the Update that posted the adopted view
-	// (0 when Adopted is false).
-	HelperOp uint64
 	// Depth is the help-chain level of the clean double collect that
 	// produced the returned view: 0 for the scan's own collect, k >= 1 when
 	// the view came from a level-k embedded scan.
@@ -99,7 +96,7 @@ func (o *LockFree[V]) PartialScanInfo(ids []int) (_ []V, info ScanInfo, _ error)
 		if h := rec.help.Load(); h != nil {
 			o.yield(sched.PreAdopt, 0)
 			o.helpsAdopted.Add(1)
-			info.Adopted, info.HelperOp, info.Depth = true, h.by, h.depth
+			info.Adopted, info.Depth = true, h.depth
 			return append([]V(nil), h.vals...), info, nil
 		}
 	}

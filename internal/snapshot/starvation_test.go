@@ -23,21 +23,16 @@ func newScript(t *testing.T, components int) *script {
 	return s
 }
 
-// spawnUpdate launches a recorded UpdateOp on a controlled goroutine and
-// stores the op id through opOut once the update completes.
-func (s *script) spawnUpdate(name string, ids []int, vals []int64, opOut *uint64) {
+// spawnUpdate launches a recorded Update on a controlled goroutine.
+func (s *script) spawnUpdate(name string, ids []int, vals []int64) {
 	s.ctl.Spawn(name, func() {
 		start := s.rec.Now()
-		op, err := s.o.UpdateOp(ids, vals)
-		if err != nil {
-			s.t.Errorf("%s: UpdateOp%v: %v", name, ids, err)
+		if err := s.o.Update(ids, vals); err != nil {
+			s.t.Errorf("%s: Update%v: %v", name, ids, err)
 			return
 		}
-		if opOut != nil {
-			*opOut = op
-		}
 		s.rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: s.rec.Now(),
-			Comps: ids, Vals: vals, UpdateID: op})
+			Comps: ids, Vals: vals})
 	})
 }
 
@@ -52,7 +47,7 @@ func (s *script) spawnScan(name string, ids []int, valsOut *[]int64, infoOut *Sc
 		}
 		*valsOut, *infoOut = vals, info
 		s.rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: s.rec.Now(),
-			Comps: ids, Vals: vals, AdoptedFrom: info.HelperOp})
+			Comps: ids, Vals: vals})
 	})
 }
 
@@ -68,15 +63,11 @@ func (s *script) mustPark(name string, p sched.Point, arg int) {
 	}
 }
 
-// check replays the recorded history through both spec checkers.
+// check replays the recorded history through the spec checker.
 func (s *script) check(components int) {
 	s.t.Helper()
-	ops := s.rec.Ops()
-	if err := spec.Check(components, ops); err != nil {
+	if err := spec.Check(components, s.rec.Ops()); err != nil {
 		s.t.Fatalf("scripted history rejected by spec: %v", err)
-	}
-	if err := spec.CheckProvenance(ops); err != nil {
-		s.t.Fatalf("scripted history rejected by provenance check: %v", err)
 	}
 }
 
@@ -105,7 +96,7 @@ func TestStarvationRegressionBoundedHelperSchedule(t *testing.T) {
 	for i := 1; i <= oldMaxHelpAttempts+1; i++ {
 		name := fmt.Sprintf("w%d", i)
 		writers = append(writers, name)
-		s.spawnUpdate(name, []int{0}, []int64{int64(i)}, nil)
+		s.spawnUpdate(name, []int{0}, []int64{int64(i)})
 		s.mustPark(name, sched.PreCellStore, 0)
 	}
 	release := func(name string) { s.ctl.RunToCompletion(name) }
@@ -124,8 +115,7 @@ func TestStarvationRegressionBoundedHelperSchedule(t *testing.T) {
 	// scan; w2 obstructs the unannounced fast attempt, w3..w9 obstruct the
 	// announced loop — 8 failed embedded double collects, exactly the old
 	// bound.
-	var helperOp uint64
-	s.spawnUpdate("helper", []int{0}, []int64{100}, &helperOp)
+	s.spawnUpdate("helper", []int{0}, []int64{100})
 	s.mustPark("helper", sched.PreHelpScan, 1)
 	s.mustPark("helper", sched.PostFirstCollect, 1)
 	release(writers[1])
@@ -148,8 +138,8 @@ func TestStarvationRegressionBoundedHelperSchedule(t *testing.T) {
 	if want := []int64{int64(oldMaxHelpAttempts + 1), 0}; vals[0] != want[0] || vals[1] != want[1] {
 		t.Fatalf("adopted view = %v, want %v (helper's clean collect after w9, before its own store)", vals, want)
 	}
-	if !info.Adopted || info.HelperOp != helperOp || info.Depth != 1 {
-		t.Fatalf("info = %+v, want adoption from helper op %d at depth 1", info, helperOp)
+	if !info.Adopted || info.Depth != 1 {
+		t.Fatalf("info = %+v, want adoption at depth 1", info)
 	}
 	st := s.o.Stats()
 	if st.ScanRetries != 10 {
@@ -174,7 +164,7 @@ func TestNestedHelpChainAdoption(t *testing.T) {
 
 	// Three pre-positioned writers (stack walk already done, no help owed).
 	for i, name := range []string{"wa", "wb", "wc"} {
-		s.spawnUpdate(name, []int{0}, []int64{int64(i + 1)}, nil)
+		s.spawnUpdate(name, []int{0}, []int64{int64(i + 1)})
 		s.mustPark(name, sched.PreCellStore, 0)
 	}
 
@@ -190,8 +180,7 @@ func TestNestedHelpChainAdoption(t *testing.T) {
 	// Helper u2 starts an embedded scan for the scanner; wb obstructs its
 	// fast attempt, forcing u2 to announce a level-1 record of its own and
 	// wait inside the announced loop.
-	var u2op uint64
-	s.spawnUpdate("u2", []int{0}, []int64{200}, &u2op)
+	s.spawnUpdate("u2", []int{0}, []int64{200})
 	s.mustPark("u2", sched.PreHelpScan, 1)
 	s.mustPark("u2", sched.PostFirstCollect, 1)
 	s.ctl.RunToCompletion("wb")
@@ -202,8 +191,7 @@ func TestNestedHelpChainAdoption(t *testing.T) {
 	// head and helps *it* (a level-2 embedded scan — help of the helper),
 	// posting a view onto u2's record. We park u3 right after that post,
 	// before it can also help the scanner directly.
-	var u3op uint64
-	s.spawnUpdate("u3", []int{0}, []int64{300}, &u3op)
+	s.spawnUpdate("u3", []int{0}, []int64{300})
 	s.mustPark("u3", sched.PreHelpScan, 2)
 	s.mustPark("u3", sched.PostFirstCollect, 2)
 	s.mustPark("u3", sched.PreHelpPost, 1)
@@ -226,8 +214,8 @@ func TestNestedHelpChainAdoption(t *testing.T) {
 	if vals[0] != 2 || vals[1] != 0 {
 		t.Fatalf("adopted view = %v, want [2 0] (u3's nested collect)", vals)
 	}
-	if !info.Adopted || info.HelperOp != u2op {
-		t.Fatalf("info = %+v, want adoption relayed by u2 (op %d)", info, u2op)
+	if !info.Adopted {
+		t.Fatalf("info = %+v, want adoption of the view u2 relayed", info)
 	}
 	if info.Depth != 2 {
 		t.Fatalf("info.Depth = %d, want 2 (view originated in a help-of-helper collect)", info.Depth)

@@ -165,9 +165,8 @@ func TestDisjointSetsDoNotInterfere(t *testing.T) {
 
 // TestContendedScansTerminate hammers a tiny component set from both sides
 // so scans are maximally obstructed, forcing the helping path to carry
-// them. It asserts termination plus spec conformance — including the
-// provenance of every adopted view — and that the announcement stack holds
-// nothing once the storm ends.
+// them. It asserts termination plus spec conformance and that the
+// announcement registry holds nothing once the storm ends.
 func TestContendedScansTerminate(t *testing.T) {
 	const components = 4
 	iters := 1500
@@ -188,13 +187,12 @@ func TestContendedScansTerminate(t *testing.T) {
 					vals[i] = uniqueVal(w, k*len(ids)+i)
 				}
 				start := rec.Now()
-				op, err := obj.UpdateOp(ids, vals)
-				if err != nil {
+				if err := obj.Update(ids, vals); err != nil {
 					t.Errorf("Update: %v", err)
 					return
 				}
 				rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(),
-					Comps: ids, Vals: append([]int64(nil), vals...), UpdateID: op})
+					Comps: ids, Vals: append([]int64(nil), vals...)})
 			}
 		}(w)
 	}
@@ -204,13 +202,13 @@ func TestContendedScansTerminate(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < iters; k++ {
 				start := rec.Now()
-				vals, info, err := obj.PartialScanInfo(ids)
+				vals, err := obj.PartialScan(ids)
 				if err != nil {
 					t.Errorf("PartialScan: %v", err)
 					return
 				}
 				rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
-					Comps: ids, Vals: vals, AdoptedFrom: info.HelperOp})
+					Comps: ids, Vals: vals})
 			}
 		}()
 	}
@@ -218,12 +216,8 @@ func TestContendedScansTerminate(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	ops := rec.Ops()
-	if err := spec.Check(components, ops); err != nil {
+	if err := spec.Check(components, rec.Ops()); err != nil {
 		t.Fatalf("contended history rejected by spec: %v", err)
-	}
-	if err := spec.CheckProvenance(ops); err != nil {
-		t.Fatalf("contended history rejected by provenance check: %v", err)
 	}
 	st := obj.Stats()
 	if st.LiveAnnouncements != 0 {

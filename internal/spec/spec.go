@@ -57,15 +57,6 @@ type Op[V comparable] struct {
 	End   int64
 	Comps []int
 	Vals  []V
-
-	// UpdateID, on Update ops, is the implementation-assigned operation id
-	// (snapshot.LockFree.UpdateOp); 0 = unknown. It gives adopted scan views
-	// a target to point back at.
-	UpdateID uint64
-	// AdoptedFrom, on Scan ops, is the UpdateID of the helping update whose
-	// posted view the scan returned; 0 = the scan completed by its own
-	// double collect. Checked by CheckProvenance.
-	AdoptedFrom uint64
 }
 
 // Model is the sequential partial snapshot: a plain array of components.
@@ -206,50 +197,4 @@ func Check[V comparable](n int, ops []Op[V]) error {
 		}
 	}
 	return c.Err()
-}
-
-// CheckProvenance verifies the helping metadata of a history: every scan
-// that reports adopting a helped view must name an update that (a) appears
-// in the history, (b) was concurrent with the scan — help is posted inside
-// the scan's interval, so the helper cannot have returned before the scan
-// began nor been invoked after it returned — and (c) intersects the scan's
-// component set, because the protocol only obliges an updater to help scans
-// it is about to obstruct (locality). It complements Check, which validates
-// the values themselves.
-func CheckProvenance[V comparable](ops []Op[V]) error {
-	byID := make(map[uint64]Op[V])
-	for _, op := range ops {
-		if op.Kind == Update && op.UpdateID != 0 {
-			byID[op.UpdateID] = op
-		}
-	}
-	for si, op := range ops {
-		if op.Kind != Scan || op.AdoptedFrom == 0 {
-			continue
-		}
-		u, known := byID[op.AdoptedFrom]
-		if !known {
-			return fmt.Errorf("spec: scan %d adopted a view from update op %d, which is not in the history", si, op.AdoptedFrom)
-		}
-		if u.End < op.Start || u.Start > op.End {
-			return fmt.Errorf("spec: scan %d (interval [%d,%d]) adopted help from update op %d (interval [%d,%d]), which was not concurrent with it",
-				si, op.Start, op.End, op.AdoptedFrom, u.Start, u.End)
-		}
-		if !intersect(u.Comps, op.Comps) {
-			return fmt.Errorf("spec: scan %d over %v adopted help from update op %d over %v, which is disjoint from it",
-				si, op.Comps, op.AdoptedFrom, u.Comps)
-		}
-	}
-	return nil
-}
-
-func intersect(a, b []int) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
 }

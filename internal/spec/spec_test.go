@@ -153,58 +153,6 @@ func TestCheckAdmitsTearingInsideUpdateInterval(t *testing.T) {
 	}
 }
 
-func TestCheckProvenance(t *testing.T) {
-	update := spec.Op[int64]{Kind: spec.Update, Start: 3, End: 6,
-		Comps: []int{0}, Vals: []int64{7}, UpdateID: 11}
-	cases := []struct {
-		name    string
-		scan    spec.Op[int64]
-		wantErr string // "" = accept
-	}{
-		{
-			name: "own double collect needs no provenance",
-			scan: spec.Op[int64]{Kind: spec.Scan, Start: 4, End: 5, Comps: []int{0}, Vals: []int64{7}},
-		},
-		{
-			name: "adoption from a concurrent intersecting update",
-			scan: spec.Op[int64]{Kind: spec.Scan, Start: 4, End: 8,
-				Comps: []int{0, 1}, Vals: []int64{7, 0}, AdoptedFrom: 11},
-		},
-		{
-			name: "adoption from an unknown op",
-			scan: spec.Op[int64]{Kind: spec.Scan, Start: 4, End: 8,
-				Comps: []int{0}, Vals: []int64{7}, AdoptedFrom: 99},
-			wantErr: "not in the history",
-		},
-		{
-			name: "adoption from an update that finished before the scan began",
-			scan: spec.Op[int64]{Kind: spec.Scan, Start: 7, End: 9,
-				Comps: []int{0}, Vals: []int64{7}, AdoptedFrom: 11},
-			wantErr: "not concurrent",
-		},
-		{
-			name: "adoption from a disjoint update",
-			scan: spec.Op[int64]{Kind: spec.Scan, Start: 4, End: 8,
-				Comps: []int{1}, Vals: []int64{0}, AdoptedFrom: 11},
-			wantErr: "disjoint",
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := spec.CheckProvenance([]spec.Op[int64]{update, tc.scan})
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("valid provenance rejected: %v", err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("err = %v, want %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
 func TestRecorderClockOrdersSequentialOps(t *testing.T) {
 	rec := &spec.Recorder[int64]{}
 	aStart := rec.Now()
