@@ -24,7 +24,8 @@
 // components it names. Update and scan bodies go through a small
 // hand-written codec (codec.go) that reads each body into a pooled buffer,
 // parses it into pooled slices and appends the reply into a pooled buffer,
-// with the wire format encoding/json gives the exported wire types.
+// with the wire format encoding/json gives the exported wire types. A scan
+// appends its view to the request's pooled value slice (AppendScan).
 //
 // Conformance oracle. Every operation the server applies is fed, as it
 // begins and as it ends, to an online spec.Checker: the same atomic-cut
@@ -240,29 +241,22 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	t := s.conf.begin()
-	var vals []int64
-	var err error
 	if q.all {
-		// One full scan: its length names the components it covers.
-		if vals, err = s.obj.Scan(); err == nil {
-			q.ints = q.ints[:0]
-			for i := range vals {
-				q.ints = append(q.ints, i)
-			}
-			ids = q.ints
+		for i := range s.obj.Components() {
+			q.ints = append(q.ints, i)
 		}
-	} else {
-		vals, err = s.obj.PartialScan(ids)
+		ids = q.ints
 	}
-	if err != nil {
+	t := s.conf.begin()
+	var err error
+	if q.vals, err = s.obj.AppendScan(q.vals[:0], ids); err != nil {
 		s.conf.abort(t)
 		s.failApplied(w, q, err, 0)
 		return
 	}
-	s.conf.end(t, spec.Op[int64]{Kind: spec.Scan, Comps: ids, Vals: vals})
+	s.conf.end(t, spec.Op[int64]{Kind: spec.Scan, Comps: ids, Vals: q.vals})
 	s.scans.Add(1)
-	q.out = appendScanResp(q.out, ids, vals)
+	q.out = appendScanResp(q.out, ids, q.vals)
 	send(w, http.StatusOK, q.out)
 }
 

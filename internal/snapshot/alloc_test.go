@@ -11,10 +11,10 @@ import (
 // Steady-state allocation budgets for the single-goroutine hot paths.
 // An uncontended scan announces no record, wide scans recycle their collect
 // buffers (pool.go), and every write takes never-used slots from a 128 B
-// run (registers.go), so an uncontended scan performs one allocation — the
-// result slice its caller keeps — and an update only its share of a run:
-// 1/16 per int64 slot. These
-// tests are the regression gate for that property — any new per-operation
+// run (registers.go), so an uncontended scan into a dst with room performs
+// no allocation, one into a nil dst exactly one (its result), and an
+// update only its share of a run: 1/16 per int64 slot. These tests are
+// the regression gate for that property — any new per-operation
 // allocation on the fast paths fails them, long before the benchmark trend
 // would show it.
 //
@@ -44,6 +44,16 @@ func TestAllocsPerOpLockFree(t *testing.T) {
 		pooledIDs[i] = 3 * i
 	}
 	copy(stackIDs, pooledIDs)
+	all := allComps(64)
+	// One dst reused by every AppendScan probe, with room for the widest.
+	dst := make([]int64, 0, len(all))
+	appendScan := func(ids []int) func() error {
+		return func() error {
+			var err error
+			dst, err = o.AppendScan(dst[:0], ids)
+			return err
+		}
+	}
 	// Warm the pools: the first operations of each width allocate the
 	// reusable buffers the steady state then lives off.
 	for i := 0; i < 64; i++ {
@@ -61,12 +71,17 @@ func TestAllocsPerOpLockFree(t *testing.T) {
 		}
 	}
 
-	// One allocation per scan: the result slice the caller keeps.
+	// A scan into a reused dst allocates nothing; one into a nil dst
+	// allocates its result, exactly once.
+	assertAllocs(t, "lockfree AppendScan width-8", 0, appendScan(scanIDs))
+	assertAllocs(t, "lockfree AppendScan width-16", 0, appendScan(stackIDs))
 	assertAllocs(t, "lockfree PartialScan width-8", 1, func() error { _, err := o.PartialScan(scanIDs); return err })
 	assertAllocs(t, "lockfree PartialScan width-16", 1, func() error { _, err := o.PartialScan(stackIDs); return err })
 	if raceEnabled {
 		t.Skip("pooled collects and update budgets: the race detector drops sync.Pool Puts at random")
 	}
+	assertAllocs(t, "lockfree AppendScan width-17", 0, appendScan(pooledIDs))
+	assertAllocs(t, "lockfree AppendScan all 64", 0, appendScan(all))
 	assertAllocs(t, "lockfree PartialScan width-17", 1, func() error { _, err := o.PartialScan(pooledIDs); return err })
 	assertAllocs(t, "lockfree full Scan", 1, func() error { _, err := o.Scan(); return err })
 
@@ -95,6 +110,12 @@ func TestAllocsPerOpRWMutex(t *testing.T) {
 	scanIDs := []int{1, 2, 3, 4}
 	assertAllocs(t, "rwmutex Update width-2", 0, func() error { return o.Update(ids, vals) })
 	assertAllocs(t, "rwmutex PartialScan width-4", 1, func() error { _, err := o.PartialScan(scanIDs); return err })
+	dst := make([]int64, 0, len(scanIDs))
+	assertAllocs(t, "rwmutex AppendScan width-4", 0, func() error {
+		var err error
+		dst, err = o.AppendScan(dst[:0], scanIDs)
+		return err
+	})
 }
 
 // TestUpdateBytes pins the size of a value slot: it holds only the value,

@@ -99,20 +99,22 @@ func BenchmarkLockFreeScanWidth1(b *testing.B) {
 	benchmarkScanOnly(b, snapshot.NewLockFree[int64](benchComponents), 1)
 }
 
-// benchmarkUpdateOnly measures the pure width-2 Update path over a sliding
-// pair of adjacent components.
-func benchmarkUpdateOnly(b *testing.B, obj snapshot.Object[int64]) {
+// benchmarkUpdateOnly measures the pure Update path over a sliding window
+// of width adjacent components. With no scanner, every update takes the
+// quiescent path: each consultation finds a nil head.
+func benchmarkUpdateOnly(b *testing.B, obj snapshot.Object[int64], width int) {
 	var worker atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
 		id := worker.Add(1)
 		rng := rand.New(rand.NewSource(id))
-		ids, vals := []int{0, 1}, []int64{0, 0}
+		ids, vals := make([]int, width), make([]int64, width)
 		var seq int64
 		for pb.Next() {
-			ids[0] = rng.Intn(benchComponents - 1)
-			ids[1] = ids[0] + 1
+			base := rng.Intn(benchComponents - width + 1)
 			seq++
-			vals[0], vals[1] = id<<32|seq, id<<32|seq
+			for i := range ids {
+				ids[i], vals[i] = base+i, id<<32|seq
+			}
 			if err := obj.Update(ids, vals); err != nil {
 				b.Fatal(err)
 			}
@@ -121,7 +123,14 @@ func benchmarkUpdateOnly(b *testing.B, obj snapshot.Object[int64]) {
 }
 
 func BenchmarkLockFreeUpdateWidth2(b *testing.B) {
-	benchmarkUpdateOnly(b, snapshot.NewLockFree[int64](benchComponents))
+	benchmarkUpdateOnly(b, snapshot.NewLockFree[int64](benchComponents), 2)
+}
+
+// BenchmarkLockFreeUpdateWidth8 is the width at which the quiescent
+// path's skip tally shows: one atomic add per update, not one per
+// component.
+func BenchmarkLockFreeUpdateWidth8(b *testing.B) {
+	benchmarkUpdateOnly(b, snapshot.NewLockFree[int64](benchComponents), 8)
 }
 
 // BenchmarkDisjointUpdaters runs two goroutines that each update their own

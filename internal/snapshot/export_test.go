@@ -34,3 +34,8 @@ func MallocsPerRun(t *testing.T, f func() error) (allocs, bytes float64) {
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
+
+// PartialScanInfo is PartialScan, also reporting how the scan completed.
+func (o *LockFree[V]) PartialScanInfo(ids []int) ([]V, ScanInfo, error) {
+	return o.appendScanInfo(nil, ids)
+}

@@ -24,15 +24,15 @@ type helpView[V any] struct {
 // end.
 //
 // A consultation is one load of the slot's head, inline: a nil head means
-// no scan is enrolled there, and the update tallies a skip on that slot's
-// own skipped word and moves on without a call. Only a non-nil head is
-// walked. A scan enrolled in component c either linked its enrollment
-// before our head load (we walk c's slot and find it) or after (our
-// consultation of c precedes its enrollment, making this update one of the
-// finitely many pre-walk updates per component the termination argument in
-// embeddedScan already tolerates). The skip tally lands on a line that
-// only operations naming c write, so the quiescent update path writes
-// nothing outside its own components.
+// no scan is enrolled there, and the update counts a skip and moves on
+// without a call. Only a non-nil head is walked. A scan enrolled in
+// component c either linked its enrollment before our head load (we walk
+// c's slot and find it) or after (our consultation of c precedes its
+// enrollment, making this update one of the finitely many pre-walk
+// updates per component the termination argument in embeddedScan already
+// tolerates). The skips go in one atomic add to the slot of ids[0], a
+// line only operations naming that component write, so the quiescent
+// update path writes nothing outside its own components.
 //
 // The dedup list starts in a small stack array, as doubleCollect's first
 // collect does: an update that serves a handful of records allocates
@@ -40,16 +40,18 @@ type helpView[V any] struct {
 func (o *LockFree[V]) helpIntersectingScans(ids []int) {
 	var seenBuf [4]*scanRecord[V]
 	seen := seenBuf[:0]
+	var skipped uint64
 	for _, id := range ids {
 		o.yield(sched.PreSlotWalk, id)
 		s := &o.slots[id]
 		head := s.head.Load()
 		if head == nil || (o.mut.staleHeadEmpty && head.stale()) {
-			s.skipped.Add(1)
+			skipped++
 			continue
 		}
 		seen = o.walkSlot(s, id, head, seen)
 	}
+	o.slots[ids[0]].skipped.Add(skipped)
 }
 
 // help serves one live record a walk found: unless the update already
@@ -109,8 +111,9 @@ func (o *LockFree[V]) help(rec *scanRecord[V], seen []*scanRecord[V]) []*scanRec
 func (o *LockFree[V]) embeddedScan(target *scanRecord[V]) (view []V, depth int, ok bool) {
 	level := target.level + 1
 	failures := 0
-	// Fast path: try one unannounced double collect first.
-	if vals, ok := o.doubleCollect(target.ids, level); ok {
+	// Fast path: try one unannounced double collect first. Collects here
+	// start from a nil dst: a view posted as help is never caller memory.
+	if vals, ok := o.doubleCollect(nil, target.ids, level); ok {
 		return vals, level, true
 	}
 	o.scanRetries.Add(1)
@@ -126,7 +129,7 @@ func (o *LockFree[V]) embeddedScan(target *scanRecord[V]) (view []V, depth int, 
 		if target.done.Load() || target.help.Load() != nil {
 			return nil, 0, false
 		}
-		if vals, ok := o.doubleCollect(rec.ids, level); ok {
+		if vals, ok := o.doubleCollect(nil, rec.ids, level); ok {
 			return vals, level, true
 		}
 		o.scanRetries.Add(1)

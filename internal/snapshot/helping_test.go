@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -77,6 +78,58 @@ func TestHelpAdoptionScripted(t *testing.T) {
 	}
 	if n := o.registryLen(); n != 0 {
 		t.Fatalf("announcement registry still holds %d enrollments", n)
+	}
+}
+
+// TestScriptedAppendScanFailedCollect pins that a failed double collect
+// leaves nothing in the caller's dst. The scanner's dst holds a two-value
+// prefix and has room to spare, so an implementation that appended during
+// a collect would write into it in place; a writer stores one of the
+// scanned components inside the fast-path collect's gap, and the scanner
+// must return the untouched prefix followed by exactly one atomic view,
+// appended in place, in a history the spec accepts.
+func TestScriptedAppendScanFailedCollect(t *testing.T) {
+	ctl := sched.NewController()
+	o := NewLockFree[int64](4).Instrument(ctl)
+	rec := &spec.Recorder[int64]{}
+	ids := []int{0, 1}
+	start := rec.Now()
+	if err := o.Update(ids, []int64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(), Comps: ids, Vals: []int64{1, 2}})
+
+	dst := append(make([]int64, 0, 8), -7, -8)
+	var out []int64
+	scanStart := rec.Now()
+	ctl.Spawn("scanner", func() {
+		var err error
+		if out, err = o.AppendScan(dst, ids); err != nil {
+			t.Errorf("AppendScan: %v", err)
+		}
+	})
+	if _, ok := ctl.StepUntil("scanner", sched.PostFirstCollect); !ok {
+		t.Fatal("scanner finished before its first collect gap")
+	}
+	start = rec.Now()
+	if err := o.Update([]int{0}, []int64{100}); err != nil {
+		t.Fatal(err)
+	}
+	rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(), Comps: []int{0}, Vals: []int64{100}})
+	ctl.RunToCompletion("scanner")
+	rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: scanStart, End: rec.Now(), Comps: ids, Vals: out[2:]})
+
+	if want := []int64{-7, -8, 100, 2}; !slices.Equal(out, want) {
+		t.Fatalf("AppendScan(%v, %v) = %v, want %v", dst, ids, out, want)
+	}
+	if &out[0] != &dst[0] {
+		t.Fatal("AppendScan reallocated a dst with room for the view")
+	}
+	if st := o.Stats(); st.ScanRetries != 1 {
+		t.Fatalf("ScanRetries = %d, want 1 (the obstructed fast-path collect)", st.ScanRetries)
+	}
+	if err := spec.Check(o.Components(), rec.Ops()); err != nil {
+		t.Fatalf("history rejected: %v", err)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // slot walk), scan.go the scanner side, helping.go the updater side.
 //
 // An update that finds no announced scan writes only its new value slots,
-// its components' registers and their registry slots' skip tallies,
+// its components' registers and its first component's slot's skip tally,
 // nothing in the object itself. The counters below are written only on
 // the contended paths (retries, help, announcements), on lines apart from
 // the read-only header's (TestHeaderLayout).
@@ -147,7 +147,7 @@ type Stats struct {
 	RegistryWalks uint64 `json:"registry_walks"`
 	// WalksSkipped counts consultations that found a nil head: one per
 	// (update, named component) pair whose slot held no enrollment at the
-	// update's head load, tallied on that slot, summed across the slots.
+	// update's head load, summed across the slots.
 	// In a quiescent (no-scanner) workload it equals update ops × update
 	// width while RegistryWalks stays zero. RegistryWalks + WalksSkipped
 	// is the total consultation count the walk-before-store argument is

@@ -2,6 +2,7 @@ package snapshot_test
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -50,7 +51,8 @@ type parityCounts struct {
 
 // runParityWorkload drives every worker's stream concurrently against obj
 // (run with -race), recording the history, and returns it with the op
-// counts. Every op names valid components, so any error is fatal.
+// counts. Each worker scans into one reused dst and records a copy of
+// each view. Every op names valid components, so any error is fatal.
 func runParityWorkload(t *testing.T, obj snapshot.Object[int64], gen *workload.Generator, opsPerWorker int) ([]spec.Op[int64], parityCounts) {
 	t.Helper()
 	rec := &spec.Recorder[int64]{}
@@ -62,6 +64,7 @@ func runParityWorkload(t *testing.T, obj snapshot.Object[int64], gen *workload.G
 		go func(w int) {
 			defer wg.Done()
 			var local parityCounts
+			var dst []int64
 			for _, op := range gen.Ops(w, opsPerWorker) {
 				switch op.Kind {
 				case workload.OpUpdate:
@@ -75,14 +78,16 @@ func runParityWorkload(t *testing.T, obj snapshot.Object[int64], gen *workload.G
 						Comps: op.Comps, Vals: op.Vals})
 				case workload.OpScan:
 					start := rec.Now()
-					vals, err := obj.PartialScan(op.Comps)
+					var err error
+					dst, err = obj.AppendScan(dst[:0], op.Comps)
 					if err != nil {
-						t.Errorf("worker %d: PartialScan%v: %v", w, op.Comps, err)
+						t.Errorf("worker %d: AppendScan%v: %v", w, op.Comps, err)
 						return
 					}
+					end := rec.Now()
 					local.Scans++
-					rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: rec.Now(),
-						Comps: op.Comps, Vals: vals})
+					rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: end,
+						Comps: op.Comps, Vals: slices.Clone(dst)})
 				}
 			}
 			mu.Lock()
@@ -249,6 +254,8 @@ func TestParitySequentialSemantics(t *testing.T) {
 					}
 				}
 			}
+			// Each implementation scans into its own reused dst.
+			dsts := make(map[snapshot.Impl][]int64, len(objs))
 			for k := 0; k < 100; k++ {
 				for w := 0; w < cfg.Workers; w++ {
 					op := streams[w][k]
@@ -261,13 +268,12 @@ func TestParitySequentialSemantics(t *testing.T) {
 						wantOK("Update", op.Comps, errs)
 						model.Apply(op.Comps, op.Vals)
 					case workload.OpScan:
-						views := make(map[snapshot.Impl][]int64, len(objs))
 						for impl, obj := range objs {
-							views[impl], errs[impl] = obj.PartialScan(op.Comps)
+							dsts[impl], errs[impl] = obj.AppendScan(dsts[impl][:0], op.Comps)
 						}
-						wantOK("PartialScan", op.Comps, errs)
+						wantOK("AppendScan", op.Comps, errs)
 						want := model.Read(op.Comps)
-						for impl, got := range views {
+						for impl, got := range dsts {
 							if !reflect.DeepEqual(got, want) {
 								t.Fatalf("sequential scan diverged on %v: %s %v, model %v",
 									op.Comps, impl, got, want)

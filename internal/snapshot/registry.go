@@ -28,8 +28,8 @@ import (
 // (helpIntersectingScans keeps the per-walk seen list).
 //
 // An updater's consultation of a slot is one load of its head: nil means
-// no scan is enrolled there, and the update tallies a skip on the slot and
-// moves on (see helpIntersectingScans).
+// no scan is enrolled there, and the update counts a skip and moves on
+// (see helpIntersectingScans).
 //
 // Retirement is logical (rec.done) and unlinking is lazy and per-slot: the
 // retiring owner sweeps consecutive stale enrollments off its own slots'
@@ -69,7 +69,7 @@ func (e *enrollment[V]) stale() bool { return e.rec.done.Load() }
 type slot[V any] struct {
 	head    atomic.Pointer[enrollment[V]]
 	walks   atomic.Uint64 // consultations that found a non-nil head
-	skipped atomic.Uint64 // consultations that found a nil head
+	skipped atomic.Uint64 // nil-head consultations by updates whose first component this is
 	visited atomic.Uint64 // live records those walks encountered
 	_       [96]byte
 }

@@ -38,23 +38,22 @@ func (o *RWMutex[V]) Update(ids []int, vals []V) error {
 	return nil
 }
 
-func (o *RWMutex[V]) PartialScan(ids []int) ([]V, error) {
+// AppendScan grows dst before it takes the lock, never under it.
+func (o *RWMutex[V]) AppendScan(dst []V, ids []int) ([]V, error) {
 	if err := validateIDs(len(o.vals), ids); err != nil {
-		return nil, err
+		return dst, err
 	}
-	out := make([]V, len(ids))
+	if cap(dst)-len(dst) < len(ids) {
+		dst = append(make([]V, 0, len(dst)+len(ids)), dst...)
+	}
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	for i, id := range ids {
-		out[i] = o.vals[id]
+	for _, id := range ids {
+		dst = append(dst, o.vals[id])
 	}
-	return out, nil
+	return dst, nil
 }
 
-func (o *RWMutex[V]) Scan() ([]V, error) {
-	out := make([]V, len(o.vals))
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	copy(out, o.vals)
-	return out, nil
-}
+func (o *RWMutex[V]) PartialScan(ids []int) ([]V, error) { return o.AppendScan(nil, ids) }
+
+func (o *RWMutex[V]) Scan() ([]V, error) { return o.AppendScan(nil, allIDs(len(o.vals))) }

@@ -7,12 +7,12 @@ import (
 )
 
 // This file is the scanner side of LockFree: scan records and the
-// PartialScan double-collect/adopt loop. Announcement and retirement live
+// AppendScan double-collect/adopt loop. Announcement and retirement live
 // in registry.go; the updater side that serves announced records lives in
 // helping.go.
 
 // scanRecord is one announcement: "somebody needs a consistent view of this
-// component set". Level 0 records are posted by PartialScan; level k >= 1
+// component set". Level 0 records are posted by AppendScan; level k >= 1
 // records are posted by the embedded scan of an updater helping a level-
 // (k-1) record, so records form the help chains of the paper's recursive
 // construction. A record is enrolled in the registry slot of every
@@ -52,26 +52,29 @@ type ScanInfo struct {
 	Retries int
 }
 
-// PartialScan returns an atomic view of the named components: either a
+// AppendScan appends to dst an atomic view of the named components: a
 // clean double collect (the exact memory state at an instant between the
-// two collects) or a view posted by a helping updater (itself rooted in a
-// clean double collect taken inside this scan's interval).
-func (o *LockFree[V]) PartialScan(ids []int) ([]V, error) {
-	vals, _, err := o.PartialScanInfo(ids)
-	return vals, err
+// two collects) or a copy of a view posted by a helping updater (itself
+// rooted in a clean double collect taken inside this scan's interval).
+func (o *LockFree[V]) AppendScan(dst []V, ids []int) ([]V, error) {
+	dst, _, err := o.appendScanInfo(dst, ids)
+	return dst, err
 }
 
-// PartialScanInfo is PartialScan, additionally reporting how the scan
+// PartialScan is AppendScan into a new slice.
+func (o *LockFree[V]) PartialScan(ids []int) ([]V, error) { return o.AppendScan(nil, ids) }
+
+// appendScanInfo is AppendScan's one path, reporting how the scan
 // completed: validate, double collect, announce on obstruction, adopt
 // posted help.
-func (o *LockFree[V]) PartialScanInfo(ids []int) (_ []V, info ScanInfo, _ error) {
+func (o *LockFree[V]) appendScanInfo(dst []V, ids []int) (_ []V, info ScanInfo, _ error) {
 	if err := validateIDs(len(o.regs), ids); err != nil {
-		return nil, info, err
+		return dst, info, err
 	}
-	// Fast path: an uncontended scan needs no announcement, and its only
-	// allocation is the result slice the caller keeps.
-	if vals, ok := o.doubleCollect(ids, 0); ok {
-		return vals, info, nil
+	// Fast path: an uncontended scan needs no announcement, and allocates
+	// only if dst has no room for the view.
+	if out, ok := o.doubleCollect(dst, ids, 0); ok {
+		return out, info, nil
 	}
 	o.scanRetries.Add(1)
 	info.Retries++
@@ -83,8 +86,8 @@ func (o *LockFree[V]) PartialScanInfo(ids []int) (_ []V, info ScanInfo, _ error)
 	defer o.retire(rec)
 	o.yield(sched.PostAnnounce, 0)
 	for {
-		if vals, ok := o.doubleCollect(rec.ids, 0); ok {
-			return vals, info, nil
+		if out, ok := o.doubleCollect(dst, rec.ids, 0); ok {
+			return out, info, nil
 		}
 		o.scanRetries.Add(1)
 		info.Retries++
@@ -97,7 +100,7 @@ func (o *LockFree[V]) PartialScanInfo(ids []int) (_ []V, info ScanInfo, _ error)
 			o.yield(sched.PreAdopt, 0)
 			o.helpsAdopted.Add(1)
 			info.Adopted, info.Depth = true, h.depth
-			return append([]V(nil), h.vals...), info, nil
+			return append(dst, h.vals...), info, nil
 		}
 	}
 }
@@ -109,18 +112,19 @@ const stackCollect = 16
 
 // doubleCollect is one double collect of ids: load every
 // named cell, yield at PostFirstCollect (arg = level), then re-load each
-// cell and compare it in place with the first load. It returns the values
-// of the first collect's cells and true when no cell changed — the memory
-// state at an instant between the two collects — and false on the first
-// changed cell. Cell identity, not value equality, is what rules out ABA:
-// every write takes never-used slots from a 128 B run (see registers.go),
-// and the held pointers keep the GC from recycling a run while the collect
-// can still compare against one of its slots.
+// cell and compare it in place with the first load. When no cell changed
+// it appends the first collect's values to dst — the memory state at an
+// instant between the two collects — and returns it with true; otherwise
+// it returns dst as given and false. Cell identity, not value equality,
+// rules out ABA: every write takes never-used slots from a 128 B run (see
+// registers.go), and the held pointers keep the GC from recycling a run
+// while the collect can still compare against one of its slots.
 //
 // Up to stackCollect ids, the first collect goes into a fixed array indexed
 // directly, which the compiler keeps on the stack; wider sets borrow one
-// pooled buffer. Either way the second collect stores nothing.
-func (o *LockFree[V]) doubleCollect(ids []int, level int) ([]V, bool) {
+// pooled buffer. Either way the second collect stores nothing, and dst
+// grows at most once.
+func (o *LockFree[V]) doubleCollect(dst []V, ids []int, level int) ([]V, bool) {
 	regs := o.regs
 	if len(ids) <= stackCollect {
 		var first [stackCollect]*V
@@ -130,14 +134,10 @@ func (o *LockFree[V]) doubleCollect(ids []int, level int) ([]V, bool) {
 		o.yield(sched.PostFirstCollect, level)
 		for i, id := range ids {
 			if regs[id].ptr.Load() != first[i] {
-				return nil, false
+				return dst, false
 			}
 		}
-		vals := make([]V, len(ids))
-		for i := range vals {
-			vals[i] = *first[i]
-		}
-		return vals, true
+		return appendCells(dst, first[:len(ids)]), true
 	}
 	// No defer: it would cost the stack path above its bookkeeping too.
 	buf := o.getBuf(len(ids))
@@ -149,16 +149,26 @@ func (o *LockFree[V]) doubleCollect(ids []int, level int) ([]V, bool) {
 	for i, id := range ids {
 		if regs[id].ptr.Load() != first[i] {
 			o.putBuf(buf)
-			return nil, false
+			return dst, false
 		}
 	}
-	vals := make([]V, len(ids))
-	for i, p := range first {
-		vals[i] = *p
-	}
+	dst = appendCells(dst, first)
 	o.putBuf(buf)
-	return vals, true
+	return dst, true
+}
+
+// appendCells appends the values cells point to, growing dst at most once,
+// to exactly the room they need, as make would: slices.Grow's growslice
+// costs a nil-dst scan about 8 ns more on a 2-vCPU x86-64 host.
+func appendCells[V any](dst []V, cells []*V) []V {
+	if cap(dst)-len(dst) < len(cells) {
+		dst = append(make([]V, 0, len(dst)+len(cells)), dst...)
+	}
+	for _, p := range cells {
+		dst = append(dst, *p)
+	}
+	return dst
 }
 
 // Scan is PartialScan over every component.
-func (o *LockFree[V]) Scan() ([]V, error) { return o.PartialScan(o.all) }
+func (o *LockFree[V]) Scan() ([]V, error) { return o.AppendScan(nil, o.all) }

@@ -6,7 +6,7 @@
 // instead exposes
 //
 //	Update(componentIDs, values)
-//	PartialScan(componentIDs) -> values
+//	AppendScan(dst, componentIDs) -> dst + values (dst is the caller's)
 //
 // where both operations name only the components they care about. The point
 // of the paper is locality: a partial scan reads — and is obstructed by —
@@ -35,7 +35,7 @@
 //   - RWMutex: a coarse-grained reference implementation used as the
 //     correctness baseline and benchmark foil.
 //
-// Semantics: PartialScan is atomic — the returned values all coexisted in
+// Semantics: a scan is atomic — the returned values all coexisted in
 // the object at a single instant inside the scan's interval. A
 // multi-component Update is applied as a sequence of single-component
 // atomic writes (component updates are individually linearizable; the batch
@@ -50,7 +50,7 @@ import (
 )
 
 // ErrBadComponent is returned (wrapped, with detail) when a component-ID
-// set handed to Update or PartialScan is empty, contains an ID outside
+// set handed to Update or a scan is empty, contains an ID outside
 // [0, n), contains duplicates, or does not match the number of values.
 var ErrBadComponent = errors.New("snapshot: bad component set")
 
@@ -62,9 +62,13 @@ type Object[V any] interface {
 	// Each component write is individually linearizable; see the package
 	// comment for batch semantics.
 	Update(ids []int, vals []V) error
-	// PartialScan returns the values of the named components as they
-	// coexisted at one instant within the call's interval. The result is
-	// ordered like ids.
+	// AppendScan appends to dst, ordered like ids, the named components'
+	// values as they coexisted at one instant within the call, in the style
+	// of strconv.AppendInt: a dst with room costs no allocation. On error
+	// it returns dst unchanged. dst must not overlap ids.
+	AppendScan(dst []V, ids []int) ([]V, error)
+	// PartialScan is AppendScan into a new slice; it and Scan stay because
+	// the repository benchmark (perfbench) calls them.
 	PartialScan(ids []int) ([]V, error)
 	// Scan is PartialScan over every component.
 	Scan() ([]V, error)

@@ -2,11 +2,15 @@ package snapshot_test
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
+	"partialsnapshot/internal/sched"
 	"partialsnapshot/internal/snapshot"
 	"partialsnapshot/internal/spec"
+	"partialsnapshot/internal/workload"
 )
 
 // uniqueVal encodes writer identity and a per-writer sequence number so
@@ -224,6 +228,84 @@ func TestContendedScansTerminate(t *testing.T) {
 		t.Fatalf("storm left %d live announcements, want 0", st.LiveAnnouncements)
 	}
 	t.Logf("contended stats: %+v", st)
+}
+
+// goschedAt yields the processor at one yield point. Installed at
+// PostFirstCollect, it parks every collect between its two passes while
+// other goroutines run, so concurrent updates obstruct scans, post help
+// and get adopted on any host, one CPU included.
+type goschedAt sched.Point
+
+func (g goschedAt) Yield(p sched.Point, _ int) {
+	if p == sched.Point(g) {
+		runtime.Gosched()
+	}
+}
+
+// TestAppendScanDstStaysPrivate runs the zipfian hot head with every scan
+// appending into its worker's one reused dst behind a fixed prefix, while
+// the other workers' updates force retries, help and adoption. Each view
+// must land after the untouched prefix and stay as returned until the
+// worker's next scan (under -race, any other goroutine writing into a dst
+// is also a reported race), and spec.Check must accept the history.
+func TestAppendScanDstStaysPrivate(t *testing.T) {
+	const components, workers = 8, 4
+	opsPerWorker := 2000
+	if testing.Short() {
+		opsPerWorker = 400
+	}
+	gen, err := workload.New(workload.Config{Shape: workload.Zipfian, Components: components,
+		Workers: workers, ScanFrac: -1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := snapshot.NewLockFree[int64](components).Instrument(goschedAt(sched.PostFirstCollect))
+	rec := &spec.Recorder[int64]{}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			prefix := int64(-1 - w)
+			dst, last := []int64{prefix}, []int64(nil)
+			for _, op := range gen.Ops(w, opsPerWorker) {
+				start := rec.Now()
+				if op.Kind == workload.OpUpdate {
+					if err := obj.Update(op.Comps, op.Vals); err != nil {
+						t.Errorf("worker %d: Update%v: %v", w, op.Comps, err)
+						return
+					}
+					rec.Add(spec.Op[int64]{Kind: spec.Update, Start: start, End: rec.Now(), Comps: op.Comps, Vals: op.Vals})
+					continue
+				}
+				if !slices.Equal(dst[1:], last) {
+					t.Errorf("worker %d: dst holds %v after AppendScan returned %v", w, dst[1:], last)
+					return
+				}
+				var err error
+				dst, err = obj.AppendScan(dst[:1], op.Comps)
+				end := rec.Now()
+				if err != nil || len(dst) != 1+len(op.Comps) || dst[0] != prefix {
+					t.Errorf("worker %d: AppendScan(prefix %d, %v) = %v, %v", w, prefix, op.Comps, dst, err)
+					return
+				}
+				last = slices.Clone(dst[1:])
+				rec.Add(spec.Op[int64]{Kind: spec.Scan, Start: start, End: end, Comps: op.Comps, Vals: last})
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if err := spec.Check(components, rec.Ops()); err != nil {
+		t.Fatalf("history rejected by spec: %v", err)
+	}
+	st := obj.Stats()
+	t.Logf("stats: %+v", st)
+	if st.HelpsPosted == 0 || st.HelpsAdopted == 0 || st.LiveAnnouncements != 0 {
+		t.Fatalf("stats = %+v, want help posted and adopted, and no live announcement at the end", st)
+	}
 }
 
 // TestZeroSizeValues runs concurrent updates and scans over a
