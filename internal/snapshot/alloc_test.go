@@ -104,6 +104,36 @@ func TestAllocsPerOpLockFree(t *testing.T) {
 	}
 }
 
+// TestAllocsPerServedRecord pins what helping costs per record served: an
+// update of {0,1} that finds k records announced on {0,1} allocates, per
+// record, the embedded scan's result and its helpView, and each record
+// costs its own newRecord and two enrollments: 5 per record, plus the
+// update's 1/8 share of a run. Meeting a record again in slot 1 costs
+// nothing, and the update keeps no per-record list that could spill to
+// the heap as k grows.
+func TestAllocsPerServedRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool Puts at random")
+	}
+	ids, vals := []int{0, 1}, []int64{1, 2}
+	for _, k := range []int{1, 5, 16} {
+		o := snapshot.NewLockFree[int64](4)
+		if err := o.UpdateServing(k, ids, vals); err != nil {
+			t.Fatal(err)
+		}
+		if st := o.Stats(); st.HelpsPosted != uint64(k) || st.LiveAnnouncements != 0 {
+			t.Fatalf("k=%d: stats %+v, want every record served once and retired", k, st)
+		}
+		want := 5*float64(k) + 1.0/8
+		got, _ := snapshot.MallocsPerRun(t, func() error { return o.UpdateServing(k, ids, vals) })
+		if got < want-snapshot.MallocSlack || got > want+snapshot.MallocSlack {
+			t.Errorf("k=%d: %.4f allocs per serving update, want %.4f", k, got, want)
+		} else {
+			t.Logf("k=%d: %.4f allocs per serving update (want %.4f)", k, got, want)
+		}
+	}
+}
+
 func TestAllocsPerOpRWMutex(t *testing.T) {
 	o := snapshot.NewRWMutex[int64](64)
 	ids, vals := []int{3, 40}, []int64{1, 2}

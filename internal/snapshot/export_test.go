@@ -39,3 +39,39 @@ func MallocsPerRun(t *testing.T, f func() error) (allocs, bytes float64) {
 func (o *LockFree[V]) PartialScanInfo(ids []int) ([]V, ScanInfo, error) {
 	return o.appendScanInfo(nil, ids)
 }
+
+// registryLen counts enrollments currently linked across all slots,
+// retired-but-not-yet-unlinked ones included; a record enrolled in k slots
+// counts k times.
+func (o *LockFree[V]) registryLen() int {
+	n := 0
+	for c := range o.slots {
+		n += o.slotLen(c)
+	}
+	return n
+}
+
+// slotLen counts enrollments currently linked in component c's slot,
+// retired-but-not-yet-unlinked ones included.
+func (o *LockFree[V]) slotLen(c int) int {
+	n := 0
+	for cur := o.slots[c].head.Load(); cur != nil; cur = cur.next.Load() {
+		n++
+	}
+	return n
+}
+
+// UpdateServing announces k ≤ 16 level-0 records on ids, runs
+// Update(ids, vals), which serves every one of them, then retires them.
+func (o *LockFree[V]) UpdateServing(k int, ids []int, vals []V) error {
+	var recs [16]*scanRecord[V]
+	for i := range recs[:k] {
+		recs[i] = newRecord[V](ids, 0)
+		o.announce(recs[i])
+	}
+	err := o.Update(ids, vals)
+	for _, rec := range recs[:k] {
+		o.retire(rec)
+	}
+	return err
+}

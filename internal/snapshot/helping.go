@@ -16,12 +16,12 @@ type helpView[V any] struct {
 
 // helpIntersectingScans consults u's registry for every component the
 // update is about to write and, for each live record found, completes an
-// embedded scan of that record's set and posts the view. Records enrolled
-// in several of the walked slots are seen once per shared slot and deduped
-// against the update's seen list. Disjoint scans live in slots this update
-// never touches, so they cost it nothing and are never observed — unlike
-// the earlier global announcement stack, which every update walked end to
-// end.
+// embedded scan of that record's set and posts the view. A record enrolled
+// in several of the walked slots is met once per shared slot; help serves
+// it at the first meeting, and every later one finds it done or helped.
+// Disjoint scans live in slots this update never touches, so they cost it
+// nothing and are never observed — unlike the earlier global announcement
+// stack, which every update walked end to end.
 //
 // A consultation is one load of the slot's head, inline: a nil head means
 // no scan is enrolled there, and the update counts a skip and moves on
@@ -33,13 +33,7 @@ type helpView[V any] struct {
 // tolerates). The skips go in one atomic add to the slot of ids[0], a
 // line only operations naming that component write, so the quiescent
 // update path writes nothing outside its own components.
-//
-// The dedup list starts in a small stack array, as doubleCollect's first
-// collect does: an update that serves a handful of records allocates
-// nothing for it.
 func (o *LockFree[V]) helpIntersectingScans(ids []int) {
-	var seenBuf [4]*scanRecord[V]
-	seen := seenBuf[:0]
 	var skipped uint64
 	for _, id := range ids {
 		o.yield(sched.PreSlotWalk, id)
@@ -49,26 +43,24 @@ func (o *LockFree[V]) helpIntersectingScans(ids []int) {
 			skipped++
 			continue
 		}
-		seen = o.walkSlot(s, id, head, seen)
+		o.walkSlot(s, id, head)
 	}
 	o.slots[ids[0]].skipped.Add(skipped)
 }
 
-// help serves one live record a walk found: unless the update already
-// served it through an earlier slot (seen), or help is already posted, it
-// runs an embedded scan of the record's set and posts the view. It returns
-// seen extended by the record. Comparing pointers is enough because a
-// record is never reused: the same pointer is the same announcement.
-func (o *LockFree[V]) help(rec *scanRecord[V], seen []*scanRecord[V]) []*scanRecord[V] {
-	for _, s := range seen {
-		if s == rec {
-			o.deduped.Add(1)
-			return seen
-		}
-	}
-	seen = append(seen, rec)
+// help serves one live record a walk found: unless help is already
+// posted, it runs an embedded scan of the record's set and posts the view.
+// After help returns, rec.done || rec.help != nil holds: embeddedScan
+// reports ok=false only when one of the two holds, and on ok=true the CAS
+// either posts this view or loses to another helper's. So the update
+// keeps no list of the records it has served: meeting rec again through a
+// later shared slot costs one load here, or nothing if the walk finds rec
+// retired. The one exception is the helpBound mutation seam, which
+// abandons a record with neither set; there a second meeting runs a
+// second bounded embedded scan.
+func (o *LockFree[V]) help(rec *scanRecord[V]) {
 	if rec.help.Load() != nil {
-		return seen
+		return
 	}
 	o.yield(sched.PreHelpScan, rec.level+1)
 	if view, depth, ok := o.embeddedScan(rec); ok {
@@ -78,7 +70,6 @@ func (o *LockFree[V]) help(rec *scanRecord[V], seen []*scanRecord[V]) []*scanRec
 			atomicMax(&o.maxDepth, int64(depth))
 		}
 	}
-	return seen
 }
 
 // embeddedScan produces a consistent view of target's component set on
@@ -140,7 +131,12 @@ func (o *LockFree[V]) embeddedScan(target *scanRecord[V]) (view []V, depth int, 
 		if h := rec.help.Load(); h != nil {
 			o.yield(sched.PreAdopt, level)
 			o.helpsAdopted.Add(1)
-			return append([]V(nil), h.vals...), h.depth, true
+			// No copy: a posted view is never written again, and its one
+			// reader is the owner of the record it is posted on. Handing
+			// h.vals on posts the same slice on target in turn, whose owner
+			// reads it or hands it on again; the level-0 scanner at the end
+			// of the chain copies it into its own dst.
+			return h.vals, h.depth, true
 		}
 	}
 }

@@ -19,7 +19,7 @@ func (s lineSpan) overlaps(t lineSpan) bool { return s.first <= t.last && t.firs
 // TestHeaderLayout checks, on a live object's real addresses rather than
 // on field offsets, that the words operations write stay off the lines
 // every operation reads and off each other's lines:
-//   - no counter the contended paths write (scanRetries through deduped)
+//   - no counter the contended paths write (scanRetries through live)
 //     shares a line with any byte of the read-only header (the regs, slots
 //     and all slice headers);
 //   - no two slots' written words (head, walks, skipped, visited) share a
@@ -31,7 +31,7 @@ func (s lineSpan) overlaps(t lineSpan) bool { return s.first <= t.last && t.firs
 func TestHeaderLayout(t *testing.T) {
 	o := NewLockFree[int64](64)
 	header := linesOf(unsafe.Pointer(&o.regs), unsafe.Offsetof(o.all)+unsafe.Sizeof(o.all)-unsafe.Offsetof(o.regs))
-	counters := linesOf(unsafe.Pointer(&o.scanRetries), unsafe.Offsetof(o.deduped)+unsafe.Sizeof(o.deduped)-unsafe.Offsetof(o.scanRetries))
+	counters := linesOf(unsafe.Pointer(&o.scanRetries), unsafe.Offsetof(o.live)+unsafe.Sizeof(o.live)-unsafe.Offsetof(o.scanRetries))
 	t.Logf("object at %#x (%d mod 64, %d B), header lines %d-%d, counter lines %d-%d; slots at %d mod 64",
 		uintptr(unsafe.Pointer(o)), uintptr(unsafe.Pointer(o))%64, unsafe.Sizeof(*o),
 		header.first, header.last, counters.first, counters.last, uintptr(unsafe.Pointer(&o.slots[0]))%64)

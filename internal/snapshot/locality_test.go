@@ -107,11 +107,19 @@ func TestCrossPartitionUpdatesNeverVisitRegistry(t *testing.T) {
 	}
 }
 
-// TestMultiEnrollmentDedup checks that an update whose write set overlaps a
-// record in several components sees the record once per shared slot but
-// helps it exactly once: the walk's seen list dedups slots two and three.
-func TestMultiEnrollmentDedup(t *testing.T) {
-	o := NewLockFree[int64](4)
+// yieldCounter is a Scheduler that parks nothing and counts the yields
+// of each point; it serves single-goroutine tests only.
+type yieldCounter map[sched.Point]int
+
+func (c yieldCounter) Yield(p sched.Point, _ int) { c[p]++ }
+
+// TestMultiEnrollmentServedOnce checks that an update whose write set
+// overlaps a record in three components meets the record once per shared
+// slot but serves it once: one embedded scan, one posted view. The second
+// and third meetings find help posted and return after one load.
+func TestMultiEnrollmentServedOnce(t *testing.T) {
+	yields := yieldCounter{}
+	o := NewLockFree[int64](4).Instrument(yields)
 	rec := newRecord[int64]([]int{0, 1, 2}, 0)
 	o.announce(rec)
 
@@ -119,8 +127,11 @@ func TestMultiEnrollmentDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := o.Stats()
-	if st.RecordsVisited != 3 || st.RecordsDeduped != 2 || st.HelpsPosted != 1 {
-		t.Fatalf("visited=%d deduped=%d helps=%d, want 3/2/1", st.RecordsVisited, st.RecordsDeduped, st.HelpsPosted)
+	if st.RecordsVisited != 3 || st.HelpsPosted != 1 {
+		t.Fatalf("visited=%d helps=%d, want 3/1", st.RecordsVisited, st.HelpsPosted)
+	}
+	if n := yields[sched.PreHelpScan]; n != 1 {
+		t.Fatalf("%d embedded scans started, want 1 for three meetings of one record", n)
 	}
 	h := rec.help.Load()
 	if h == nil || h.depth != 1 || h.vals[0] != 0 || h.vals[1] != 0 || h.vals[2] != 0 {

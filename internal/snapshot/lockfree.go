@@ -44,8 +44,7 @@ type LockFree[V any] struct {
 	helpsPosted  atomic.Uint64
 	helpsAdopted atomic.Uint64
 	maxDepth     atomic.Int64
-	live         atomic.Int64  // records announced and not yet retired
-	deduped      atomic.Uint64 // walk encounters skipped as already seen
+	live         atomic.Int64 // records announced and not yet retired
 }
 
 // mutations are the object's mutation seams. Each field, when set,
@@ -158,10 +157,6 @@ type Stats struct {
 	// disjoint component ranges, each partition's visits land on its own
 	// slots and cross-partition visits are zero — see SlotStats.
 	RecordsVisited uint64 `json:"records_visited"`
-	// RecordsDeduped counts encounters skipped because the same record had
-	// already been seen via an earlier slot of the same walk
-	// (multi-enrollment dedup).
-	RecordsDeduped uint64 `json:"records_deduped"`
 	// RecordReuses always reads 0: scan records are never reused, but the
 	// repository benchmark (perfbench) reads the key.
 	RecordReuses uint64 `json:"record_reuses"`
@@ -174,7 +169,6 @@ func (o *LockFree[V]) Stats() Stats {
 		HelpsAdopted:      o.helpsAdopted.Load(),
 		LiveAnnouncements: o.live.Load(),
 		MaxHelpDepth:      o.maxDepth.Load(),
-		RecordsDeduped:    o.deduped.Load(),
 	}
 	for i := range o.slots {
 		s := &o.slots[i]
@@ -194,18 +188,3 @@ func (o *LockFree[V]) SlotStats(c int) (walks, visited uint64) {
 	s := &o.slots[c]
 	return s.walks.Load(), s.visited.Load()
 }
-
-// registryLen counts enrollments currently linked across all slots,
-// retired-but-not-yet-unlinked ones included; a record enrolled in k slots
-// counts k times (test helper).
-func (o *LockFree[V]) registryLen() int {
-	n := 0
-	for c := range o.slots {
-		n += o.slotLen(c)
-	}
-	return n
-}
-
-// slotLen counts enrollments currently linked in component c's slot (test
-// helper).
-func (o *LockFree[V]) slotLen(c int) int { return slotLen(&o.slots[c]) }

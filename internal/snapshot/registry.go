@@ -22,10 +22,10 @@ import (
 // every live record regardless of overlap.
 //
 // Every record found in a walked slot intersects the updater's write set
-// by construction, so the registry needs no intersection test; the price
-// is that an update whose write set overlaps a record in several
-// components sees that record once per shared slot, and the walk dedups
-// (helpIntersectingScans keeps the per-walk seen list).
+// by construction, so the registry needs no intersection test. An update
+// whose write set overlaps a record in several components meets that
+// record once per shared slot; the first meeting leaves it done or helped
+// (see help), so a later one costs the walk one load and no embedded scan.
 //
 // An updater's consultation of a slot is one load of its head: nil means
 // no scan is enrolled there, and the update counts a skip and moves on
@@ -134,9 +134,10 @@ func (o *LockFree[V]) sweepStale(rec *scanRecord[V]) {
 // starting from head (the non-nil head the caller's consultation loaded),
 // newest enrollment first, unlinking the retired records' enrollments it
 // passes. The newest-first order serves the deepest records of any help
-// chain before the records that wait on them. seen is the update's dedup
-// list across slots; walkSlot returns it extended.
-func (o *LockFree[V]) walkSlot(s *slot[V], c int, cur *enrollment[V], seen []*scanRecord[V]) []*scanRecord[V] {
+// chain before the records that wait on them. A record this update
+// already served through an earlier slot is now either retired, and
+// unlinked here like any other, or helped, so help returns after one load.
+func (o *LockFree[V]) walkSlot(s *slot[V], c int, cur *enrollment[V]) {
 	s.walks.Add(1)
 	var prev *enrollment[V]
 	for cur != nil {
@@ -153,19 +154,8 @@ func (o *LockFree[V]) walkSlot(s *slot[V], c int, cur *enrollment[V], seen []*sc
 			continue
 		}
 		s.visited.Add(1)
-		seen = o.help(cur.rec, seen)
+		o.help(cur.rec)
 		prev = cur
 		cur = next
 	}
-	return seen
-}
-
-// slotLen counts enrollments currently linked in a slot,
-// retired-but-not-yet-unlinked ones included (test helper).
-func slotLen[V any](s *slot[V]) int {
-	n := 0
-	for cur := s.head.Load(); cur != nil; cur = cur.next.Load() {
-		n++
-	}
-	return n
 }

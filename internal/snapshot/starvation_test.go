@@ -186,6 +186,12 @@ func TestNestedHelpChainAdoption(t *testing.T) {
 	s.ctl.RunToCompletion("wb")
 	s.mustPark("u2", sched.PostAnnounce, 1)
 	s.mustPark("u2", sched.PostFirstCollect, 1)
+	// Slot 0 now holds u2's level-1 record above the scanner's level-0 one.
+	e1 := s.o.slots[0].head.Load()
+	rec1, rec0 := e1.rec, e1.next.Load().rec
+	if rec1.level != 1 || rec0.level != 0 {
+		t.Fatalf("slot 0 holds levels %d, %d, want u2's level 1 above the scanner's level 0", rec1.level, rec0.level)
+	}
 
 	// u3 walks the stack newest-first: it finds u2's embedded record at the
 	// head and helps *it* (a level-2 embedded scan — help of the helper),
@@ -219,6 +225,11 @@ func TestNestedHelpChainAdoption(t *testing.T) {
 	}
 	if info.Depth != 2 {
 		t.Fatalf("info.Depth = %d, want 2 (view originated in a help-of-helper collect)", info.Depth)
+	}
+	// u2 relayed the view it adopted without copying it: a posted view is
+	// never written, so one slice serves both records in turn.
+	if v1, v0 := rec1.help.Load().vals, rec0.help.Load().vals; &v1[0] != &v0[0] {
+		t.Fatalf("the scanner's help view %v does not share u2's adopted view %v: the relay copied it", v0, v1)
 	}
 	st := s.o.Stats()
 	if st.MaxHelpDepth != 2 {
