@@ -234,7 +234,7 @@ func (c *Controller) Wait(name string) {
 
 // AwaitAllParked blocks until no controlled goroutine is running (each is
 // parked, done, or detached) and returns the sorted names of the parked
-// ones. The sort makes the runnable set deterministic for the Explorer.
+// ones. The sort makes the runnable set deterministic for every driver.
 func (c *Controller) AwaitAllParked() []string {
 	deadline := time.Now().Add(c.timeout)
 	c.mu.Lock()

@@ -2,18 +2,19 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
-// This file is the systematic driver on top of the Controller: where the
-// seeded Explorer samples one pseudo-random serialised schedule per seed,
-// the DFSExplorer enumerates *every* serialised schedule of a scenario up
-// to a preemption bound, evaluates an oracle after each one, and on
-// failure hands back a greedily shrunk, replayable trace. The design is
-// the classic stateless model checking loop (CHESS-style): goroutines
-// cannot be checkpointed, so each schedule re-runs the scenario from
-// scratch while a persistent tree of decision nodes steers execution down
-// the next unexplored branch.
+// This file is the systematic driver on top of the Controller: where
+// RunSeeded samples one pseudo-random serialised schedule per seed, the
+// DFSExplorer enumerates *every* serialised schedule of a scenario up to a
+// preemption bound, evaluates an oracle after each one, and on failure
+// hands back the failing schedule as a replayable trace. The design is the
+// classic stateless model checking loop (CHESS-style): goroutines cannot be
+// checkpointed, so each schedule re-runs the scenario from scratch while a
+// persistent tree of decision nodes steers drive down the next unexplored
+// branch.
 //
 // Preemption bounding: switching away from a goroutine that is still
 // runnable costs one preemption; switching because the previous goroutine
@@ -49,7 +50,7 @@ type DFSExplorer struct {
 	// MaxScheduleSteps aborts any single schedule that exceeds this many
 	// scheduling steps and reports it as a failure (a livelock is a
 	// wait-freedom violation, and this is how the searcher catches one).
-	// 0 = a generous default.
+	// 0 = the default of 100,000 that every driver shares.
 	MaxScheduleSteps int
 	// Timeout is the per-run controller watchdog; 0 keeps the controller
 	// default.
@@ -62,11 +63,6 @@ type DFSExplorer struct {
 	// goroutine (or the oracle) can observe identical in both orders. See
 	// FootprintIndependence.
 	Independent func(a, b Step) bool
-	// NoShrink skips greedy trace shrinking on failure.
-	NoShrink bool
-	// ShrinkBudget caps the replays spent shrinking a failing trace;
-	// 0 = a default of 400.
-	ShrinkBudget int
 }
 
 // Report is the outcome of one Explore call.
@@ -94,21 +90,14 @@ type Report struct {
 type Failure struct {
 	// Err is the oracle (or livelock) error.
 	Err error
-	// Trace is the shrunk replayable schedule (equal to RawTrace when
-	// shrinking is disabled or finds nothing smaller). Replaying it
-	// reproduces a failure, though possibly with a different error message
-	// than Err when shrinking crossed from one symptom to another.
+	// Trace is the failing schedule; strict replay reproduces the failure.
+	// It is not shrunk: a complete trace's length is fixed by how many
+	// times each goroutine yields, so a shorter one needs a schedule with
+	// fewer retries, and such a schedule does not fail.
 	Trace Trace
-	// RawTrace is the schedule exactly as the search first hit it.
-	RawTrace Trace
 	// Schedule is the 1-based index of the failing schedule in DFS order.
 	Schedule int
 }
-
-const (
-	defaultMaxScheduleSteps = 100_000
-	defaultShrinkBudget     = 400
-)
 
 // node is one decision point of the current DFS path: the runnable set
 // observed there, which branch the current run takes, which branches are
@@ -158,11 +147,7 @@ func (d *DFSExplorer) Explore(s Scenario) Report {
 			err = oracle(tr)
 		}
 		if err != nil {
-			f := &Failure{Err: err, Trace: tr, RawTrace: tr, Schedule: rep.Schedules}
-			if !d.NoShrink {
-				f.Trace = d.shrink(s, tr)
-			}
-			rep.Failure = f
+			rep.Failure = &Failure{Err: err, Trace: tr, Schedule: rep.Schedules}
 			return rep
 		}
 		if !d.backtrack(&path, &rep) {
@@ -172,39 +157,31 @@ func (d *DFSExplorer) Explore(s Scenario) Report {
 	}
 }
 
-// runOne executes one schedule: it follows the choices recorded in path,
-// extends the path with fresh nodes (default choices) past the prefix, and
-// returns the decision trace plus the scenario's oracle.
-func (d *DFSExplorer) runOne(s Scenario, path []*node) (Trace, Oracle, []*node, error) {
+// start builds one fresh scenario instance on a new controller with the
+// explorer's watchdog, and returns it with its oracle and step cap.
+func (d *DFSExplorer) start(s Scenario) (*Controller, Oracle, int) {
 	c := NewController()
 	if d.Timeout > 0 {
 		c.SetTimeout(d.Timeout)
 	}
-	oracle := s(c)
-	maxSteps := d.MaxScheduleSteps
-	if maxSteps <= 0 {
-		maxSteps = defaultMaxScheduleSteps
+	limit := d.MaxScheduleSteps
+	if limit <= 0 {
+		limit = maxSteps
 	}
-	var tr Trace
-	last := ""
-	preempts := 0
+	return c, s(c), limit
+}
+
+// runOne executes one schedule: its choose follows the choices recorded in
+// path, extends the path with fresh nodes (default choices) past the
+// prefix, and the run returns the decision trace plus the scenario's
+// oracle.
+func (d *DFSExplorer) runOne(s Scenario, path []*node) (Trace, Oracle, []*node, error) {
+	c, oracle, limit := d.start(s)
 	depth := 0
-	for {
-		names := c.AwaitAllParked()
-		if len(names) == 0 {
-			return tr, oracle, path, nil
-		}
-		if len(tr) >= maxSteps {
-			c.DetachAll()
-			return tr, oracle, path, fmt.Errorf("sched: schedule exceeded %d steps without quiescing (livelock)", maxSteps)
-		}
-		steps := positionsOf(c, names)
-		var nd *node
+	tr, err := drive(c, limit, func(steps []Step) (int, error) {
 		if depth < len(path) {
-			nd = path[depth]
-			if !sameRunnable(nd.runnable, steps) {
-				c.DetachAll()
-				return tr, oracle, path, fmt.Errorf(
+			if nd := path[depth]; !slices.Equal(nd.runnable, steps) {
+				return 0, fmt.Errorf(
 					"sched: scenario is nondeterministic: replaying the recorded prefix reached runnable set %v, search saw %v",
 					Trace(steps), Trace(nd.runnable))
 			}
@@ -213,35 +190,32 @@ func (d *DFSExplorer) runOne(s Scenario, path []*node) (Trace, Oracle, []*node, 
 			if depth > 0 {
 				parent = path[depth-1]
 			}
-			nd = d.newNode(steps, last, preempts, parent)
-			path = append(path, nd)
+			path = append(path, d.newNode(steps, parent))
 		}
-		st := nd.runnable[nd.chosen]
-		preempts += nd.cost(st.Gor)
-		tr = append(tr, st)
-		c.Step(st.Gor)
-		last = st.Gor
 		depth++
-	}
+		return path[depth-1].chosen, nil
+	})
+	return tr, oracle, path, err
 }
 
-// newNode builds the decision node for a freshly reached state: its sleep
-// set is inherited from the parent (previously explored or sleeping sibling
+// newNode builds the decision node for a freshly reached state, whose
+// parent (nil at the root) took the step that reached it: its sleep set is
+// inherited from the parent (previously explored or sleeping sibling
 // branches that are independent of the step just taken stay redundant
 // here), and its default branch continues the previous goroutine when that
 // is runnable and not sleeping.
-func (d *DFSExplorer) newNode(steps []Step, last string, preempts int, parent *node) *node {
+func (d *DFSExplorer) newNode(steps []Step, parent *node) *node {
 	nd := &node{
 		runnable: steps,
-		last:     last,
-		preempts: preempts,
 		tried:    make(map[string]bool),
 		sleep:    make(map[string]bool),
 	}
-	if parent != nil && d.Independent != nil {
+	if parent != nil {
 		chosen := parent.runnable[parent.chosen]
+		nd.last = chosen.Gor
+		nd.preempts = parent.preempts + parent.cost(chosen.Gor)
 		for _, st := range parent.runnable {
-			if st.Gor == chosen.Gor {
+			if st.Gor == chosen.Gor || d.Independent == nil {
 				continue
 			}
 			if (parent.sleep[st.Gor] || parent.tried[st.Gor]) && d.Independent(st, chosen) {
@@ -254,7 +228,7 @@ func (d *DFSExplorer) newNode(steps []Step, last string, preempts int, parent *n
 		if nd.sleep[st.Gor] {
 			continue
 		}
-		if st.Gor == last {
+		if st.Gor == nd.last {
 			pick = i
 			break
 		}
@@ -309,63 +283,6 @@ func (d *DFSExplorer) backtrack(path *[]*node, rep *Report) bool {
 	return false
 }
 
-// shrink greedily minimises a failing trace: first the shortest failing
-// prefix (default continuation after the cut), then dropping individual
-// decisions under tolerant replay, re-running the scenario for every
-// candidate and keeping any that still fails.
-func (d *DFSExplorer) shrink(s Scenario, tr Trace) Trace {
-	budget := d.ShrinkBudget
-	if budget <= 0 {
-		budget = defaultShrinkBudget
-	}
-	best := tr
-	for cut := 0; cut <= len(tr) && budget > 0; cut++ {
-		budget--
-		if got, err := d.replayCandidate(s, tr[:cut]); err != nil {
-			best = got
-			break
-		}
-	}
-	improved := true
-	for improved && budget > 0 {
-		improved = false
-		for i := 0; i < len(best) && budget > 0; i++ {
-			cand := append(append(Trace{}, best[:i]...), best[i+1:]...)
-			budget--
-			got, err := d.replayCandidate(s, cand)
-			if err != nil && len(got) <= len(best) {
-				best = got
-				improved = true
-				break
-			}
-		}
-	}
-	return best
-}
-
-// replayCandidate runs one fresh scenario instance under a tolerant replay
-// of prefix and returns the observed trace plus the oracle's verdict (a
-// livelocked replay counts as a failure).
-func (d *DFSExplorer) replayCandidate(s Scenario, prefix Trace) (Trace, error) {
-	c := NewController()
-	if d.Timeout > 0 {
-		c.SetTimeout(d.Timeout)
-	}
-	oracle := s(c)
-	maxSteps := d.MaxScheduleSteps
-	if maxSteps <= 0 {
-		maxSteps = defaultMaxScheduleSteps
-	}
-	got, err := replayTrace(c, prefix, false, maxSteps)
-	if err != nil {
-		return got, err
-	}
-	if oracle != nil {
-		return got, oracle(got)
-	}
-	return got, nil
-}
-
 // Replay re-runs a scenario under a strict replay of tr — every recorded
 // decision must find its goroutine parked exactly where the trace says —
 // then drains the remaining goroutines non-preemptively and evaluates the
@@ -373,94 +290,12 @@ func (d *DFSExplorer) replayCandidate(s Scenario, prefix Trace) (Trace, error) {
 // recorded by a failing search (or a failing seeded exploration) is
 // reproduced without re-searching.
 func (d *DFSExplorer) Replay(s Scenario, tr Trace) (Trace, error) {
-	c := NewController()
-	if d.Timeout > 0 {
-		c.SetTimeout(d.Timeout)
+	c, oracle, limit := d.start(s)
+	got, err := replayTrace(c, tr, true, limit)
+	if err == nil && oracle != nil {
+		err = oracle(got)
 	}
-	oracle := s(c)
-	maxSteps := d.MaxScheduleSteps
-	if maxSteps <= 0 {
-		maxSteps = defaultMaxScheduleSteps
-	}
-	got, err := replayTrace(c, tr, true, maxSteps)
-	if err != nil {
-		return got, err
-	}
-	if oracle != nil {
-		return got, oracle(got)
-	}
-	return got, nil
-}
-
-// ReplayTrace drives a controller's goroutines along a recorded schedule:
-// each decision resumes its goroutine (strict mode errors if the goroutine
-// is missing or parked elsewhere; tolerant mode skips inapplicable
-// decisions), and once the trace is exhausted the remaining goroutines
-// drain under the deterministic non-preemptive default. It returns the
-// full observed trace, prefix and drain included.
-func ReplayTrace(c *Controller, tr Trace, strict bool) (Trace, error) {
-	return replayTrace(c, tr, strict, defaultMaxScheduleSteps)
-}
-
-func replayTrace(c *Controller, tr Trace, strict bool, maxSteps int) (Trace, error) {
-	var got Trace
-	last := ""
-	for i, want := range tr {
-		names := c.AwaitAllParked()
-		if len(names) == 0 {
-			if strict {
-				return got, fmt.Errorf("sched: all goroutines finished with %d trace steps left (first: %s)", len(tr)-i, want)
-			}
-			break
-		}
-		found := false
-		for _, nm := range names {
-			if nm == want.Gor {
-				found = true
-				break
-			}
-		}
-		if !found {
-			if strict {
-				return got, fmt.Errorf("sched: replay diverged at step %d: %s is not runnable (runnable: %v)", i, want.Gor, names)
-			}
-			continue
-		}
-		p, arg, ok := c.AwaitPark(want.Gor)
-		if !ok {
-			if strict {
-				return got, fmt.Errorf("sched: replay diverged at step %d: %s finished early", i, want.Gor)
-			}
-			continue
-		}
-		if strict && (p != want.Point || arg != want.Arg) {
-			return got, fmt.Errorf("sched: replay diverged at step %d: %s parked at %s(%d), trace says %s", i, want.Gor, p, arg, want)
-		}
-		got = append(got, Step{Gor: want.Gor, Point: p, Arg: arg})
-		c.Step(want.Gor)
-		last = want.Gor
-	}
-	for {
-		if len(got) >= maxSteps {
-			c.DetachAll()
-			return got, fmt.Errorf("sched: replay exceeded %d steps without quiescing (livelock)", maxSteps)
-		}
-		names := c.AwaitAllParked()
-		if len(names) == 0 {
-			return got, nil
-		}
-		pick := names[0]
-		for _, nm := range names {
-			if nm == last {
-				pick = nm
-				break
-			}
-		}
-		p, arg, _ := c.AwaitPark(pick)
-		got = append(got, Step{Gor: pick, Point: p, Arg: arg})
-		c.Step(pick)
-		last = pick
-	}
+	return got, err
 }
 
 // FootprintIndependence builds a sleep-set independence relation from
@@ -495,33 +330,4 @@ func FootprintIndependence(footprints map[string][]int) func(a, b Step) bool {
 		}
 		return true
 	}
-}
-
-// positionsOf reports the park position of every named goroutine. All must
-// be parked (the caller just observed them via AwaitAllParked and nothing
-// has been resumed since).
-func positionsOf(c *Controller, names []string) []Step {
-	out := make([]Step, len(names))
-	for i, nm := range names {
-		p, arg, ok := c.AwaitPark(nm)
-		if !ok {
-			// Unreachable: a parked goroutine cannot finish while nobody
-			// resumes it.
-			panic("sched: goroutine " + nm + " vanished between AwaitAllParked and AwaitPark")
-		}
-		out[i] = Step{Gor: nm, Point: p, Arg: arg}
-	}
-	return out
-}
-
-func sameRunnable(a, b []Step) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -37,8 +37,8 @@ func racyCounter() (Scenario, *atomic.Int64) {
 }
 
 // TestDFSFindsLostUpdate: one preemption of budget is enough to expose the
-// lost update, the shrunk trace is no longer than the raw one, and
-// replaying the shrunk trace reproduces a failure without searching.
+// lost update, and replaying the failing trace reproduces a failure
+// without searching.
 func TestDFSFindsLostUpdate(t *testing.T) {
 	scenario, _ := racyCounter()
 	d := &DFSExplorer{MaxPreemptions: 1, Timeout: 10 * time.Second}
@@ -50,14 +50,11 @@ func TestDFSFindsLostUpdate(t *testing.T) {
 	if !strings.Contains(f.Err.Error(), "lost update") {
 		t.Fatalf("failure error = %v, want the oracle's lost-update error", f.Err)
 	}
-	if len(f.Trace) > len(f.RawTrace) {
-		t.Fatalf("shrunk trace (%d steps) longer than raw (%d steps)", len(f.Trace), len(f.RawTrace))
-	}
 	if _, err := d.Replay(scenario, f.Trace); err == nil {
-		t.Fatalf("replaying the shrunk failing trace passed:\n%s", f.Trace)
+		t.Fatalf("replaying the failing trace passed:\n%s", f.Trace)
 	}
-	t.Logf("failure at schedule %d/%d, raw %d steps, shrunk %d:\n%s",
-		f.Schedule, rep.Schedules, len(f.RawTrace), len(f.Trace), f.Trace)
+	t.Logf("failure at schedule %d/%d, %d steps:\n%s",
+		f.Schedule, rep.Schedules, len(f.Trace), f.Trace)
 }
 
 // TestDFSPreemptionBoundIsRespected: with zero preemptions the lost update
@@ -167,7 +164,7 @@ func TestDFSCatchesLivelock(t *testing.T) {
 		})
 		return nil
 	}
-	d := &DFSExplorer{MaxPreemptions: 1, MaxScheduleSteps: 50, NoShrink: true, Timeout: 10 * time.Second}
+	d := &DFSExplorer{MaxPreemptions: 1, MaxScheduleSteps: 50, Timeout: 10 * time.Second}
 	rep := d.Explore(scenario)
 	if rep.Failure == nil || !strings.Contains(rep.Failure.Err.Error(), "livelock") {
 		t.Fatalf("livelocked schedule not reported: %+v", rep)
@@ -193,7 +190,7 @@ func TestDFSNondeterministicScenarioReported(t *testing.T) {
 		})
 		return nil
 	}
-	d := &DFSExplorer{MaxPreemptions: 2, NoShrink: true, Timeout: 10 * time.Second}
+	d := &DFSExplorer{MaxPreemptions: 2, Timeout: 10 * time.Second}
 	rep := d.Explore(scenario)
 	if rep.Failure == nil || !strings.Contains(rep.Failure.Err.Error(), "nondeterministic") {
 		t.Fatalf("nondeterminism not reported: %+v", rep)
@@ -210,18 +207,49 @@ func TestReplayTraceStrict(t *testing.T) {
 	if rep.Failure == nil {
 		t.Fatal("search found no failure to replay")
 	}
-	// Strict replay of the raw failing trace reproduces the failure.
-	if _, err := d.Replay(scenario, rep.Failure.RawTrace); err == nil {
-		t.Fatal("strict replay of the raw failing trace passed")
+	// Strict replay of the failing trace reproduces the failure.
+	if _, err := d.Replay(scenario, rep.Failure.Trace); err == nil {
+		t.Fatal("strict replay of the failing trace passed")
 	}
 	if got := counter.Load(); got == 2 {
 		t.Fatal("replayed schedule did not reproduce the lost update")
 	}
 	// A trace pointing at a goroutine parked elsewhere diverges loudly.
-	bogus := append(Trace(nil), rep.Failure.RawTrace...)
+	bogus := append(Trace(nil), rep.Failure.Trace...)
 	bogus[0].Point = PreAdopt
 	if _, err := d.Replay(scenario, bogus); err == nil || !strings.Contains(err.Error(), "diverged") {
 		t.Fatalf("doctored trace replay error = %v, want divergence", err)
+	}
+}
+
+// TestReplayTraceModes: strict replay rejects a decision for a goroutine
+// that is not runnable and a trace that outlives the run; tolerant replay
+// skips the inapplicable decision and reproduces the recorded schedule.
+func TestReplayTraceModes(t *testing.T) {
+	scenario, _ := racyCounter()
+	d := &DFSExplorer{MaxPreemptions: 1, Timeout: 10 * time.Second}
+	rep := d.Explore(scenario)
+	if rep.Failure == nil {
+		t.Fatal("search found no failure to replay")
+	}
+	tr := rep.Failure.Trace
+	stray := append(Trace{tr[0], {Gor: "zz", Point: PointStart}}, tr[1:]...)
+	if _, err := d.Replay(scenario, stray); err == nil || !strings.Contains(err.Error(), "not runnable") {
+		t.Fatalf("strict replay of a stray decision: error = %v, want not runnable", err)
+	}
+	long := append(append(Trace(nil), tr...), tr[0])
+	if _, err := d.Replay(scenario, long); err == nil || !strings.Contains(err.Error(), "1 trace steps left") {
+		t.Fatalf("strict replay of an overlong trace: error = %v, want steps left", err)
+	}
+	c := NewController()
+	c.SetTimeout(10 * time.Second)
+	scenario(c)
+	got, err := ReplayTrace(c, stray, false)
+	if err != nil {
+		t.Fatalf("tolerant replay: %v", err)
+	}
+	if !reflect.DeepEqual(got, tr) {
+		t.Fatalf("tolerant replay ran\n%s\nwant the recorded\n%s", got, tr)
 	}
 }
 
@@ -254,11 +282,10 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExplorerDecisionsReplay: the seeded Explorer's recorded decisions
-// replay its exact schedule on a fresh controller — the bridge that lets a
-// failing seed from the random matrix be reproduced from its trace file
-// alone.
-func TestExplorerDecisionsReplay(t *testing.T) {
+// TestRunSeededDecisionsReplay: RunSeeded's recorded decisions replay its
+// exact schedule on a fresh controller — the bridge that lets a failing
+// seed from the random matrix be reproduced from its trace file alone.
+func TestRunSeededDecisionsReplay(t *testing.T) {
 	build := func(c *Controller, order *[]int) {
 		var mu = make(chan struct{}, 1)
 		mu <- struct{}{}
@@ -274,14 +301,16 @@ func TestExplorerDecisionsReplay(t *testing.T) {
 			})
 		}
 	}
-	e := NewExplorer(7)
-	e.C.SetTimeout(10 * time.Second)
+	sc := NewController()
+	sc.SetTimeout(10 * time.Second)
 	var seedOrder []int
-	build(e.C, &seedOrder)
-	e.Run()
-	decisions := e.Decisions()
+	build(sc, &seedOrder)
+	decisions, err := RunSeeded(sc, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(decisions) == 0 {
-		t.Fatal("explorer recorded no decisions")
+		t.Fatal("seeded run recorded no decisions")
 	}
 
 	c := NewController()
@@ -289,9 +318,40 @@ func TestExplorerDecisionsReplay(t *testing.T) {
 	var replayOrder []int
 	build(c, &replayOrder)
 	if _, err := ReplayTrace(c, decisions, true); err != nil {
-		t.Fatalf("strict replay of explorer decisions diverged: %v", err)
+		t.Fatalf("strict replay of seeded decisions diverged: %v", err)
 	}
 	if !reflect.DeepEqual(seedOrder, replayOrder) {
 		t.Fatalf("replay produced a different outcome: %v vs %v", seedOrder, replayOrder)
+	}
+}
+
+// TestReplayTraceDivergedReleasesGoroutines: a strict replay that diverges
+// detaches every goroutine it abandons, so each one still finishes instead
+// of staying parked for the rest of the process.
+func TestReplayTraceDivergedReleasesGoroutines(t *testing.T) {
+	c := NewController()
+	c.SetTimeout(10 * time.Second)
+	worker := func() {
+		c.Yield(PostFirstCollect, 0)
+		c.Yield(PreCellStore, 0)
+	}
+	c.Spawn("a", worker)
+	c.Spawn("b", worker)
+	bogus := Trace{{Gor: "a", Point: PointStart}, {Gor: "a", Point: PreAdopt}}
+	if _, err := ReplayTrace(c, bogus, true); err == nil || !strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("doctored trace replay error = %v, want divergence", err)
+	}
+	finished := make(chan struct{})
+	go func() {
+		c.Wait("a")
+		c.Wait("b")
+		close(finished)
+	}()
+	select {
+	case <-finished:
+	case <-time.After(2 * time.Second):
+		c.DetachAll() // release the leaked goroutines so the waiter returns
+		<-finished
+		t.Fatal("diverged replay left its goroutines parked")
 	}
 }

@@ -14,10 +14,13 @@
 //   - Scripted: the test spawns goroutines with Controller.Spawn and moves
 //     them explicitly (StepUntil, Resume, AwaitPark) from one named yield
 //     point to the next.
-//   - Explored: an Explorer serialises all controlled goroutines and picks
-//     the next one to run with a seeded PRNG at every step. Because exactly
-//     one goroutine runs between yield points, the whole interleaving is a
-//     pure function of the seed and a failure replays from its seed alone.
+//   - Driven: one run loop serialises all controlled goroutines and, at
+//     every step, resumes the parked one a choose function picks. A driver
+//     is a choose function over that loop: RunSeeded picks with a seeded
+//     PRNG, DFSExplorer walks a decision tree, ReplayTrace follows a
+//     recorded trace. Because exactly one goroutine runs between yield
+//     points, the whole interleaving is a pure function of the choices, and
+//     a failure replays from its seed or its recorded trace alone.
 //
 // Goroutines the Controller has never been told about (including the test's
 // own goroutine) pass through Yield untouched, so a script can mix
@@ -39,7 +42,7 @@ type Point string
 const (
 	// PointStart is the implicit first park of every controlled goroutine:
 	// Spawn parks the goroutine at PointStart before its function runs, so a
-	// script (or the Explorer) controls it from its very first instruction.
+	// script (or a driver) controls it from its very first instruction.
 	PointStart Point = "start"
 
 	// PostFirstCollect fires between the two collects of a double collect —

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -83,14 +84,14 @@ func TestDetachReleasesParkedGoroutine(t *testing.T) {
 	}
 }
 
-// TestExplorerDeterministicReplay runs the same seeded exploration twice
+// TestRunSeededDeterministicReplay runs the same seeded exploration twice
 // over a workload whose result depends on the interleaving, and requires
 // identical traces and identical outcomes; a different seed must still
 // complete with a valid (possibly different) outcome.
-func TestExplorerDeterministicReplay(t *testing.T) {
-	run := func(seed int64) ([]string, []int) {
-		e := NewExplorer(seed)
-		e.C.SetTimeout(5 * time.Second)
+func TestRunSeededDeterministicReplay(t *testing.T) {
+	run := func(seed int64) (Trace, []int) {
+		c := NewController()
+		c.SetTimeout(5 * time.Second)
 		var order []int
 		var mu chan struct{} = make(chan struct{}, 1)
 		mu <- struct{}{}
@@ -101,15 +102,18 @@ func TestExplorerDeterministicReplay(t *testing.T) {
 		}
 		for i := 0; i < 3; i++ {
 			i := i
-			e.C.Spawn([]string{"x", "y", "z"}[i], func() {
+			c.Spawn([]string{"x", "y", "z"}[i], func() {
 				for k := 0; k < 3; k++ {
-					e.C.Yield(PostFirstCollect, k)
+					c.Yield(PostFirstCollect, k)
 					record(i*10 + k)
 				}
 			})
 		}
-		e.Run()
-		return e.Trace(), order
+		tr, err := RunSeeded(c, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr, order
 	}
 	t1, o1 := run(42)
 	t2, o2 := run(42)
@@ -126,4 +130,27 @@ func TestExplorerDeterministicReplay(t *testing.T) {
 	if len(t3) == 0 {
 		t.Fatal("seed 43 exploration recorded no trace")
 	}
+}
+
+// TestRunSeededCatchesLivelock: a seeded schedule that never quiesces
+// within the step cap fails with its trace instead of panicking, and the
+// goroutine it abandons drains.
+func TestRunSeededCatchesLivelock(t *testing.T) {
+	c := NewController()
+	c.SetTimeout(10 * time.Second)
+	c.Spawn("spinner", func() {
+		// More yields than the step cap; finite so the detached goroutine
+		// drains after the abort.
+		for i := 0; i < maxSteps+10; i++ {
+			c.Yield(PostFirstCollect, 0)
+		}
+	})
+	tr, err := RunSeeded(c, 1)
+	if err == nil || !strings.Contains(err.Error(), "livelock") {
+		t.Fatalf("livelocked seeded run error = %v, want livelock", err)
+	}
+	if len(tr) != maxSteps {
+		t.Fatalf("livelock trace has %d steps, want the %d-step cap", len(tr), maxSteps)
+	}
+	c.Wait("spinner")
 }

@@ -98,8 +98,8 @@ func twoWritersOneScanner(c *sched.Controller) sched.Oracle {
 // TestDFSExhaustsTwoWritersOneScanner is the systematic counterpart of the
 // seeded matrix: it enumerates the ENTIRE preemption-2 schedule space of
 // the 2-writer/1-scanner scenario and requires every single schedule to
-// pass the sequential-spec and hygiene oracle. Where the seeded
-// Explorer samples, this exhausts: within the bound there is no
+// pass the sequential-spec and hygiene oracle. Where RunSeeded
+// samples, this exhausts: within the bound there is no
 // interleaving of this scenario the oracle has not accepted.
 func TestDFSExhaustsTwoWritersOneScanner(t *testing.T) {
 	bound := 2
@@ -111,7 +111,7 @@ func TestDFSExhaustsTwoWritersOneScanner(t *testing.T) {
 	rep := d.Explore(twoWritersOneScanner)
 	if rep.Failure != nil {
 		f := rep.Failure
-		t.Fatalf("schedule %d failed: %v\nshrunk trace (%d steps):\n%s",
+		t.Fatalf("schedule %d failed: %v\ntrace (%d steps):\n%s",
 			f.Schedule, f.Err, len(f.Trace), f.Trace)
 	}
 	if !rep.Exhausted {
@@ -207,7 +207,7 @@ func TestDFSExhaustsHeadConsultationWritersScanner(t *testing.T) {
 	rep := d.Explore(headTwoWritersOneScanner(&skipped, &walked))
 	if rep.Failure != nil {
 		f := rep.Failure
-		t.Fatalf("schedule %d failed: %v\nshrunk trace (%d steps):\n%s",
+		t.Fatalf("schedule %d failed: %v\ntrace (%d steps):\n%s",
 			f.Schedule, f.Err, len(f.Trace), f.Trace)
 	}
 	if !rep.Exhausted {

@@ -180,14 +180,20 @@ func (ec exploreCell) scenario(seed int64, run *exploreRun) sched.Scenario {
 	}
 }
 
-// exploreSeeded runs one (cell, seed) exploration under the seeded
-// Explorer and returns the run artifacts and oracle verdict.
+// exploreSeeded runs one (cell, seed) exploration under sched.RunSeeded
+// and returns the run artifacts and oracle verdict. A run that fails
+// before the oracle (a livelock) still returns its decisions, so the
+// failure gets a trace file.
 func (ec exploreCell) exploreSeeded(seed int64) (exploreRun, error) {
 	var run exploreRun
-	e := sched.NewExplorer(seed)
-	oracle := ec.scenario(seed, &run)(e.C)
-	e.Run()
-	return run, oracle(e.Decisions())
+	c := sched.NewController()
+	oracle := ec.scenario(seed, &run)(c)
+	tr, err := sched.RunSeeded(c, seed)
+	if err != nil {
+		run.decisions = tr
+		return run, err
+	}
+	return run, oracle(tr)
 }
 
 // traceDir is where failing explorations drop their replayable trace
@@ -290,7 +296,7 @@ func TestExplorationTraceReplay(t *testing.T) {
 // the decision trace, the recorded history and the progress counters to be
 // identical — the property that makes both replay knobs meaningful — and
 // then cross-validates the trace path: strict ReplayTrace of the recorded
-// decisions reproduces the identical history with no Explorer involved.
+// decisions reproduces the identical history with no seed involved.
 func TestExplorationReplayIsDeterministic(t *testing.T) {
 	ec, _ := cellFor(workload.Zipfian)
 	a, errA := ec.exploreSeeded(42)

@@ -153,9 +153,9 @@ func mutationScenario(bound int) sched.Scenario {
 
 // TestMutationBoundedHelperIsCaught re-bounds helping via the injected
 // limit and requires the systematic search to find the starvation-shaped
-// violation within two preemptions — then shrink it and replay it. The
-// control arm runs the identical search against the intact object and
-// must exhaust with every schedule passing.
+// violation within two preemptions — then replay it. The control arm runs
+// the identical search against the intact object and must exhaust with
+// every schedule passing.
 func TestMutationBoundedHelperIsCaught(t *testing.T) {
 	d := &sched.DFSExplorer{MaxPreemptions: 2, MaxSchedules: 20000, Timeout: 30 * time.Second}
 
@@ -174,12 +174,9 @@ func TestMutationBoundedHelperIsCaught(t *testing.T) {
 			mutated.Schedules, d.MaxPreemptions)
 	}
 	f := mutated.Failure
-	if len(f.Trace) > len(f.RawTrace) {
-		t.Fatalf("shrunk trace grew: %d > %d steps", len(f.Trace), len(f.RawTrace))
-	}
-	// The shrunk trace replays to a failure without any searching.
+	// The trace replays to a failure without any searching.
 	if _, err := d.Replay(mutationScenario(1), f.Trace); err == nil {
-		t.Fatalf("shrunk failing trace replayed clean:\n%s", f.Trace)
+		t.Fatalf("failing trace replayed clean:\n%s", f.Trace)
 	}
 	// And the intact object sails through the schedule that kills the
 	// mutant. Tolerant replay, because the intact helper takes extra yield
@@ -194,7 +191,7 @@ func TestMutationBoundedHelperIsCaught(t *testing.T) {
 	if err := intactOracle(got); err != nil {
 		t.Fatalf("intact object failed the mutant-killing schedule: %v\n%s", err, got)
 	}
-	t.Logf("mutant caught at schedule %d/%d: %v\nshrunk trace (%d steps):\n%s",
+	t.Logf("mutant caught at schedule %d/%d: %v\ntrace (%d steps):\n%s",
 		f.Schedule, mutated.Schedules, f.Err, len(f.Trace), f.Trace)
 }
 
@@ -329,10 +326,10 @@ func staleHeadEmptyScenario(mutate bool) sched.Scenario {
 
 // TestMutationStaleHeadEmptyIsConvicted injects the stale-head skip via its
 // seam and requires the systematic search to find the lost-help-obligation
-// schedule within two preemptions — then shrink and replay it. The control
-// arm runs the identical search against the intact object and must exhaust
-// with every schedule passing: only a nil head proves a slot empty; a
-// stale head still has to be walked.
+// schedule within two preemptions — then replay it. The control arm runs
+// the identical search against the intact object and must exhaust with
+// every schedule passing: only a nil head proves a slot empty; a stale
+// head still has to be walked.
 func TestMutationStaleHeadEmptyIsConvicted(t *testing.T) {
 	d := &sched.DFSExplorer{MaxPreemptions: 2, MaxSchedules: 20000, Timeout: 30 * time.Second}
 
@@ -351,11 +348,8 @@ func TestMutationStaleHeadEmptyIsConvicted(t *testing.T) {
 			mutated.Schedules, d.MaxPreemptions)
 	}
 	f := mutated.Failure
-	if len(f.Trace) > len(f.RawTrace) {
-		t.Fatalf("shrunk trace grew: %d > %d steps", len(f.Trace), len(f.RawTrace))
-	}
 	if _, err := d.Replay(staleHeadEmptyScenario(true), f.Trace); err == nil {
-		t.Fatalf("shrunk failing trace replayed clean:\n%s", f.Trace)
+		t.Fatalf("failing trace replayed clean:\n%s", f.Trace)
 	}
 	// The intact object sails through the mutant-killing schedule. Tolerant
 	// replay: the intact walker takes extra yield points (it walks the slot
@@ -369,7 +363,7 @@ func TestMutationStaleHeadEmptyIsConvicted(t *testing.T) {
 	if err := intactOracle(got); err != nil {
 		t.Fatalf("intact object failed the mutant-killing schedule: %v\n%s", err, got)
 	}
-	t.Logf("mutant caught at schedule %d/%d: %v\nshrunk trace (%d steps):\n%s",
+	t.Logf("mutant caught at schedule %d/%d: %v\ntrace (%d steps):\n%s",
 		f.Schedule, mutated.Schedules, f.Err, len(f.Trace), f.Trace)
 }
 
@@ -449,10 +443,10 @@ func reuseCellsScenario(mutate bool) sched.Scenario {
 
 // TestMutationReusedCellsAreConvicted hands value slots out of a fixed
 // ring via the reuseCells seam and requires the systematic search to find
-// a scan returning a value its component never held — then shrink it and
-// replay it. The control arm runs the identical search against the intact
-// object and must exhaust with every schedule passing: never handing a
-// slot out twice, not luck, is what keeps slot identity an ABA-free tag.
+// a scan returning a value its component never held — then replay it. The
+// control arm runs the identical search against the intact object and must
+// exhaust with every schedule passing: never handing a slot out twice, not
+// luck, is what keeps slot identity an ABA-free tag.
 func TestMutationReusedCellsAreConvicted(t *testing.T) {
 	d := &sched.DFSExplorer{MaxPreemptions: 2, MaxSchedules: 20000, Timeout: 30 * time.Second}
 
@@ -471,11 +465,8 @@ func TestMutationReusedCellsAreConvicted(t *testing.T) {
 			mutated.Schedules, d.MaxPreemptions)
 	}
 	f := mutated.Failure
-	if len(f.Trace) > len(f.RawTrace) {
-		t.Fatalf("shrunk trace grew: %d > %d steps", len(f.Trace), len(f.RawTrace))
-	}
 	if _, err := d.Replay(reuseCellsScenario(true), f.Trace); err == nil {
-		t.Fatalf("shrunk failing trace replayed clean:\n%s", f.Trace)
+		t.Fatalf("failing trace replayed clean:\n%s", f.Trace)
 	}
 	// The intact object sails through the mutant-killing schedule. Both
 	// variants take the same yield points, so the replay is strict.
@@ -488,6 +479,6 @@ func TestMutationReusedCellsAreConvicted(t *testing.T) {
 	if err := intactOracle(got); err != nil {
 		t.Fatalf("intact object failed the mutant-killing schedule: %v\n%s", err, got)
 	}
-	t.Logf("mutant caught at schedule %d/%d (of %d intact): %v\nshrunk trace (%d steps):\n%s",
+	t.Logf("mutant caught at schedule %d/%d (of %d intact): %v\ntrace (%d steps):\n%s",
 		f.Schedule, mutated.Schedules, intact.Schedules, f.Err, len(f.Trace), f.Trace)
 }
